@@ -3,19 +3,21 @@
 Every meta-benchmark that records numbers goes through
 :func:`update_results`, which read-modify-writes its section of
 ``BENCH_throughput.json`` and refreshes the ``_env`` provenance stamp
-(engine, python/numpy versions, platform, git sha, and the comparison
-fingerprint from :func:`repro.engine.engine_env`).  The stamp is what
-makes the numbers *interpretable*: a throughput jump means nothing
-until you know whether the compiled engine, a different interpreter,
-or a different machine produced it — and the perf-trajectory guard
-(``check_perf_trajectory.py``) only ever compares entries whose
-fingerprints match.
+(python/numpy versions, platform, git sha, and the comparison
+fingerprint, see :func:`current_env`).  The stamp is what makes the
+numbers *interpretable*: a throughput jump means nothing until you
+know whether a different interpreter or a different machine produced
+it — and the perf-trajectory guard (``check_perf_trajectory.py``)
+only ever compares entries whose fingerprints match.
 
 The benchmark conftest mirrors the whole snapshot (``_env`` included)
 into ``BENCH_history.jsonl``, one line per refreshing session.
 """
 
+import hashlib
 import json
+import os
+import platform
 import subprocess
 from pathlib import Path
 
@@ -57,12 +59,38 @@ def load_results(path=None):
 
 
 def current_env():
-    """The ``_env`` stamp: engine provenance plus the git sha."""
-    from repro.engine import engine_env
+    """The ``_env`` stamp: execution environment plus the git sha.
 
-    env = engine_env()
-    env["git"] = git_head()
-    return env
+    The ``fingerprint`` hashes the fields that decide whether two
+    records are comparable — python/numpy major.minor and platform —
+    and deliberately excludes the git sha (the whole point is comparing
+    across commits) and the CPU count (the benchmarks are single-point
+    serial).  The hashed fields keep the ``"engine": "interpreted"``
+    entry every committed history record was stamped with, so
+    fingerprints stay comparable with that history.
+    """
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    python_version = platform.python_version()
+    comparable = {
+        "engine": "interpreted",
+        "python": ".".join(python_version.split(".")[:2]),
+        "numpy": ".".join(numpy_version.split(".")[:2]) if numpy_version else None,
+        "platform": f"{platform.system().lower()}-{platform.machine()}",
+    }
+    digest = hashlib.sha256(json.dumps(comparable, sort_keys=True).encode()).hexdigest()
+    return {
+        "python": python_version,
+        "numpy": numpy_version,
+        "platform": comparable["platform"],
+        "cpus": os.cpu_count(),
+        "fingerprint": digest[:16],
+        "git": git_head(),
+    }
 
 
 def _write(results, path):
@@ -74,32 +102,13 @@ def update_results(section, payload, path=None):
 
     Returns the full snapshot as written.  Sections are either scheme
     names or underscore-prefixed harness sections (``_construction``,
-    ``_sweep``, ``_batch``, ``_engine``); ``_env`` is reserved and
+    ``_sweep``, ``_batch``, ``_service``); ``_env`` is reserved and
     always rewritten here so it describes the process that last touched
     the file.
     """
     path = path or RESULTS_PATH
     results = load_results(path)
     results[section] = payload
-    results["_env"] = current_env()
-    _write(results, path)
-    return results
-
-
-def update_subsection(section, key, payload, path=None):
-    """Merge ``payload`` under ``results[section][key]`` (+ ``_env``).
-
-    Used by the engine speedup harness, whose interpreted and compiled
-    measurements come from *different processes* writing the same
-    ``_engine`` section.
-    """
-    path = path or RESULTS_PATH
-    results = load_results(path)
-    sub = results.get(section)
-    if not isinstance(sub, dict):
-        sub = {}
-    sub[key] = payload
-    results[section] = sub
     results["_env"] = current_env()
     _write(results, path)
     return results

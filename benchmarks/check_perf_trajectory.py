@@ -4,9 +4,8 @@
 Compares the *fresh* per-scheme throughput in ``BENCH_throughput.json``
 against the most recent ``BENCH_history.jsonl`` record produced in the
 **same environment** — matched by the ``_env.fingerprint`` stamp
-(engine, python/numpy major.minor, platform), so a compiled-engine run
-is never graded against an interpreted baseline, nor a 3.12 run
-against a 3.10 one.  A scheme whose best-of-N req/s dropped more than
+(python/numpy major.minor, platform), so a 3.12 run is never graded
+against a 3.10 baseline, nor one platform against another.  A scheme whose best-of-N req/s dropped more than
 the threshold (default 25%, ``REPRO_PERF_REGRESSION_PCT`` or
 ``--threshold`` overrides) fails the check.
 
@@ -154,7 +153,7 @@ def main(argv=None):
     baseline = find_baseline(records, env.get("fingerprint"), current)
     if baseline is None:
         print(f"perf-guard: no prior history for environment "
-              f"{env.get('fingerprint')!r} (engine={env.get('engine')}); "
+              f"{env.get('fingerprint')!r}; "
               f"vacuous pass — this run becomes the baseline")
         return 0
 

@@ -20,7 +20,7 @@ Two tests:
   archived in ``BENCH_throughput.json``.
 
 All sections are written through :mod:`bench_io`, which stamps the
-``_env`` provenance (engine, python/numpy, platform, git sha,
+``_env`` provenance (python/numpy, platform, git sha,
 comparison fingerprint) into the snapshot; besides the best-of-N
 headline (N = 3, stretched to 5 when the spread exceeds 15%), each
 scheme records min/median/spread and ``reps_used`` so the trajectory

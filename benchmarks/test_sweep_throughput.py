@@ -197,10 +197,6 @@ def test_batch_sweep_speedup():
     update_results("_batch", {
         "grid_points": points,
         "batch_lanes": points,
-        # Cohort stepping: same-cycle lanes screened column-wise
-        # across the lane-major slabs (PR 7) rather than stepped one
-        # scalar probe at a time.
-        "vectorized": True,
         "events_per_core": BATCH_EVENTS,
         "warmup_events_per_core": WARMUP,
         "llc_bytes": BATCH_LLC_BYTES,

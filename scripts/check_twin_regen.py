@@ -5,18 +5,14 @@
 the declared oracle-twin pairs (see ``repro.analysis.twins``).  The
 lint pass forces an editor of twin code to regenerate the file — this
 guard closes the remaining loophole: regenerating the fingerprints
-while the diff edits only ONE side of a two-sided pair means the twin
+while the diff edits only ONE side of a pair means the twin
 transcription was *not* mirrored, just re-pinned around.
 
-Policy, per two-sided pair, when the diff touches the fingerprint
-file:
+Policy, per pair, when the diff touches the fingerprint file:
 
 * neither side touched  — fine (new pair added, note edited, …)
 * both sides touched    — fine (the edit was mirrored)
 * exactly one side      — REJECTED
-
-Single-sided pins (compiled-API surfaces) have no mirror obligation
-and are never rejected here.
 
 Usage::
 
@@ -64,8 +60,6 @@ def check(changed: Sequence[str]) -> List[str]:
         return []
     violations: List[str] = []
     for pair in twins.PAIRS:
-        if pair.b is None:
-            continue
         a_touched = pair.a.path in changed_set
         b_touched = pair.b.path in changed_set
         if a_touched == b_touched:
@@ -86,7 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_twin_regen",
         description="Reject twin-fingerprint regenerations whose diff "
-        "touches only one side of a two-sided pair.",
+        "touches only one side of a pair.",
     )
     parser.add_argument(
         "--base", default=None,

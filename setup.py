@@ -1,33 +1,4 @@
-"""Legacy setuptools entry point (offline environments without wheel).
-
-``REPRO_COMPILED=1`` additionally compiles the simulation hot path
-(the modules listed in ``repro.engine.COMPILED_MODULES``: TimingCore,
-the FR-FCFS controller step loop, the rank timing views and the
-array-backed cache) with mypyc::
-
-    pip install '.[compiled]'            # pulls mypy (ships mypyc)
-    REPRO_COMPILED=1 python setup.py build_ext --inplace
-
-The produced extension modules shadow their ``.py`` sources at the same
-import paths; ``repro.engine`` auto-detects them at import
-(``REPRO_ENGINE=auto|compiled|interpreted`` overrides).  Without the
-env var this stays a plain pure-Python install — the compiled engine is
-strictly optional and the interpreted sources remain the oracle.
-"""
-import os
-import sys
-
+"""Legacy setuptools entry point (offline environments without wheel)."""
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_COMPILED") == "1":
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
-    )
-    from mypyc.build import mypycify
-
-    from repro.engine import compiled_source_paths
-
-    ext_modules = mypycify(compiled_source_paths(), opt_level="3")
-
-setup(ext_modules=ext_modules)
+setup()

@@ -27,11 +27,6 @@ Quickstart::
     print(result.summary())
 """
 
-# Engine selection must run before any hot module is imported: the
-# bootstrap in repro.engine decides compiled-vs-interpreted and (for a
-# forced-interpreted run on a compiled install) installs the meta-path
-# finder that keeps the .py sources authoritative.
-from repro.engine import ACTIVE_ENGINE
 from repro.core import (
     BASELINE,
     DBI,
@@ -50,7 +45,6 @@ from repro.workloads import ALL_WORKLOADS, BENCHMARKS, Workload, workload
 __version__ = "1.0.0"
 
 __all__ = [
-    "ACTIVE_ENGINE",
     "ALL_WORKLOADS",
     "BASELINE",
     "BENCHMARKS",

@@ -59,23 +59,6 @@ DIGEST_MODULE_PATHS = frozenset(
     }
 )
 
-#: Repo-relative source paths of the compiled-engine modules — the
-#: modules ``repro.engine.COMPILED_MODULES`` names, which the
-#: ``REPRO_COMPILED=1`` build compiles with mypyc.  The
-#: ``compiled-incompatible`` rule restricts these (and any module
-#: carrying a ``# reprolint: compiled`` comment) to the construct
-#: subset mypyc can compile, so compile-list drift fails lint instead
-#: of failing the CI build.  tests/test_engine.py pins this set against
-#: ``repro.engine.COMPILED_MODULES`` so the two lists cannot diverge.
-COMPILED_MODULE_PATHS = frozenset(
-    {
-        "src/repro/cache/set_assoc.py",
-        "src/repro/controller/memctrl.py",
-        "src/repro/dram/rank.py",
-        "src/repro/dram/soa.py",
-    }
-)
-
 #: Path fragments marking hot-path modules (hygiene rules).  Matched
 #: against the ``/``-normalized repo-relative path.
 HOT_PATH_PARTS = (
@@ -150,14 +133,6 @@ def is_registered_fast_path(path: str) -> bool:
     """True if ``path`` is a registered fast-path module (oracle rules)."""
     norm = normalize(path)
     return any(norm.endswith(mod) for mod in FAST_PATH_MODULES)
-
-
-def is_compiled_module(path: str, source: str) -> bool:
-    """True if the mypyc-compatibility rule applies to this module."""
-    norm = normalize(path)
-    if any(norm.endswith(mod) for mod in COMPILED_MODULE_PATHS):
-        return True
-    return "# reprolint: compiled" in source
 
 
 def is_digest_module(path: str, source: str) -> bool:

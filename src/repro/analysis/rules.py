@@ -49,29 +49,13 @@ path:
 * ``hygiene-mutable-default`` — mutable default arguments are banned
   repo-wide.
 
-**Compiled engine** — modules on the compiled-engine list
-(:data:`repro.analysis.registry.COMPILED_MODULE_PATHS`, mirroring
-``repro.engine.COMPILED_MODULES``) are built with mypyc in the
-``.[compiled]`` install, so they must stay inside the construct subset
-mypyc can compile:
-
-* ``compiled-incompatible`` — slots dataclasses (the decorator
-  *replaces* the class object), class keywords/metaclasses, multiple
-  inheritance, non-allowlisted class decorators, ``__del__``,
-  ``exec``/``eval``, star imports, function-nested classes, and
-  attribute ``del`` all break (or silently deoptimize) the mypyc
-  build; catching them at lint time keeps compile-list drift from
-  failing only in the CI build leg.
-
 **Dataflow passes (v2)** — whole-function/whole-repo analyses built
 on :mod:`repro.analysis.flow` (see DESIGN.md §8):
 
-* ``twin-drift`` — a declared oracle-twin pair (scalar loop ↔
-  ``_Lane.advance``, ``issue_screen`` ↔ ``_screened_wake``,
-  ``TimingCore`` slots ↔ slab columns, compiled-module APIs) changed
-  without its committed fingerprint being regenerated
-  (:mod:`repro.analysis.twins`), or an in-file ``REPRO_TWIN_PAIRS``
-  pair diverged structurally.
+* ``twin-drift`` — a declared oracle-twin pair (``TimingCore`` slots
+  ↔ slab columns) changed without its committed fingerprint being
+  regenerated (:mod:`repro.analysis.twins`), or an in-file
+  ``REPRO_TWIN_PAIRS`` pair diverged structurally.
 * ``cow-unsafe-mutation`` — in-place mutation of a possibly-shared
   copy-on-write value not dominated by the declared privatization
   (:mod:`repro.analysis.cowcheck`); intentional sharing is declared
@@ -132,8 +116,6 @@ ALL_RULES: Tuple[Rule, ...] = (
          "try/except inside a loop body on a hot path"),
     Rule("hygiene-mutable-default", "hot-path-hygiene",
          "mutable default argument"),
-    Rule("compiled-incompatible", "compiled-engine",
-         "mypyc-incompatible construct in a compiled-engine module"),
     Rule("twin-drift", "twin-parity",
          "oracle-twin pair edited without regenerating its fingerprint"),
     Rule("cow-unsafe-mutation", "cow-aliasing",
@@ -184,10 +166,6 @@ _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict",
      "OrderedDict", "Counter"}
 )
-#: Class decorators mypyc understands on native classes.  ``dataclass``
-#: is allowed *without* ``slots=True`` (the slots variant replaces the
-#: class object, which mypyc cannot compile).
-_COMPILED_SAFE_CLASS_DECORATORS = frozenset({"dataclass", "final"})
 
 
 def _allowed_lines(source: str) -> Dict[int, Set[str]]:
@@ -272,16 +250,12 @@ class _ModuleChecker(ast.NodeVisitor):
         *,
         hot_path: bool,
         energy_ok: bool,
-        compiled: bool = False,
         digest: bool = False,
     ) -> None:
         self.path = path
         self.hot_path = hot_path
         self.energy_ok = energy_ok
-        self.compiled = compiled
         self.digest = digest
-        #: Function nesting depth (compiled rule: no classes in functions).
-        self.func_depth = 0
         self.findings: List[Finding] = []
         #: Aliases the ``random`` / ``time`` / ``json`` modules are
         #: imported under, and names ``json.dumps``/``dump`` are bound
@@ -317,12 +291,6 @@ class _ModuleChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self.compiled and any(alias.name == "*" for alias in node.names):
-            self._add(
-                node, "compiled-incompatible",
-                f"star import from {node.module!r}; mypyc needs every "
-                f"name statically resolvable — import them explicitly",
-            )
         if node.module == "random":
             for alias in node.names:
                 if alias.name not in _RANDOM_SAFE_ATTRS:
@@ -379,16 +347,6 @@ class _ModuleChecker(ast.NodeVisitor):
         func = node.func
         if self.digest:
             self._check_digest_call(node)
-        if (
-            self.compiled
-            and isinstance(func, ast.Name)
-            and func.id in ("exec", "eval")
-        ):
-            self._add(
-                node, "compiled-incompatible",
-                f"{func.id}() in a compiled-engine module; mypyc cannot "
-                f"see dynamically executed code",
-            )
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
             base, attr = func.value.id, func.attr
             if base in self.random_aliases and attr not in _RANDOM_SAFE_ATTRS:
@@ -518,9 +476,7 @@ class _ModuleChecker(ast.NodeVisitor):
         self._check_defaults(node)
         outer_depth, self.loop_depth = self.loop_depth, 0
         outer_sets, self.set_names = self.set_names, set()
-        self.func_depth += 1
         self.generic_visit(node)
-        self.func_depth -= 1
         self.loop_depth = outer_depth
         self.set_names = outer_sets
 
@@ -534,80 +490,7 @@ class _ModuleChecker(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self.hot_path:
             self._check_dataclass_slots(node)
-        if self.compiled:
-            self._check_compiled_class(node)
         self.generic_visit(node)
-
-    # -- attribute del (compiled) --------------------------------------
-    def visit_Delete(self, node: ast.Delete) -> None:
-        if self.compiled and any(
-            isinstance(target, ast.Attribute) for target in node.targets
-        ):
-            self._add(
-                node, "compiled-incompatible",
-                "'del obj.attr' in a compiled-engine module; native "
-                "attributes cannot be unbound — assign a sentinel instead",
-            )
-        self.generic_visit(node)
-
-    def _check_compiled_class(self, node: ast.ClassDef) -> None:
-        """Flag class-level constructs mypyc cannot compile natively."""
-        if self.func_depth > 0:
-            self._add(
-                node, "compiled-incompatible",
-                f"class {node.name} defined inside a function; mypyc "
-                f"only compiles module-level classes",
-            )
-        if node.keywords:
-            kws = ", ".join(kw.arg or "**" for kw in node.keywords)
-            self._add(
-                node, "compiled-incompatible",
-                f"class {node.name} uses class keywords ({kws}); "
-                f"metaclasses/keywords are unsupported in mypyc",
-            )
-        if len(node.bases) > 1:
-            self._add(
-                node, "compiled-incompatible",
-                f"class {node.name} uses multiple inheritance; mypyc "
-                f"native classes allow a single base",
-            )
-        for deco in node.decorator_list:
-            call = deco if not isinstance(deco, ast.Call) else deco.func
-            name = _call_name(call)
-            base = name.rsplit(".", 1)[-1] if name else None
-            if base == "dataclass":
-                if isinstance(deco, ast.Call) and any(
-                    kw.arg == "slots"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value
-                    for kw in deco.keywords
-                ):
-                    self._add(
-                        deco, "compiled-incompatible",
-                        f"@dataclass(slots=True) on {node.name}; the "
-                        f"slots decorator replaces the class object, "
-                        f"which mypyc cannot compile — use a plain "
-                        f"__slots__ class",
-                    )
-                continue
-            if base not in _COMPILED_SAFE_CLASS_DECORATORS:
-                self._add(
-                    deco, "compiled-incompatible",
-                    f"decorator @{name or '?'} on class {node.name}; "
-                    f"mypyc only supports "
-                    f"{sorted(_COMPILED_SAFE_CLASS_DECORATORS)} on "
-                    f"native classes",
-                )
-        for stmt in node.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "__del__"
-            ):
-                self._add(
-                    stmt, "compiled-incompatible",
-                    f"__del__ on {node.name}; finalizers are unsupported "
-                    f"on mypyc native classes",
-                )
 
     def _check_dataclass_slots(self, node: ast.ClassDef) -> None:
         dataclass_deco = None
@@ -785,7 +668,6 @@ def check_file(
         source,
         hot_path=registry.is_hot_path(path, source),
         energy_ok=registry.allows_energy_accumulation(path),
-        compiled=registry.is_compiled_module(path, source),
         digest=registry.is_digest_module(path, source),
     )
     checker.visit(tree)

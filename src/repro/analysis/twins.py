@@ -1,12 +1,9 @@
 """Twin-drift detection: structural fingerprints of oracle-twin pairs.
 
-The repo keeps three engines bit-identical through hand-maintained
-transcriptions: ``_Lane.advance`` mirrors the scalar six-phase loop,
-``_screened_wake`` mirrors ``issue_screen``, the lane-major slab
-mirrors ``TimingCore``'s slot set, and the mypyc build compiles the
-exact public API of the ``COMPILED_MODULES`` sources.  Runtime
-identity tests only catch drift on inputs they happen to exercise;
-this pass catches it at lint time, structurally.
+One hand-maintained transcription remains: the batch kernel's
+lane-major slab (``BatchTimingCore``) mirrors ``TimingCore``'s slot
+set.  Runtime identity tests only catch drift on inputs they happen to
+exercise; this pass catches it at lint time, structurally.
 
 Every declared pair side is **normalized** (docstrings stripped,
 locations discarded) and hashed into a committed fingerprint file,
@@ -20,21 +17,13 @@ the fingerprints::
         --note "why the pair moved"
 
 and CI additionally rejects a regeneration whose diff touches only
-one side of a two-sided pair (``scripts/check_twin_regen.py``) — so
-the scalar loop cannot change without ``_Lane.advance`` (or an
-explicit, reviewed fingerprint bump) moving with it.
-
-Two pair flavors:
-
-* **two-sided** — both sides are live source (loop/screen/slots
-  pairs).  The ``timing-slots`` pair additionally gets *semantic*
-  cross-checks (slab slots must be a superset of the scalar slots and
-  ``lane()`` must rebind every scalar state slot), which fire even
-  when the fingerprints are up to date.
-* **single-sided pins** — the public API of each compiled-engine
-  module plus the ``COMPILED_MODULES`` tuple itself.  The "twin" is
-  the mypyc build; pinning the interpreted surface means API drift is
-  a conscious, regenerated act rather than a silent .so mismatch.
+one side of a pair (``scripts/check_twin_regen.py``) — so
+``TimingCore``'s slots cannot change without the slab's (or an
+explicit, reviewed fingerprint bump) moving with them.  The
+``timing-slots`` pair additionally gets *semantic* cross-checks (slab
+slots must be a superset of the scalar slots and ``lane()`` must
+rebind every scalar state slot), which fire even when the fingerprints
+are up to date.
 
 Fixtures (and future modules) can also declare *in-file* pairs::
 
@@ -70,55 +59,33 @@ class Side:
 
     def __init__(self, path: str, qualname: str, kind: str) -> None:
         self.path = path          # repo-relative, "/"-separated
-        self.qualname = qualname  # "" for whole-module selectors
-        self.kind = kind          # "function" | "slots" | "api" | "constant"
+        self.qualname = qualname
+        self.kind = kind          # "function" | "slots"
 
     def label(self) -> str:
-        return f"{self.path}::{self.qualname}" if self.qualname else self.path
+        return f"{self.path}::{self.qualname}"
 
 
 class Pair:
-    """A declared twin pair (side ``b`` is None for single-sided pins)."""
+    """A declared twin pair: two sides that must move together."""
 
     __slots__ = ("id", "a", "b", "note")
 
-    def __init__(
-        self, pair_id: str, a: Side, b: Optional[Side], note: str
-    ) -> None:
+    def __init__(self, pair_id: str, a: Side, b: Side, note: str) -> None:
         self.id = pair_id
         self.a = a
         self.b = b
         self.note = note
 
     def sides(self) -> List[Tuple[str, Side]]:
-        """The pair's present sides as ``(key, Side)`` tuples."""
-        out = [("a", self.a)]
-        if self.b is not None:
-            out.append(("b", self.b))
-        return out
+        """The pair's sides as ``(key, Side)`` tuples."""
+        return [("a", self.a), ("b", self.b)]
 
 
 #: The declared oracle-twin pairs this pass guards.  Paths are
 #: repo-relative; adding a transcription twin to the codebase means
 #: adding it here and regenerating the fingerprints.
 PAIRS: Tuple[Pair, ...] = (
-    Pair(
-        "scalar-loop",
-        Side("src/repro/sim/system.py", "System.run", "function"),
-        Side("src/repro/sim/batch.py", "_Lane.advance", "function"),
-        "the batch lane advance transcribes the scalar six-phase loop",
-    ),
-    Pair(
-        "issue-screen",
-        Side(
-            "src/repro/controller/memctrl.py",
-            "ChannelController.issue_screen",
-            "function",
-        ),
-        Side("src/repro/sim/batch.py", "_screened_wake", "function"),
-        "the cohort screen re-implements the controller pre-issue screen "
-        "on column-fed ingredients",
-    ),
     Pair(
         "timing-slots",
         Side("src/repro/dram/soa.py", "TimingCore.__slots__", "slots"),
@@ -128,37 +95,6 @@ PAIRS: Tuple[Pair, ...] = (
         ),
         "the lane-major slab carries every scalar timing slot as a "
         "lane-indexed matrix",
-    ),
-    Pair(
-        "compiled-modules",
-        Side("src/repro/engine.py", "COMPILED_MODULES", "constant"),
-        None,
-        "the compile list itself; drift means the mypyc build compiles a "
-        "different engine",
-    ),
-    Pair(
-        "compiled-api-set_assoc",
-        Side("src/repro/cache/set_assoc.py", "", "api"),
-        None,
-        "public API surface the mypyc extension must reproduce",
-    ),
-    Pair(
-        "compiled-api-memctrl",
-        Side("src/repro/controller/memctrl.py", "", "api"),
-        None,
-        "public API surface the mypyc extension must reproduce",
-    ),
-    Pair(
-        "compiled-api-rank",
-        Side("src/repro/dram/rank.py", "", "api"),
-        None,
-        "public API surface the mypyc extension must reproduce",
-    ),
-    Pair(
-        "compiled-api-soa",
-        Side("src/repro/dram/soa.py", "", "api"),
-        None,
-        "public API surface the mypyc extension must reproduce",
     ),
 )
 
@@ -205,21 +141,6 @@ def _summary(node: ast.AST, width: int = 72) -> str:
         text = type(node).__name__
     line = text.splitlines()[0].strip()
     return line if len(line) <= width else line[: width - 3] + "..."
-
-
-def _signature_node(node: ast.AST) -> ast.AST:
-    """A function/class reduced to its call-surface (no body)."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        clone = ast.FunctionDef(
-            name=node.name,
-            args=node.args,
-            body=[ast.Pass()],
-            decorator_list=[],
-            returns=node.returns,
-            type_comment=None,
-        )
-        return ast.fix_missing_locations(clone)
-    return node
 
 
 class _Resolved:
@@ -280,9 +201,6 @@ def resolve_side(side: Side, repo_root: str) -> Optional[_Resolved]:
     except (OSError, SyntaxError):
         return None
 
-    if side.kind == "api":
-        return _resolve_api(tree)
-
     node = _find_qualname(tree, side.qualname)
     if node is None:
         return None
@@ -305,16 +223,6 @@ def resolve_side(side: Side, repo_root: str) -> Optional[_Resolved]:
         joined = hashlib.sha256("\x00".join(values).encode()).hexdigest()[:16]
         return _Resolved(joined, units, line)
 
-    if side.kind == "constant":
-        assert isinstance(node, (ast.Assign, ast.AnnAssign))
-        value = node.value
-        if value is None:
-            return None
-        units = []
-        if isinstance(value, (ast.Tuple, ast.List)):
-            units = [(_summary(elt), _digest(elt)) for elt in value.elts]
-        return _Resolved(_digest(value), units, line)
-
     return None
 
 
@@ -329,35 +237,6 @@ def _slot_names(node: ast.AST) -> Optional[List[str]]:
             return None
         names.append(elt.value)
     return names
-
-
-def _resolve_api(tree: ast.Module) -> _Resolved:
-    """Digest of a module's public call surface (signatures only)."""
-    units: List[Tuple[str, str]] = []
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name.startswith("_"):
-                continue
-            sig = _signature_node(stmt)
-            units.append((_summary(sig), _digest(sig)))
-        elif isinstance(stmt, ast.ClassDef):
-            if stmt.name.startswith("_"):
-                continue
-            for item in stmt.body:
-                if isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and (
-                    not item.name.startswith("_") or item.name == "__init__"
-                ):
-                    sig = _signature_node(item)
-                    units.append(
-                        (f"{stmt.name}.{_summary(sig)}", _digest(sig))
-                    )
-    units.sort()
-    joined = hashlib.sha256(
-        "\x00".join(d for _, d in units).encode()
-    ).hexdigest()[:16]
-    return _Resolved(joined, units, 1)
 
 
 # ----------------------------------------------------------------------
@@ -498,8 +377,7 @@ def check_fingerprints(
             if pinned.get("digest") != live.digest:
                 drifted.append(key)
         for key in drifted:
-            side = pair.a if key == "a" else pair.b
-            assert side is not None
+            side, twin = (pair.a, pair.b) if key == "a" else (pair.b, pair.a)
             live = resolved[key]
             assert live is not None
             pinned = entry.get(key) if isinstance(entry, dict) else None
@@ -507,19 +385,11 @@ def check_fingerprints(
                 pinned.get("units", []) if isinstance(pinned, dict) else [],
                 live.units,
             )
-            if pair.b is None:
-                twin_note = "single-sided pin"
-            else:
-                other = "b" if key == "a" else "a"
-                twin_note = (
-                    "its twin drifted too"
-                    if other in drifted
-                    else (
-                        f"its twin "
-                        f"{(pair.b if other == 'b' else pair.a).label()} "
-                        f"did NOT change"
-                    )
-                )
+            twin_note = (
+                "its twin drifted too"
+                if len(drifted) == 2
+                else f"its twin {twin.label()} did NOT change"
+            )
             detail = ("; " + "; ".join(diff)) if diff else ""
             findings.append((
                 side.path, live.line,

@@ -31,10 +31,7 @@ from repro.dram.geometry import LINE_BYTES
 
 # Oracle-parity declaration enforced by reprolint: the flat tag/mask/
 # stamp arrays are the fast path; the LineView write-through views (and
-# the ``_sets`` compatibility property) are the object oracle.  The
-# module is also on the compiled-engine list
-# (repro.engine.COMPILED_MODULES), so its classes avoid constructs
-# mypyc cannot compile — see the ``compiled-incompatible`` lint rule.
+# the ``_sets`` compatibility property) are the object oracle.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = ("repro.cache.line",)
 ORACLE_TESTS = (
@@ -55,10 +52,8 @@ REPRO_COW_PROTOCOL = {
 class CacheStats:
     """Hit/miss/eviction counters plus the dirty-word histogram.
 
-    A plain ``__slots__`` class rather than ``@dataclass(slots=True)``:
-    the slots-dataclass decorator *replaces* the class object, which
-    mypyc cannot compile.  Construction, repr and equality match the
-    old dataclass field-for-field.
+    A plain ``__slots__`` class with dataclass-style construction,
+    repr and equality.
     """
 
     __slots__ = (
@@ -124,9 +119,8 @@ class CacheStats:
 class Eviction:
     """A victim pushed out of (or cleaned in) a cache level.
 
-    Plain ``__slots__`` class for the same mypyc reason as
-    :class:`CacheStats`; allocated on every eviction, so it stays as
-    lean as the dataclass it replaces.
+    Plain ``__slots__`` class: allocated on every eviction, so it
+    stays lean.
     """
 
     __slots__ = ("line_addr", "dirty_mask")

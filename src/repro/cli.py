@@ -325,12 +325,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _print_phase_counters(stats) -> None:
     """Scheduler phase counters for ``--profile`` runs.
 
-    cProfile cannot see inside mypyc-compiled frames, so under the
-    compiled engine a profile of the hot path would come back empty.
-    The controller therefore counts its scheduling phases directly
-    (``sched_passes`` plus the per-phase command counters), and this
-    table — identical on both engines — is where ``--profile`` surfaces
-    them.
+    The controller counts its scheduling phases directly
+    (``sched_passes`` plus the per-phase command counters); unlike the
+    cProfile table these counts are deterministic, so two runs of the
+    same point print the same table.
     """
     passes = stats.sched_passes
     activations = stats.total_activations
@@ -339,8 +337,7 @@ def _print_phase_counters(stats) -> None:
     column_decisions = stats.total_served - stats.streak_commands + stats.streaks
     issued = activations + column_decisions + stats.precharges + stats.refreshes
     print()
-    print("  scheduler phases (both engines; cProfile is blind in "
-          "compiled frames):")
+    print("  scheduler phases (deterministic controller counters):")
     rows = [
         ("scheduling passes", passes, "past the command-bus gate"),
         ("decisions issued", issued,
@@ -394,6 +391,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep.add_axis("policy", args.policies)
     if isinstance(args.batch, int) and args.batch < 1:
         raise ValueError("--batch must be a positive integer or 'auto'")
+    if args.workers is not None and args.workers > 1 and (
+        args.pool or args.batch is not None
+    ):
+        raise ValueError(
+            f"--workers {args.workers} cannot be combined with --pool or "
+            f"--batch; use --pool {args.workers} (plus --batch to ship "
+            "lane groups to the pool's workers)"
+        )
     if args.pool:
         _check_worker_budget("--pool", args.pool)
         from repro.sim.pool import SimPool
@@ -486,8 +491,8 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
     the subsystem attribution table (:func:`_print_batch_attribution`):
     the flat top-25 is dominated by whichever helper happens to be
     hottest, while the table answers the question batching poses —
-    how much time ran through the cross-lane kernel ops versus the
-    residual scalar controller steps.
+    how much time went to building and restoring lanes versus running
+    their event loops and controller steps.
     """
     import cProfile
     import pstats
@@ -504,17 +509,21 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
 
 
 #: ``--profile`` attribution buckets for batched sweeps: subsystem
-#: label -> module path suffixes whose *exclusive* time it collects.
+#: label -> suffixes of ``path`` or ``path:function`` whose *exclusive*
+#: time it collects (first matching bucket wins).
 _BATCH_PROFILE_BUCKETS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
-    ("vectorized kernel ops", ("repro/dram/soa_batch.py",)),
-    ("cohort event loop", ("repro/sim/batch.py",)),
     (
-        "scalar controller steps",
+        "event loop + lane heap",
+        ("repro/sim/system.py:_passes", "repro/sim/batch.py"),
+    ),
+    (
+        "controller steps",
         ("repro/controller/memctrl.py", "repro/dram/channel.py"),
     ),
     (
         "construction + restore",
         (
+            "repro/dram/soa_batch.py",
             "repro/cache/set_assoc.py",
             "repro/cache/dbi.py",
             "repro/sim/system.py",
@@ -528,9 +537,9 @@ def _print_batch_attribution(stats: "object") -> None:
     """Print the batched-sweep profile attribution table.
 
     Buckets every profile entry's exclusive (tottime) samples by the
-    module suffixes in :data:`_BATCH_PROFILE_BUCKETS`; entries
-    matching no bucket land in ``everything else``.  Exclusive time
-    sums to the whole profile, so the percentages partition 100%.
+    suffixes in :data:`_BATCH_PROFILE_BUCKETS`; entries matching no
+    bucket land in ``everything else``.  Exclusive time sums to the
+    whole profile, so the percentages partition 100%.
     """
     entries = getattr(stats, "stats", None)
     if not entries:
@@ -538,11 +547,11 @@ def _print_batch_attribution(stats: "object") -> None:
     totals = {name: 0.0 for name, _ in _BATCH_PROFILE_BUCKETS}
     other = 0.0
     grand = 0.0
-    for (filename, _, _), (_, _, tottime, _, _) in entries.items():
+    for (filename, _, function), (_, _, tottime, _, _) in entries.items():
         grand += tottime
         path = filename.replace("\\", "/")
         for name, suffixes in _BATCH_PROFILE_BUCKETS:
-            if path.endswith(suffixes):
+            if path.endswith(suffixes) or f"{path}:{function}".endswith(suffixes):
                 totals[name] += tottime
                 break
         else:

@@ -69,9 +69,8 @@ _NEVER = 1 << 62
 # Oracle-parity declaration enforced by reprolint: the event-driven
 # scheduler below is the fast path; ``repro.sim.system`` retains the
 # ``strict_polling`` oracle that steps the very same controller cycle
-# by cycle.  The module is also on the compiled-engine list
-# (repro.engine.COMPILED_MODULES), pinned bit-identical to this source
-# by the golden digests in tests/test_engine_identity.py.
+# by cycle.  The golden digests in tests/test_engine_identity.py pin
+# its command stream and results.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = ("repro.sim.system",)
 ORACLE_TESTS = (
@@ -131,10 +130,7 @@ class ChannelController:
         #: Whether writes need full coverage from an open (partial) row.
         self._write_needs_mask = scheme.write_uses_mask
         #: Optional differential verifier (repro.dram.protocol); every
-        #: issued command is replayed through it when attached.  The
-        #: annotation is load-bearing under the compiled engine: mypyc
-        #: enforces native attribute types at runtime, so attached
-        #: checkers must subclass ProtocolChecker (duck types won't do).
+        #: issued command is replayed through it when attached.
         self.protocol_checker: Optional[ProtocolChecker] = None
         # Hot-path caches (invariant after construction).
         d = derived_timing(timing)
@@ -749,57 +745,6 @@ class ChannelController:
             self.protocol_checker.observe(CommandRecord(
                 cycle=cycle, cmd=Cmd.PRE, rank=rank_idx,
                 bank=bank_idx, implicit=implicit))
-
-    # ------------------------------------------------------------------
-    def issue_screen(self, cycle: int) -> "int | None":
-        """Pre-issue screen: can this controller possibly do anything?
-
-        Returns the exact hint a :meth:`step` call at ``cycle`` would
-        return — **proving** that call would issue nothing and mutate
-        nothing — or ``None`` when a real step is (or may be) needed.
-        The batch layer (:mod:`repro.sim.batch`) uses this to keep idle
-        lanes out of the scalar hot path entirely; the conditions are a
-        flat conjunction over state the lane-major slabs carry
-        column-wise (``open_bits``, ``pd``, ``next_refresh``), so a
-        cohort of lanes can evaluate the array-backed part in one
-        whole-column operation and fall into this scalar predicate only
-        for the per-queue checks.
-
-        Exactly two step shapes are screenable:
-
-        * **busy bus** — no overflow and ``cycle < cmd_bus_free``:
-          ``step`` bails immediately with ``(False, cmd_bus_free)``;
-        * **empty idle** — no overflow, both queues empty, no open
-          banks, power-down (when the policy uses it) already entered
-          on every rank, and every refresh deadline in the future:
-          the rank walk and both passes fall through side-effect-free
-          and ``step`` returns ``(False, min(next_refresh))``.
-
-        Anything else (queued work, due refresh, open rows to close,
-        a rank still awaiting power-down entry) can mutate state or
-        issue, so the screen declines.
-        """
-        if self.overflow:
-            return None
-        bus_free = self.channel.cmd_bus_free
-        if cycle < bus_free:
-            return bus_free
-        if self.read_q._count or self.write_q._count:
-            return None
-        if self.draining:
-            # An idle step would still flip the drain-hysteresis flag
-            # off (writes_pending <= lo_mark), and *when* that happens
-            # is observable once new writes arrive — not screenable.
-            return None
-        core = self._core
-        if any(core.open_bits):
-            return None
-        if self._uses_power_down and not all(core.pd):
-            return None
-        nr = min(core.next_refresh)
-        if cycle >= nr:
-            return None
-        return nr
 
     # ------------------------------------------------------------------
     def run_until(self, cycle: int, limit: int) -> int:

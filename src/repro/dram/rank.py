@@ -40,9 +40,7 @@ from repro.dram.timing import TimingParams
 
 # Oracle-parity declaration enforced by reprolint: the TimingCore-backed
 # property views are the fast path; the Bank object model is the oracle.
-# Also on the compiled-engine list (repro.engine.COMPILED_MODULES),
-# pinned bit-identical by the golden digests in
-# tests/test_engine_identity.py.
+# The golden digests in tests/test_engine_identity.py pin its results.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = ("repro.dram.bank",)
 ORACLE_TESTS = (

@@ -28,11 +28,11 @@ Encoding conventions:
   (``Rank.powered_down`` translates to/from ``bool``),
 * ``next_refresh[r]`` is the rank's next refresh deadline.
 
-The last two moved here from plain ``Rank`` attributes so the batch
-kernel's lane-major slabs (:mod:`repro.dram.soa_batch`) carry the full
-idle-screen state: whether a lane's channel can possibly issue anything
-(open banks, pending refresh, power-down residency) is then answerable
-column-wise across lanes without touching the ``Rank`` objects.
+Keeping every timing field here, not on ``Rank``, gives each one a
+lane-major column in the batch kernel's slabs
+(:mod:`repro.dram.soa_batch`), whose ``BatchTimingCore.__slots__``
+must mirror :attr:`TimingCore.__slots__` (the ``timing-slots`` twin
+pair of :mod:`repro.analysis.twins`).
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from repro.dram.geometry import FULL_MASK
 
 # Oracle-parity declaration enforced by reprolint: this module is the
 # array-backed fast path; the Bank/Rank object views are the oracle.
-# It is also on the compiled-engine list (repro.engine.COMPILED_MODULES):
-# the mypyc build must stay bit-identical to this source, pinned by the
-# golden digests in tests/test_engine_identity.py.
+# The golden digests in tests/test_engine_identity.py pin its results.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = ("repro.dram.bank", "repro.dram.rank")
 ORACLE_TESTS = (
@@ -87,9 +85,6 @@ class TimingCore:
         self.num_ranks = num_ranks
         self.num_banks = num_banks
         n = num_ranks * num_banks
-        # Element types are annotated explicitly (not inferred from the
-        # literals) so the mypyc build of this module gives every array
-        # an exact native attribute type.
         #: Open row per bank; -1 when precharged.
         self.open_row: List[int] = [-1] * n
         #: PRA mask the open row was activated under.

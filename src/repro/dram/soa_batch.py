@@ -3,15 +3,14 @@
 :class:`BatchTimingCore` is :class:`~repro.dram.soa.TimingCore` with a
 leading *lane* dimension: every flat per-(rank,bank) and per-rank
 integer vector becomes a matrix whose row ``lane`` is one grid point's
-channel state.  The batch event loop (:mod:`repro.sim.batch`) allocates
+channel state.  The batch kernel (:mod:`repro.sim.batch`) allocates
 one slab per channel index and hands each lane its row set via
 :meth:`lane` — a real :class:`TimingCore` whose slots *are* the slab
 rows, so the controller's scheduling passes (which bind the arrays as
 locals and mutate them in place) run unchanged against lane-sliced
 views, and bit-identity with the scalar engine holds by construction.
 
-Bulk operations — allocating and resetting whole slabs — go through a
-backend selected at import: numpy (installed via the ``.[fast]`` extra)
+Allocating whole slabs goes through a backend selected at import: numpy (installed via the ``.[fast]`` extra)
 builds each matrix in one vectorized call, the pure-list fallback uses
 per-lane list ops.  Both produce *identical* structures (nested plain
 lists of Python ints/bools: ``ndarray.tolist()`` converts element
@@ -27,16 +26,13 @@ be bit-identical.  CPython also indexes plain lists faster than numpy
 scalars.  The lane dimension instead amortizes allocation, snapshot
 restore and event-loop interpreter overhead — see DESIGN.md §7.
 
-What *is* vectorized across lanes are the **cohort kernel ops** at the
-bottom of this module (:func:`decay_timers`, :func:`open_row_hits`,
-:func:`mask_compatible`, :func:`refresh_due`, :func:`next_wake_min`,
-:func:`power_down_resident`): column-wise reductions and updates over
-the lane-major matrices for every lane sharing a wake cycle.  The
-cohort-stepping loop (:meth:`repro.sim.batch.BatchSystem.run`) uses
-them to evaluate the controller pre-issue screen
-(:meth:`repro.controller.memctrl.ChannelController.issue_screen`) and
-recompute wake hints for whole cohorts without entering per-lane
-scheduler code.  Both backends return identical plain Python values.
+The **column ops** at the bottom of this module (:func:`open_row_hits`,
+:func:`refresh_due`, :func:`power_down_resident`, :func:`decay_timers`,
+:func:`next_wake_min`) are column-wise reductions and updates over a
+subset of lanes.  Nothing in the simulator calls them any more: the
+layered benchmark still names them in its span table, so they stay
+until that table drops them.  Both backends return identical plain
+Python values.
 """
 
 from __future__ import annotations
@@ -126,8 +122,8 @@ ORACLE_TESTS = ("tests/test_batch.py",)
 # COW contract for the aliasing pass (repro.analysis.cowcheck): every
 # slab matrix row is aliased by the TimingCore views lane() hands out,
 # so any in-place write through a row is visible to a live lane.  The
-# administrative ops below that mutate rows on purpose (reset_lane,
-# decay_timers) carry explicit shares[...] pragmas.
+# one op below that mutates rows on purpose (decay_timers) carries
+# explicit shares[...] pragmas.
 REPRO_COW_PROTOCOL = {
     "shared_roots": (
         "open_row", "open_mask", "act_ready", "col_ready", "pre_ready",
@@ -249,76 +245,24 @@ class BatchTimingCore:
         core.next_refresh = self.next_refresh[lane]
         return core
 
-    def lanes(self) -> List[TimingCore]:
-        """All lane views, in lane order."""
-        return [self.lane(i) for i in range(self.num_lanes)]
-
-    # ------------------------------------------------------------------
-    def open_banks_per_lane(self) -> List[int]:
-        """Open-bank count per lane, as one cross-lane reduction.
-
-        Diagnostic/verification helper: with numpy the popcount over
-        the lane-major ``open_row`` matrix is a single whole-array op;
-        the fallback reduces per lane.  Both count ``open_row != -1``.
-        """
-        if self.backend == "numpy":
-            assert _numpy is not None
-            arr = _numpy.array(self.open_row, dtype=_numpy.int64)
-            counts: List[int] = (arr != -1).sum(axis=1).tolist()
-            return counts
-        return [
-            sum(1 for row in lane_rows if row != -1) for lane_rows in self.open_row
-        ]
-
-    def reset_lane(self, lane: int) -> None:
-        """Re-initialize one lane's rows in place (views stay valid).
-
-        In-place slice assignment preserves the row object identity the
-        lane views and any bound controller locals alias.
-        """
-        n = self.num_ranks * self.num_banks
-        self.open_row[lane][:] = [-1] * n  # reprolint: shares[resetting through the shared row is the point: lane views must see the fresh state]
-        self.open_mask[lane][:] = [FULL_MASK] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.act_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.col_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.pre_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.last_act[lane][:] = [-1] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.accesses[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.autopre[lane][:] = [False] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.reserved[lane][:] = [None] * n  # reprolint: shares[in-place reset aliased by lane views]
-        for field in (
-            self.next_act_ok,
-            self.next_col_ok,
-            self.next_read_ok,
-            self.next_write_ok,
-            self.gate,
-            self.open_bits,
-            self.pd,
-            self.next_refresh,
-        ):
-            field[lane][:] = [0] * self.num_ranks  # reprolint: shares[in-place reset aliased by lane views]
-
 
 # ----------------------------------------------------------------------
-# Cohort kernel ops: column-wise reductions/updates over lane subsets.
+# Column ops: column-wise reductions/updates over lane subsets.
 #
-# Each op takes the slab plus the *slots* (lane indices) of a cohort —
-# the lanes whose event loops woke at the same cycle — and evaluates one
-# screen ingredient for all of them at once.  The numpy path gathers the
-# cohort's rows into a single array op; the list path reduces per lane.
-# Both return plain Python ints/bools so results are backend-invariant,
-# and neither mutates anything except where documented (decay_timers).
+# Each op takes the slab plus the *slots* (lane indices) of a subset of
+# lanes and evaluates one column quantity for all of them at once.  The
+# numpy path gathers the rows into a single array op; the list path
+# reduces per lane.  Both return plain Python ints/bools so results are
+# backend-invariant, and neither mutates anything except where
+# documented (decay_timers).
 # ----------------------------------------------------------------------
 
 
+# Not called by the simulator; kept for the benchmark span table.
 def open_row_hits(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
-    """Per-lane union of rank open-bank bitmasks, one per cohort slot.
+    """Per-lane OR-fold of the ranks' ``open_bits``, one per slot.
 
-    A lane with result ``0`` has no open row anywhere on the channel —
-    no row hit is possible and no precharge/close housekeeping is
-    pending, one leg of the idle screen.  A nonzero result is the
-    OR-fold of ``open_bits`` across the lane's ranks (which banks could
-    still serve hits).
+    ``0`` means the lane has no open row anywhere on the channel.
     """
     if slab.backend == "numpy":
         assert _numpy is not None
@@ -336,15 +280,9 @@ def open_row_hits(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
     return result
 
 
+# Not called by the simulator; kept for the benchmark span table.
 def refresh_due(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
-    """Earliest refresh deadline per cohort lane (min over ranks).
-
-    A lane whose result is ``<= cycle`` has a refresh due *now* and
-    must take the scalar path; otherwise the value is exactly the idle
-    wake hint the scalar controller would return for an empty channel
-    (``min(next_refresh)``), which lets the cohort loop re-arm screened
-    lanes without calling ``step()``.
-    """
+    """Earliest refresh deadline per slot (min over ranks)."""
     if slab.backend == "numpy":
         assert _numpy is not None
         rows = _numpy.array(
@@ -355,15 +293,11 @@ def refresh_due(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
     return [min(slab.next_refresh[s]) for s in slots]
 
 
+# Not called by the simulator; kept for the benchmark span table.
 def power_down_resident(
     slab: BatchTimingCore, slots: Sequence[int]
 ) -> List[bool]:
-    """Whether *every* rank of each cohort lane sits in power-down.
-
-    Only meaningful for power-down schemes: an idle lane with a rank
-    still out of power-down owes a PD-entry command and cannot be
-    screened.  Non-PD schemes skip this op entirely.
-    """
+    """Whether *every* rank of each slot's lane sits in power-down."""
     if slab.backend == "numpy":
         assert _numpy is not None
         rows = _numpy.array([slab.pd[s] for s in slots], dtype=_numpy.int64)
@@ -372,40 +306,18 @@ def power_down_resident(
     return [all(slab.pd[s]) for s in slots]
 
 
-def mask_compatible(
-    slab: BatchTimingCore, slots: Sequence[int], g: int, needed: int
-) -> List[bool]:
-    """Whether bank ``g``'s open partial row covers ``needed`` per lane.
-
-    Column read across the cohort of the PRA coverage test the scalar
-    scheduler applies per request (``needed & ~open_mask == 0``): True
-    means the lane's open activation already spans every segment the
-    access touches, so a row hit would not need a re-activation.
-    """
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        col = _numpy.array(
-            [slab.open_mask[s][g] for s in slots], dtype=_numpy.int64
-        )
-        out: List[bool] = ((needed & ~col) == 0).tolist()
-        return out
-    return [(needed & ~slab.open_mask[s][g]) == 0 for s in slots]
-
-
+# Not called by the simulator; kept for the benchmark span table.
 def decay_timers(
     slab: BatchTimingCore, slots: Sequence[int], cycle: int
 ) -> None:
     """Clamp stale per-rank readiness timers up to ``cycle``, in place.
 
-    Elementwise ``max(timer, cycle)`` over the cohort's per-rank timer
+    Elementwise ``max(timer, cycle)`` over the slots' per-rank timer
     rows (tRRD/tCCD/turnaround/hold/gate).  Behavior-preserving for
     lanes at ``cycle``: the controller only ever consults these values
     via ``cycle >= t`` comparisons or max-folds against cycles ``>=
     cycle``, so a timer that already expired (``< cycle``) is
-    indistinguishable from one clamped to ``cycle``.  Normalizing keeps
-    the slab columns monotone — every live timer ``>= cycle`` — which
-    is the invariant :func:`next_wake_min` relies on to skip per-element
-    clamping when folding wake candidates.
+    indistinguishable from one clamped to ``cycle``.
     """
     columns = (
         slab.next_act_ok,
@@ -432,17 +344,11 @@ def decay_timers(
                     row[i] = cycle  # reprolint: shares[clamping timers in place is behavior-preserving and must reach live lane views]
 
 
+# Not called by the simulator; kept for the benchmark span table.
 def next_wake_min(
     candidates: Sequence[Sequence[int]], backend: str
 ) -> List[int]:
-    """Row-wise min over per-lane wake-candidate rows.
-
-    Each row collects one lane's wake candidates (screen hint, pending
-    completion, core event horizon); the result is the lane's next
-    event cycle.  Rows must be non-empty and, per the
-    :func:`decay_timers` invariant, already ``>= `` the current cycle —
-    the fold does no clamping.
-    """
+    """Row-wise min over per-lane wake-candidate rows (non-empty)."""
     if backend == "numpy" and HAVE_NUMPY:
         assert _numpy is not None
         widths = {len(row) for row in candidates}

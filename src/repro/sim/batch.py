@@ -6,7 +6,7 @@ event loop to completion before touching the next point; at screening
 fidelity (small event counts) most of the wall time is construction and
 interpreter overhead, not scheduling work.  This module changes the
 *unit of work*: a :class:`BatchSystem` holds N points as *lanes* and
-drives them all through one shared event loop.
+interleaves their event loops on one shared wake heap.
 
 * **Lane-major timing state.**  Each channel index gets one
   :class:`~repro.dram.soa_batch.BatchTimingCore` slab — ``TimingCore``'s
@@ -17,25 +17,13 @@ drives them all through one shared event loop.
   ``TimingCore`` objects aliasing the slab rows), so the scheduler hot
   path is byte-for-byte the scalar one and bit-identity holds by
   construction.
-* **Shared wake heap keyed ``(cycle, lane)``.**  Popping the heap
-  advances the earliest-due lane by exactly one pass of the scalar
-  engine's six-phase loop body (:meth:`_Lane.advance` transcribes
-  ``System.run``), then re-keys it at its next event cycle.  Each
-  lane's pass sequence is identical to its solo run; the heap only
+* **Shared wake heap keyed ``(cycle, lane)``.**  Every lane runs the
+  scalar engine's own event loop, :meth:`System._passes
+  <repro.sim.system.System._passes>`, suspended between passes.
+  Popping the heap advances the earliest-due lane by exactly one pass
+  (:meth:`_Lane.advance`), then re-keys it at its next event cycle.
+  Each lane's pass sequence is identical to its solo run; the heap only
   interleaves lanes, it never reorders one lane's events.
-* **Cohort stepping.**  All lanes waking at the same cycle pop
-  together as a *cohort*.  Lanes whose pass would provably do nothing
-  but probe idle controllers are screened out column-wise: the slab
-  ingredients of the controller pre-issue screen
-  (:meth:`~repro.controller.memctrl.ChannelController.issue_screen`)
-  — open-bank bits, power-down residency, refresh horizons — are
-  evaluated for the whole cohort with one array op each
-  (:func:`~repro.dram.soa_batch.open_row_hits` /
-  :func:`~repro.dram.soa_batch.power_down_resident` /
-  :func:`~repro.dram.soa_batch.refresh_due`), and screened lanes are
-  re-keyed at the exact wake hint the scalar probe would have
-  computed, without entering ``step()`` at all.  Only lanes with real
-  work (or unscreenable shapes) drop into the scalar engine.
 * **Shared construction.**  Lanes are built in warm-fingerprint groups:
   the first lane of a fingerprint builds (or disk-loads) the warm
   snapshot, the rest restore from the in-process cache — copy-on-write
@@ -59,32 +47,23 @@ from __future__ import annotations
 
 import gc
 from collections import OrderedDict
-from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heappop, heappush
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.cpu.core_model import NEVER
 from repro.dram.soa import TimingCore
-from repro.dram.soa_batch import (
-    HAVE_NUMPY,
-    BatchTimingCore,
-    decay_timers,
-    next_wake_min,
-    open_row_hits,
-    power_down_resident,
-    refresh_due,
-)
+from repro.dram.soa_batch import HAVE_NUMPY, BatchTimingCore
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sim.snapshot import default_warmup, warm_fingerprint
 from repro.sim.sweep import SweepContext, _apply_point
-from repro.sim.system import OVERFLOW_STALL_THRESHOLD, System
+from repro.sim.system import System
 from repro.workloads.mixes import Workload
 from repro.workloads.mixes import workload as lookup_workload
 
 __all__ = ["HAVE_NUMPY", "BatchSystem", "simulate_batch"]
 
-# Oracle-parity declaration enforced by reprolint: the batch event loop
-# is a fast path; the scalar ``System.run`` is the oracle every lane
+# Oracle-parity declaration enforced by reprolint: the lane heap is a
+# fast path; the scalar ``System.run`` is the oracle every lane
 # must match bit-for-bit.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.system.System.run"
@@ -103,188 +82,27 @@ REPRO_COW_PROTOCOL = {
 #: One lane: a specialized config plus its workload (or workload name).
 LaneSpec = Tuple[SystemConfig, Union[Workload, str]]
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.controller.memctrl import ChannelController
-
-
-def _screened_wake(
-    ctrl: "ChannelController",
-    local: int,
-    hit: int,
-    horizon: int,
-    pd_all: Optional[bool],
-) -> Optional[Tuple[int, bool]]:
-    """Column-fed twin of ``ChannelController.issue_screen``.
-
-    Same predicate, same check order; the slab-backed ingredients
-    (open-bank union ``hit``, refresh ``horizon``, power-down
-    residency ``pd_all``) arrive precomputed by the cohort column ops
-    instead of being re-read per controller.  Returns ``(wake,
-    is_idle_shape)`` — the exact hint a ``step`` at ``local`` would
-    return plus which screenable shape matched (busy bus vs empty
-    idle) — or ``None`` when a real step is needed.  Any edit here
-    must mirror ``issue_screen`` (and vice versa); the cohort identity
-    suite pins the two together end to end.
-    """
-    if ctrl.overflow:
-        return None
-    bus_free = ctrl.channel.cmd_bus_free
-    if local < bus_free:
-        return bus_free, False
-    if ctrl.read_q._count or ctrl.write_q._count:
-        return None
-    if ctrl.draining:
-        return None
-    if hit:
-        return None
-    if ctrl._uses_power_down and not pd_all:
-        return None
-    if local >= horizon:
-        return None
-    return horizon, True
-
 
 class _Lane:
-    """One grid point's System plus its private event-loop state."""
+    """One grid point's System with its event loop paused between passes."""
 
-    __slots__ = ("index", "system", "cycle", "wake", "heap", "core_next", "result")
+    __slots__ = ("system", "passes")
 
-    def __init__(self, index: int, system: System) -> None:
-        self.index = index
+    def __init__(self, system: System) -> None:
         self.system = system
-        self.cycle = 0
-        controllers = system.controllers
-        #: Authoritative next-wake cycle per controller (heap entries
-        #: that disagree are stale) — same contract as ``System.run``.
-        self.wake = [0] * len(controllers)
-        self.heap = [(0, idx) for idx in range(len(controllers))]
-        heapify(self.heap)
-        #: Lower bound on each core's next action cycle.
-        self.core_next = [0] * len(system.cores)
-        self.result: Optional[SimResult] = None
+        self.passes: Iterator[int] = system._passes()
 
-    # ------------------------------------------------------------------
     def advance(self) -> Optional[int]:
-        """One pass of the scalar engine's loop body at ``self.cycle``.
+        """Run the lane's next pass of :meth:`System._passes`.
 
-        Transcribes the six phases of :meth:`System.run` (deliver
-        completions, advance cores, compute the external-event horizon,
-        batch-run due/dirtied controllers, check termination, pick the
-        next event cycle).  Returns the lane's next event cycle, or
-        ``None`` when the lane finished (then :meth:`finalize`).
+        Returns the lane's next event cycle, or ``None`` once the lane
+        finished (its last pass ran at the cycle it was keyed at).
         """
-        system = self.system
-        cycle = self.cycle
-        cores = system.cores
-        controllers = system.controllers
-        demand_map = system._demand_map
-        wake = self.wake
-        heap = self.heap
-        core_next = self.core_next
-
-        # 1. Deliver completed demand fills due by now.
-        next_completion = NEVER
-        for ctrl in controllers:
-            cr = ctrl.completed_reads
-            if not cr:
-                continue
-            if cr[0][0] <= cycle:
-                i = 0
-                n = len(cr)
-                while i < n and cr[i][0] <= cycle:
-                    done_cycle, req = cr[i]
-                    core = demand_map.pop(req.req_id, None)
-                    if core is not None:
-                        core.on_fill_complete(req.req_id, done_cycle)
-                        core_next[core.core_id] = 0
-                    i += 1
-                del cr[:i]
-                if not cr:
-                    continue
-            if cr[0][0] < next_completion:
-                next_completion = cr[0][0]
-
-        # 2. Advance cores (held back under heavy backpressure).
-        stalled = False
-        for ctrl in controllers:
-            if ctrl.overflow:
-                total_overflow = sum(len(c.overflow) for c in controllers)
-                stalled = total_overflow > OVERFLOW_STALL_THRESHOLD
-                break
-        if not stalled:
-            for idx, core in enumerate(cores):
-                if core_next[idx] > cycle:
-                    continue
-                while True:
-                    event = core.try_advance(cycle)
-                    if event is None:
-                        break
-                    system._process_access(core, event, cycle)
-                core_next[idx] = core.next_action_cycle(cycle)
-
-        # 3. External-event horizon for controller batching.
-        core_min = NEVER
-        for action in core_next:
-            if action < core_min:
-                core_min = action
-        limit = next_completion if next_completion < core_min else core_min
-        if limit <= cycle:
-            limit = cycle + 1
-
-        # 4. Batch-run due (heap) and dirtied channels to the horizon.
-        dirty = system._dirty_channels
-        system._dirty_channels = 0
-        while heap and heap[0][0] <= cycle:
-            w, idx = heappop(heap)
-            if w != wake[idx]:
-                continue  # stale entry superseded by a dirty re-run
-            dirty &= ~(1 << idx)
-            w = controllers[idx].run_until(cycle, limit)
-            wake[idx] = w
-            heappush(heap, (w, idx))
-        while dirty:
-            idx = (dirty & -dirty).bit_length() - 1
-            dirty &= dirty - 1
-            w = controllers[idx].run_until(cycle, limit)
-            wake[idx] = w
-            heappush(heap, (w, idx))
-
-        # 5. Termination check — same predicate as the scalar loop.
-        for core in cores:
-            if not core.done:
-                break
-        else:
-            if not any(ctrl.pending for ctrl in controllers) and not any(
-                ctrl.completed_reads for ctrl in controllers
-            ):
-                return None
-
-        # 6. Jump to the lane's earliest future event.
-        while heap and heap[0][0] != wake[heap[0][1]]:
-            heappop(heap)  # shed stale entries so the top is live
-        nxt = heap[0][0] if heap else NEVER
-        if core_min < nxt:
-            nxt = core_min
-        for ctrl in controllers:
-            cr = ctrl.completed_reads
-            if cr and cr[0][0] < nxt:
-                nxt = cr[0][0]
-        self.cycle = nxt if nxt > cycle else cycle + 1
-        return self.cycle
-
-    def finalize(self) -> SimResult:
-        """Flush background state and summarize, as the scalar loop does."""
-        system = self.system
-        end_cycle = self.cycle
-        for ctrl in system.controllers:
-            if ctrl.local_clock > end_cycle:
-                end_cycle = ctrl.local_clock
-        self.result = system._finalize(end_cycle)
-        return self.result
+        return next(self.passes, None)
 
 
 class BatchSystem:
-    """N grid points advanced together through one shared event loop."""
+    """N grid points whose event loops interleave on one wake heap."""
 
     def __init__(
         self,
@@ -350,22 +168,13 @@ class BatchSystem:
             geo = config.geometry
             geo_key = (geo.channels, geo.ranks_per_channel, geo.chip.banks)
             geo_groups.setdefault(geo_key, []).append(i)
-        #: Slab sets per geometry group (introspection/tests).
-        self.slabs: List[List[BatchTimingCore]] = []
-        #: Lane index -> (geometry-group index, slab slot); the cohort
-        #: screen uses this to address each lane's slab rows.
-        self._lane_slot: Dict[int, Tuple[int, int]] = {}
         lane_cores: Dict[int, List[TimingCore]] = {}
-        for group, ((channels, ranks, banks), members) in enumerate(
-            geo_groups.items()
-        ):
+        for (channels, ranks, banks), members in geo_groups.items():
             slabs = [
                 BatchTimingCore(len(members), ranks, banks, backend=backend)
                 for _ in range(channels)
             ]
-            self.slabs.append(slabs)
             for slot, i in enumerate(members):
-                self._lane_slot[i] = (group, slot)
                 lane_cores[i] = [slab.lane(slot) for slab in slabs]
 
         # Construction in warm-fingerprint groups: the first lane of a
@@ -396,7 +205,7 @@ class BatchSystem:
                     channel_cores=lane_cores[i],
                 )
         self.lanes: List[_Lane] = [
-            _Lane(i, system) for i, system in enumerate(systems) if system is not None
+            _Lane(system) for system in systems if system is not None
         ]
         self._ran = False
 
@@ -405,231 +214,32 @@ class BatchSystem:
     def num_lanes(self) -> int:
         return len(self.lanes)
 
-    def run(self, *, _cohort: bool = True) -> List[SimResult]:
+    def run(self) -> List[SimResult]:
         """Drive every lane to completion; results in lane order.
 
-        The shared heap holds ``(cycle, lane_index)``; every lane at the
-        heap's front cycle pops together as a **cohort**.  The cohort
-        first runs the column-wise idle screen (:meth:`_cohort_step`):
-        lanes whose whole pass would provably issue nothing are re-keyed
-        at their exact scalar wake hints without entering the scheduler;
-        the rest advance one pass of the scalar loop body each, in lane
-        order — the same order the PR-6 one-pop-per-lane loop produced,
-        since heap ties break on lane index.  Lanes never share mutable
-        state (slab rows are disjoint, snapshot sharing is
-        copy-on-write), so the split cannot affect per-lane results; a
-        lane that terminates finalizes immediately (stats flush +
-        summary) and leaves the heap.
-
-        ``_cohort=False`` forces the PR-6 one-lane-per-pop loop —
-        a test hook so the identity suite can pin cohort stepping
-        against the un-screened interleaving on the same inputs.
+        The shared heap holds ``(cycle, lane_index)``: each pop advances
+        the earliest-due lane by one pass and re-keys it at its next
+        event cycle (ties break on lane index).  Lanes never share
+        mutable state (slab rows are disjoint, snapshot sharing is
+        copy-on-write), so the interleaving cannot affect per-lane
+        results; a lane that terminates finalizes immediately (stats
+        flush + summary) and leaves the heap.
         """
         if self._ran:
             raise RuntimeError("BatchSystem.run() may only be called once")
         self._ran = True
-        results: List[Optional[SimResult]] = [None] * len(self.lanes)
-        heap: List[Tuple[int, int]] = [(0, lane.index) for lane in self.lanes]
-        heapify(heap)
         lanes = self.lanes
+        results: List[Optional[SimResult]] = [None] * len(lanes)
+        heap: List[Tuple[int, int]] = [(0, index) for index in range(len(lanes))]
         while heap:
-            cycle = heap[0][0]
-            if _cohort and len(heap) > 1:
-                cohort: List[int] = []
-                while heap and heap[0][0] == cycle:
-                    _, index = heappop(heap)
-                    cohort.append(index)
-                scalar = (
-                    self._cohort_step(cycle, cohort, heap)
-                    if len(cohort) > 1
-                    else cohort
-                )
+            cycle, index = heappop(heap)
+            lane = lanes[index]
+            nxt = lane.advance()
+            if nxt is None:
+                results[index] = lane.system._finalize(cycle)
             else:
-                _, index = heappop(heap)
-                scalar = [index]
-            for index in scalar:
-                lane = lanes[index]
-                nxt = lane.advance()
-                if nxt is None:
-                    results[index] = lane.finalize()
-                else:
-                    heappush(heap, (nxt, index))
-        final = [result for result in results if result is not None]
-        if len(final) != len(self.lanes):  # pragma: no cover - defensive
-            raise RuntimeError("batch run finished with unfinalized lanes")
-        return final
-
-    # ------------------------------------------------------------------
-    def _cohort_step(
-        self, cycle: int, cohort: List[int], heap: List[Tuple[int, int]]
-    ) -> List[int]:
-        """Screen a same-cycle cohort; return the lanes needing scalar work.
-
-        A lane can skip its scalar pass entirely when the pass would
-        provably only *probe*: no demand completions due, no cores due,
-        no dirtied channels, and every due controller's
-        :meth:`~repro.controller.memctrl.ChannelController.issue_screen`
-        proves its ``run_until`` would return a wake hint without
-        issuing or mutating anything.  For those lanes this method
-        replicates the pass's only observable effects — the new per-
-        controller wake hints and the lane's next event cycle — and
-        re-keys the lane on ``heap`` directly.  Termination checks may
-        be skipped for screened lanes: a screened pass mutates nothing
-        the termination predicate reads, and the previous scalar pass
-        already evaluated that predicate on identical state.
-
-        The slab-backed screen ingredients (open-bank bits, power-down
-        residency, refresh horizons) are gathered per (geometry group,
-        channel) with one column op each across the cohort's slots;
-        :func:`~repro.dram.soa_batch.decay_timers` then normalizes the
-        per-rank timer columns of fully-idle screened lanes so slab
-        columns stay monotone, and
-        :func:`~repro.dram.soa_batch.next_wake_min` folds each screened
-        lane's wake candidates into its next event cycle.
-        """
-        lanes = self.lanes
-        scalar: List[int] = []
-        fast: List[Tuple[int, int, int]] = []  # (lane index, core_min, limit)
-        for index in cohort:
-            lane = lanes[index]
-            system = lane.system
-            if system._dirty_channels:
-                scalar.append(index)
-                continue
-            next_completion = NEVER
-            due_now = False
-            for ctrl in system.controllers:
-                cr = ctrl.completed_reads
-                if cr:
-                    c0 = cr[0][0]
-                    if c0 <= cycle:
-                        due_now = True
-                        break
-                    if c0 < next_completion:
-                        next_completion = c0
-            if due_now:
-                scalar.append(index)
-                continue
-            core_min = NEVER
-            for action in lane.core_next:
-                if action < core_min:
-                    core_min = action
-            if core_min <= cycle:
-                scalar.append(index)
-                continue
-            limit = next_completion if next_completion < core_min else core_min
-            if limit <= cycle:
-                limit = cycle + 1
-            fast.append((index, core_min, limit))
-        if not fast:
-            return scalar
-
-        # Column phase: gather the slab screen ingredients for every
-        # due (lane, channel) pair, one whole-column op per slab.
-        lane_due: Dict[int, List[int]] = {}
-        buckets: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for index, _, _ in fast:
-            lane = lanes[index]
-            wake = lane.wake
-            due = [idx for idx in range(len(wake)) if wake[idx] <= cycle]
-            lane_due[index] = due
-            group, slot = self._lane_slot[index]
-            for ctrl_idx in due:
-                buckets.setdefault((group, ctrl_idx), []).append((index, slot))
-        cols: Dict[Tuple[int, int], Tuple[int, int, Optional[bool]]] = {}
-        for (group, ctrl_idx), members in buckets.items():
-            slab = self.slabs[group][ctrl_idx]
-            slots = [slot for _, slot in members]
-            hits = open_row_hits(slab, slots)
-            horizons = refresh_due(slab, slots)
-            pd_all: Optional[List[bool]] = None
-            if any(
-                lanes[index].system.controllers[ctrl_idx]._uses_power_down
-                for index, _ in members
-            ):
-                pd_all = power_down_resident(slab, slots)
-            for pos, (index, _) in enumerate(members):
-                cols[(index, ctrl_idx)] = (
-                    hits[pos],
-                    horizons[pos],
-                    None if pd_all is None else pd_all[pos],
-                )
-
-        # Scalar residue: compose the per-queue checks with the column
-        # values; any unscreenable controller sends its lane scalar.
-        screened: List[Tuple[int, int]] = []  # (lane index, group)
-        wake_rows: List[List[int]] = []
-        idle_pairs: Dict[Tuple[int, int], List[int]] = {}
-        for index, core_min, limit in fast:
-            lane = lanes[index]
-            controllers = lane.system.controllers
-            new_wakes: Dict[int, int] = {}
-            all_idle = True
-            ok = True
-            for ctrl_idx in lane_due[index]:
-                ctrl = controllers[ctrl_idx]
-                clock = ctrl.local_clock
-                local = cycle if clock <= cycle else clock
-                if local >= limit:
-                    # run_until bails before stepping; no screen ran.
-                    new_wakes[ctrl_idx] = local
-                    all_idle = False
-                    continue
-                hit, horizon, pd_all_lane = cols[(index, ctrl_idx)]
-                res = _screened_wake(ctrl, local, hit, horizon, pd_all_lane)
-                if res is None:
-                    ok = False
-                    break
-                w, idle_shape = res
-                if not idle_shape:
-                    all_idle = False
-                    # Busy-bus shape with pending work: run_until only
-                    # stops here if the bus outlasts the horizon.
-                    if (
-                        ctrl.read_q._count or ctrl.write_q._count
-                    ) and w < limit:
-                        ok = False
-                        break
-                new_wakes[ctrl_idx] = w
-            if not ok:
-                scalar.append(index)
-                continue
-            # Commit: replicate the pass's heap bookkeeping (pop every
-            # due-or-stale entry, re-key the due controllers).
-            lheap = lane.heap
-            wake = lane.wake
-            while lheap and lheap[0][0] <= cycle:
-                heappop(lheap)
-            for ctrl_idx, w in new_wakes.items():
-                wake[ctrl_idx] = w
-                heappush(lheap, (w, ctrl_idx))
-            group, slot = self._lane_slot[index]
-            if all_idle:
-                for ctrl_idx in new_wakes:
-                    idle_pairs.setdefault((group, ctrl_idx), []).append(slot)
-            screened.append((index, group))
-            # Phase-6 fold: min over live controller wakes and the
-            # external horizon (core_min; completions are folded into
-            # limit only when earlier, but the true completion horizon
-            # is >= limit >= every candidate we keep, so folding
-            # min(wake) with core_min and limit is exact).
-            row = list(wake)
-            row.append(core_min)
-            row.append(limit)
-            wake_rows.append(row)
-        if not screened:
-            return scalar
-
-        for (group, ctrl_idx), slots in idle_pairs.items():
-            decay_timers(self.slabs[group][ctrl_idx], slots, cycle)
-
-        backend = self.slabs[0][0].backend if self.slabs else "list"
-        nxts = next_wake_min(wake_rows, backend)
-        for (index, _), nxt in zip(screened, nxts):
-            lane = lanes[index]
-            lane.cycle = nxt if nxt > cycle else cycle + 1
-            heappush(heap, (lane.cycle, index))
-        return scalar
+                heappush(heap, (nxt, index))
+        return [result for result in results if result is not None]
 
 
 def simulate_batch(

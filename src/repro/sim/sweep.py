@@ -257,7 +257,8 @@ class Sweep:
         ``pool`` runs the grid on a persistent
         :class:`repro.sim.pool.SimPool` (warm workers, fingerprint-
         grouped scheduling).  ``workers`` > 1 fans the points out over
-        a throwaway process pool instead; ``mp_start`` selects its
+        a throwaway process pool instead, and is rejected alongside
+        ``pool`` or ``batch``; ``mp_start`` selects its
         multiprocessing start method (``"spawn"`` models the fully
         cold worker cost, ``None`` uses the platform default).
 
@@ -283,6 +284,18 @@ class Sweep:
         tasks = self._tasks()
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer")
+        if workers is not None and workers > 1:
+            if pool is not None:
+                raise ValueError(
+                    f"workers={workers} cannot be combined with pool=: the "
+                    "pool's own worker count applies"
+                )
+            if batch is not None:
+                raise ValueError(
+                    f"workers={workers} cannot be combined with batch=: "
+                    "lane groups run in-process unless given "
+                    f"pool=SimPool(workers={workers})"
+                )
         if isinstance(batch, str):
             if batch != "auto":
                 raise ValueError(

@@ -62,7 +62,7 @@ OVERFLOW_STALL_THRESHOLD = 128
 
 # Oracle-parity declaration enforced by reprolint: the event-driven
 # ``System.run`` is the fast path; ``System._run_polling`` is the
-# scan-everything oracle both engines must agree with bit-for-bit.
+# scan-everything oracle both loops must agree with bit-for-bit.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.system.System._run_polling"
 ORACLE_TESTS = ("tests/test_engine_equivalence.py",)
@@ -370,13 +370,8 @@ class System:
     ) -> SimResult:
         """Simulate to completion (or ``max_cycles``) and summarize.
 
-        The loop is event-driven: each controller reports an exact
-        next-wake cycle (the ``step`` hint contract), controllers sit in
-        a min-heap keyed by that cycle, and the loop jumps straight to
-        the earliest of {controller wake, read completion, core action}.
-        A controller is stepped only when its wake cycle arrives or a
-        new request dirties it, so the per-cycle Python overhead is paid
-        only on cycles where something can actually change.
+        Drains the event loop (:meth:`_passes`) and summarizes at the
+        cycle of its last pass.
 
         ``strict_polling=True`` selects the reference scan-everything
         loop (:meth:`_run_polling`), kept as a debug oracle: both paths
@@ -385,6 +380,30 @@ class System:
         """
         if strict_polling:
             return self._run_polling(max_cycles)
+        cycle = 0
+        for cycle in self._passes(max_cycles):
+            pass
+        return self._finalize(cycle)
+
+    def _passes(self, max_cycles: Optional[int] = None) -> Iterator[int]:
+        """The event loop, suspended after every pass.
+
+        The loop is event-driven: each controller reports an exact
+        next-wake cycle (the ``step`` hint contract), controllers sit in
+        a min-heap keyed by that cycle, and the loop jumps straight to
+        the earliest of {controller wake, read completion, core action}.
+        A controller is stepped only when its wake cycle arrives or a
+        new request dirties it, so the per-cycle Python overhead is paid
+        only on cycles where something can actually change.
+
+        Each pass runs at one cycle and yields the cycle of the next
+        pass; the generator returns once the run is done (or has
+        reached ``max_cycles``), so its last pass ran at the cycle it
+        yielded last (0 if it yielded nothing).  :meth:`run` drains it;
+        the batch kernel (:mod:`repro.sim.batch`) interleaves the
+        generators of many Systems one pass at a time.  The loop state
+        lives in the generator's frame, so a pass reloads nothing.
+        """
         cycle = 0
         cores = self.cores
         controllers = self.controllers
@@ -484,9 +503,9 @@ class System:
                 if not any(ctrl.pending for ctrl in controllers) and not any(
                     ctrl.completed_reads for ctrl in controllers
                 ):
-                    break
+                    return
             if max_cycles is not None and cycle >= max_cycles:
-                break
+                return
 
             # 6. Jump to the earliest future event.  core_next is still
             # exact here (fills land only in step 1, issue only in
@@ -502,11 +521,7 @@ class System:
                 if cr and cr[0][0] < nxt:
                     nxt = cr[0][0]
             cycle = nxt if nxt > cycle else cycle + 1
-
-        end_cycle = max([cycle] + [ctrl.local_clock for ctrl in controllers])
-        if sampler is not None:
-            sampler.finalize(end_cycle, self)
-        return self._finalize(end_cycle)
+            yield cycle
 
     # ------------------------------------------------------------------
     def _run_polling(self, max_cycles: Optional[int] = None) -> SimResult:
@@ -593,13 +608,14 @@ class System:
                     nxt = action
             cycle = nxt if nxt > cycle else cycle + 1
 
-        end_cycle = max([cycle] + [ctrl.local_clock for ctrl in controllers])
-        if sampler is not None:
-            sampler.finalize(end_cycle, self)
-        return self._finalize(end_cycle)
+        return self._finalize(cycle)
 
     # ------------------------------------------------------------------
-    def _finalize(self, end_cycle: int) -> SimResult:
+    def _finalize(self, cycle: int) -> SimResult:
+        """Summarize a run whose event loop made its last pass at ``cycle``."""
+        end_cycle = max([cycle] + [ctrl.local_clock for ctrl in self.controllers])
+        if self.sampler is not None:
+            self.sampler.finalize(end_cycle, self)
         for ctrl in self.controllers:
             ctrl.flush_background(end_cycle)
         merged = ControllerStats()

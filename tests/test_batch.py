@@ -8,17 +8,13 @@ structure, pinned here via ``to_dict()`` deep equality.  These tests
 cover both slab backends (numpy and the pure-list fallback), batches
 mixing snapshot-restored and cold lanes, the ``Sweep.run(batch=N)``
 and ``SimPool.map_groups`` integration layers, the CLI worker-budget
-guard, and a hypothesis property test driving randomized lane
-counts/configs through the kernel.
-
-PR 7 adds cohort stepping (same-cycle lanes screened column-wise):
-the suite pins the cohort loop bit-identical to the PR-6
-one-lane-per-pop interleaving (``run(_cohort=False)``) on random lane
-cohorts across both backends, and covers the cohort kernel ops
-(``decay_timers`` / ``open_row_hits`` / ``mask_compatible`` /
-``refresh_due`` / ``next_wake_min`` / ``power_down_resident``)
-including slab-row aliasing of the new ``pd`` / ``next_refresh``
-columns, plus ``batch="auto"`` lane sizing.
+guard, the rejection of ``workers`` alongside ``pool``/``batch``, and
+a hypothesis property test driving randomized lane counts/configs
+through the kernel.  It also covers the slab column ops
+(``decay_timers`` / ``open_row_hits`` / ``refresh_due`` /
+``next_wake_min`` / ``power_down_resident``) including slab-row
+aliasing of the ``pd`` / ``next_refresh`` columns, plus
+``batch="auto"`` lane sizing.
 """
 
 import pytest
@@ -27,14 +23,12 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.schemes import by_name
-from repro.dram.geometry import FULL_MASK
 from repro.dram.soa_batch import (
     BACKENDS,
     BatchTimingCore,
     HAVE_NUMPY,
     decay_timers,
     default_backend,
-    mask_compatible,
     next_wake_min,
     open_row_hits,
     power_down_resident,
@@ -224,16 +218,6 @@ class TestSlab:
         lane0.open_row[3] = 77
         assert slab.open_row[0][3] == 77
         assert lane1.open_row[3] == -1  # other lanes unaffected
-        assert slab.open_banks_per_lane() == [1, 0]
-
-    def test_reset_lane_preserves_row_identity(self):
-        slab = BatchTimingCore(2, 2, 8, backend="list")
-        lane = slab.lane(0)
-        lane.open_row[0] = 5
-        lane.gate[1] = 9
-        slab.reset_lane(0)
-        assert lane.open_row[0] == -1  # view saw the reset in place
-        assert lane.gate[1] == 0
 
     def test_geometry_and_lane_validation(self):
         with pytest.raises(ValueError, match="at least one lane"):
@@ -261,9 +245,9 @@ both_backends = pytest.mark.parametrize(
     [pytest.param("numpy", marks=needs_numpy), "list"],
 )
 
-#: Randomized lane mixes shared by the cohort/serial property tests:
-#: schemes and workloads sampled with repetition, so duplicate specs
-#: exercise multi-lane fingerprint groups sharing one snapshot.
+#: Randomized lane mixes for the batch/serial property test: schemes
+#: and workloads sampled with repetition, so duplicate specs exercise
+#: multi-lane fingerprint groups sharing one snapshot.
 _SCHEME_NAMES = ["Baseline", "PRA", "SDS", "DBI+PRA"]
 _WORKLOADS = ["GUPS", "MIX1"]
 
@@ -278,10 +262,10 @@ lane_choices = st.lists(
 
 
 class TestCohortKernelOps:
-    """Column-wise cohort ops: correctness on both backends, plus the
-    slab-row aliasing contract for the PR-7 ``pd`` / ``next_refresh``
-    columns (all mutations go through *lane views*, so a passing test
-    proves the views alias the rows the ops read)."""
+    """Slab column ops: correctness on both backends, plus the slab-row
+    aliasing contract for the ``pd`` / ``next_refresh`` columns (all
+    mutations go through *lane views*, so a passing test proves the
+    views alias the rows the ops read)."""
 
     @staticmethod
     def _slab(backend):
@@ -315,19 +299,6 @@ class TestCohortKernelOps:
         assert power_down_resident(slab, [3]) == [True]
 
     @both_backends
-    def test_mask_compatible(self, backend):
-        slab = self._slab(backend)
-        lane0, lane2 = slab.lane(0), slab.lane(2)
-        lane0.open_mask[5] = 0b0011  # rank 1, bank 1 (g = 1*4 + 1)
-        lane2.open_mask[5] = 0b0110
-        # Fresh lanes hold FULL_MASK: everything is covered.
-        assert mask_compatible(slab, [0, 2, 1], 5, 0b0010) == [
-            True, True, True,
-        ]
-        assert mask_compatible(slab, [0, 2], 5, 0b0101) == [False, False]
-        assert mask_compatible(slab, [1], 5, FULL_MASK) == [True]
-
-    @both_backends
     def test_decay_timers_clamps_in_place(self, backend):
         slab = BatchTimingCore(3, 2, 4, backend=backend)
         lane0, lane2 = slab.lane(0), slab.lane(2)
@@ -341,7 +312,7 @@ class TestCohortKernelOps:
         assert lane0.gate == [100, 100]
         assert lane2.next_write_ok == [100, 100]
         assert slab.lane(2).next_col_ok == [100, 100]
-        # Lane 1 was not in the cohort: untouched.
+        # Lane 1 was not among the slots: untouched.
         assert slab.lane(1).next_act_ok == [0, 0]
         # Non-timer columns are never decayed.
         assert lane0.next_refresh == [0, 0]
@@ -354,14 +325,6 @@ class TestCohortKernelOps:
         # back cleanly on the numpy backend.
         assert next_wake_min([[5], [2, 8], [6, 1, 7]], backend) == [5, 2, 1]
 
-    def test_reset_lane_clears_new_columns_in_place(self):
-        slab = self._slab("list")
-        lane1 = slab.lane(1)
-        slab.reset_lane(1)
-        assert lane1.pd == [0, 0]  # view saw the reset in place
-        assert lane1.next_refresh == [0, 0]
-        assert power_down_resident(slab, [1]) == [False]
-
     @needs_numpy
     def test_backends_agree(self):
         a, b = self._slab("numpy"), self._slab("list")
@@ -369,64 +332,10 @@ class TestCohortKernelOps:
         assert open_row_hits(a, slots) == open_row_hits(b, slots)
         assert refresh_due(a, slots) == refresh_due(b, slots)
         assert power_down_resident(a, slots) == power_down_resident(b, slots)
-        assert mask_compatible(a, slots, 2, 0b11) == mask_compatible(
-            b, slots, 2, 0b11
-        )
         decay_timers(a, slots, 50)
         decay_timers(b, slots, 50)
         for field in ("next_act_ok", "next_col_ok", "gate"):
             assert getattr(a, field) == getattr(b, field), field
-
-
-# ----------------------------------------------------------------------
-class TestCohortStepping:
-    """Cohort stepping (PR 7) vs the PR-6 one-lane-per-pop loop.
-
-    ``BatchSystem.run(_cohort=False)`` is the retained interleaved
-    loop; the cohort fast path must be bit-identical to it on any lane
-    mix — it is the same screened controllers, re-armed column-wise.
-    """
-
-    @both_backends
-    def test_cohort_matches_interleaved_and_serial(self, backend):
-        specs = _specs()
-        serial = _serial(specs)
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, EVENTS, warmup_events_per_core=WARMUP, backend=backend
-        )
-        interleaved = [r.to_dict() for r in batch.run(_cohort=False)]
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, EVENTS, warmup_events_per_core=WARMUP, backend=backend
-        )
-        cohort = [r.to_dict() for r in batch.run()]
-        assert interleaved == serial
-        assert cohort == serial
-
-    @both_backends
-    @given(lanes=lane_choices, events=st.integers(min_value=50, max_value=250))
-    @settings(max_examples=4, deadline=None)
-    def test_random_cohorts_match_interleaved_loop(self, backend, lanes, events):
-        # Random lane cohorts: mixed schemes, duplicate specs (multi-
-        # lane fingerprint groups), and a forced DBI+PRA lane so every
-        # example mixes warm fingerprints and cold + snapshot-restored
-        # lanes.  Both arms start from a cold snapshot cache so their
-        # cold/restored structure is identical.
-        base = SystemConfig(cache=CacheConfig(llc_bytes=64 * 1024))
-        lanes = lanes + [("DBI+PRA", "MIX1")]
-        specs = [(base.with_scheme(by_name(s)), wl) for s, wl in lanes]
-        warmup = 600
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, events, warmup_events_per_core=warmup, backend=backend
-        )
-        interleaved = [r.to_dict() for r in batch.run(_cohort=False)]
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, events, warmup_events_per_core=warmup, backend=backend
-        )
-        assert [r.to_dict() for r in batch.run()] == interleaved
 
 
 # ----------------------------------------------------------------------
@@ -536,6 +445,26 @@ class TestWorkerBudgetGuard:
         rc = cli.main(["sweep", "--batch", "0", "--out", out])
         assert rc == 2
         assert "--batch" in capsys.readouterr().err
+
+    def test_workers_with_batch_rejected(self, tmp_path, capsys):
+        # Lane groups run in-process: a process fan-out request next to
+        # --batch would be dropped silently, so it is refused.
+        with pytest.raises(ValueError, match="pool="):
+            _small_sweep().run(workers=2, batch=4)
+        out = str(tmp_path / "grid.csv")
+        rc = cli.main(["sweep", "--workers", "2", "--batch", "4", "--out", out])
+        assert rc == 2
+        assert "--pool" in capsys.readouterr().err
+
+    def test_workers_with_pool_rejected(self, tmp_path, capsys):
+        # The pool's own worker count applies; a second one is refused.
+        with SimPool(workers=1) as pool:
+            with pytest.raises(ValueError, match="pool="):
+                _small_sweep().run(workers=2, pool=pool)
+        out = str(tmp_path / "grid.csv")
+        rc = cli.main(["sweep", "--pool", "1", "--workers", "2", "--out", out])
+        assert rc == 2
+        assert "--pool" in capsys.readouterr().err
 
     def test_cli_batched_sweep_matches_plain(self, tmp_path):
         plain, batched = tmp_path / "plain.csv", tmp_path / "batched.csv"

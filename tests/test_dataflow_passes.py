@@ -81,14 +81,14 @@ def test_in_file_pair_drift_and_missing_side():
 # ----------------------------------------------------------------------
 # Twins: fingerprint drift in a tmp clone of the twin sources.
 # ----------------------------------------------------------------------
-_SIM_FILES = ("src/repro/sim/system.py", "src/repro/sim/batch.py")
-_SYSTEM = "src/repro/sim/system.py"
+_SOA = "src/repro/dram/soa.py"
+_SOA_BATCH = "src/repro/dram/soa_batch.py"
 
 
 def _clone(tmp_path, with_fingerprints=True):
-    """Copy the scalar-loop pair sources (and the committed
+    """Copy the timing-slots pair sources (and the committed
     fingerprints) into a bare tmp repo root."""
-    rels = list(_SIM_FILES)
+    rels = [_SOA, _SOA_BATCH]
     if with_fingerprints:
         rels.append(twins.FINGERPRINT_FILE)
     for rel in rels:
@@ -98,54 +98,54 @@ def _clone(tmp_path, with_fingerprints=True):
     return str(tmp_path)
 
 
-def _mutate_system_run(root):
-    """Append a statement to ``System.run`` in the clone (structural
+def _mutate_scalar_slots(root):
+    """Append a slot to ``TimingCore.__slots__`` in the clone (one-sided
     drift, comment-free rewrite via unparse round-trip)."""
-    path = os.path.join(root, *_SYSTEM.split("/"))
+    path = os.path.join(root, *_SOA.split("/"))
     with open(path, "r", encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
-    fn = twins._find_qualname(tree, "System.run")
-    assert isinstance(fn, ast.FunctionDef)
-    fn.body.append(ast.parse("_drift_probe = 0").body[0])
+    slots = twins._find_qualname(tree, "TimingCore.__slots__")
+    assert isinstance(slots, ast.Assign) and isinstance(slots.value, ast.Tuple)
+    slots.value.elts.append(ast.Constant(value="drift_probe"))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(ast.unparse(ast.fix_missing_locations(tree)) + "\n")
 
 
 def test_clean_clone_matches_committed_fingerprints(tmp_path):
     root = _clone(tmp_path)
-    assert twins.check_fingerprints(root, {_SYSTEM}) == []
+    assert twins.check_fingerprints(root, {_SOA, _SOA_BATCH}) == []
 
 
 def test_one_sided_drift_names_the_untouched_twin(tmp_path):
     root = _clone(tmp_path)
-    _mutate_system_run(root)
-    findings = twins.check_fingerprints(root, {_SYSTEM})
+    _mutate_scalar_slots(root)
+    findings = twins.check_fingerprints(root, {_SOA})
     assert len(findings) == 1
     path, line, message = findings[0]
-    assert path == _SYSTEM
+    assert path == _SOA
     assert line > 1
-    assert "scalar-loop" in message
+    assert "timing-slots" in message
     assert "did NOT change" in message
     assert twins.REGEN_ENV in message  # regeneration instructions
 
 
 def test_regeneration_clears_drift(tmp_path):
     root = _clone(tmp_path)
-    _mutate_system_run(root)
+    _mutate_scalar_slots(root)
     twins.write_fingerprints(root, "test re-pin")
-    assert twins.check_fingerprints(root, {_SYSTEM}) == []
+    assert twins.check_fingerprints(root, {_SOA}) == []
 
 
 def test_linted_paths_scope_pairs(tmp_path):
     # Drift exists, but no linted file is a side of any pair: silent.
     root = _clone(tmp_path)
-    _mutate_system_run(root)
+    _mutate_scalar_slots(root)
     assert twins.check_fingerprints(root, {"src/unrelated.py"}) == []
 
 
 def test_missing_fingerprint_file_is_a_finding(tmp_path):
     root = _clone(tmp_path, with_fingerprints=False)
-    findings = twins.check_fingerprints(root, {_SYSTEM})
+    findings = twins.check_fingerprints(root, {_SOA})
     assert findings
     assert all("no committed fingerprint" in msg for _, _, msg in findings)
 

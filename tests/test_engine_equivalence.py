@@ -17,9 +17,9 @@ Both loops drive the same hot-path modules — the FR-FCFS controller
 (``repro.controller.memctrl``), the array-backed cache
 (``repro.cache.set_assoc``), the SoA timing core and the rank views —
 so these tests double as the oracle pin for those modules' fast paths
-(their ``ORACLE_TESTS`` declarations name this file).  The engine
-*build* dimension (mypyc-compiled vs interpreted sources) is pinned
-separately by the golden digests in ``tests/test_engine_identity.py``.
+(their ``ORACLE_TESTS`` declarations name this file).  Their results
+are also pinned to the bit by the golden digests in
+``tests/test_engine_identity.py``.
 """
 
 import pytest

@@ -1,19 +1,14 @@
-"""Golden-digest pinning of the compiled engine to the interpreted one.
+"""Golden-digest pins of what the simulator computes.
 
-The compiled engine (mypyc builds of ``repro.dram.soa``,
-``repro.controller.memctrl``, ``repro.dram.rank`` and
-``repro.cache.set_assoc`` — see ``repro.engine.COMPILED_MODULES``)
-must be *bit-identical* to the interpreted sources: same counters, same
-energy, same protocol-checker command traces, on every scheme.  The two
-engines cannot coexist in one process (the extension modules shadow the
-``.py`` sources at the same import paths), so the pin is carried by
-golden digests:
-
-* this suite, run on the **interpreted** engine, generates and commits
-  the digests in ``tests/data/engine_digests.json``
-  (``REPRO_REGEN_DIGESTS=1`` rewrites them);
-* the CI compiled leg re-runs the same suite on the **compiled** engine
-  and must reproduce every digest byte for byte.
+The committed digests in ``tests/data/engine_digests.json`` pin every
+scheme's results to the bit: same counters, same energy, same
+protocol-checker command traces.  They are engine-independent — they
+name no execution path, only results — so any change to the event
+loop, the controller (``repro.controller.memctrl``), the timing core
+(``repro.dram.soa``), the rank views (``repro.dram.rank``) or the cache
+arrays (``repro.cache.set_assoc``) must reproduce every digest byte for
+byte.  ``REPRO_REGEN_DIGESTS=1`` rewrites them; a regeneration is a
+deliberate change of results and needs a reason.
 
 Each digest hashes everything a run reports — the summary, raw
 controller counters (including the profiling-only ``sched_passes``,
@@ -133,9 +128,9 @@ def _check_golden(key, digest):
     goldens = _load_goldens()
     if REGEN:
         goldens.setdefault("_note", (
-            "Golden run digests generated on the interpreted engine; the "
-            "CI compiled leg must reproduce them bit for bit.  Regenerate "
-            "with: REPRO_REGEN_DIGESTS=1 PYTHONPATH=src python -m pytest "
+            "Golden run digests; every change to the simulator must "
+            "reproduce them bit for bit.  Regenerate with: "
+            "REPRO_REGEN_DIGESTS=1 PYTHONPATH=src python -m pytest "
             "tests/test_engine_identity.py"
         ))
         runs = goldens.setdefault("runs", {})
@@ -148,21 +143,19 @@ def _check_golden(key, digest):
     runs = goldens.get("runs", {})
     assert key in runs, (
         f"no golden digest for {key!r}; regenerate with "
-        f"REPRO_REGEN_DIGESTS=1 (interpreted engine only)"
+        f"REPRO_REGEN_DIGESTS=1"
     )
     assert runs[key] == digest, (
-        f"digest mismatch for {key!r}: engine diverged from the golden "
-        f"interpreted run ({digest[:12]} != {runs[key][:12]})"
+        f"digest mismatch for {key!r}: the simulator diverged from the "
+        f"golden run ({digest[:12]} != {runs[key][:12]})"
     )
 
 
 class DigestChecker(ProtocolChecker):
     """Protocol checker that also hashes the exact command stream.
 
-    Subclasses (rather than wraps) :class:`ProtocolChecker` because the
-    controller's ``protocol_checker`` attribute is typed — under the
-    compiled engine, mypyc enforces the annotation at runtime, so duck
-    types would be rejected.
+    Subclasses (rather than wraps) :class:`ProtocolChecker`, the type
+    the controller's ``protocol_checker`` attribute is declared with.
     """
 
     def __init__(self, timing, relax_act_constraints=False):
@@ -209,7 +202,7 @@ def test_workload_spread_golden(scheme, workload_name):
 
 
 # ----------------------------------------------------------------------
-# Command-trace pinning: the engines must issue the *same commands at
+# Command-trace pinning: the simulator must issue the *same commands at
 # the same cycles*, not merely converge on the same totals.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme", TRACE_SCHEMES, ids=lambda s: s.name)

@@ -3,34 +3,46 @@
 ``benchmarks/check_perf_trajectory.py`` grades the fresh benchmark
 snapshot against the last same-environment history record.  These
 tests drive it on synthetic snapshots/histories in tmp_path: the
-environment-fingerprint matching (a compiled-engine run must never be
-graded against an interpreted baseline), the skip of the record the
-current session itself appended, the 25% threshold, and the vacuous
-pass when no baseline exists.
+environment-fingerprint matching (a run on another interpreter or
+platform must never be graded against this one's baseline), the skip
+of the record the current session itself appended, the 25% threshold,
+and the vacuous pass when no baseline exists.  The ``_env`` stamp the
+fingerprint comes from (``benchmarks/bench_io.current_env``) is pinned
+here too.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
+import platform
 
 import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GUARD_PATH = os.path.join(REPO_ROOT, "benchmarks", "check_perf_trajectory.py")
-
-spec = importlib.util.spec_from_file_location("check_perf_trajectory", GUARD_PATH)
-guard = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(guard)
+BENCHMARKS = os.path.join(REPO_ROOT, "benchmarks")
 
 
-def _snapshot(rates, fingerprint="fp-aaaa", engine="interpreted",
-              rate_key="requests_per_second_best"):
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(BENCHMARKS, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+guard = _load("check_perf_trajectory")
+bench_io = _load("bench_io")
+
+
+def _snapshot(rates, fingerprint="fp-aaaa", rate_key="requests_per_second_best"):
     sections = {
         name: {rate_key: rate, "reps_used": 3}
         for name, rate in rates.items()
     }
     sections["_construction"] = {"cold_ms_best_of_3": 100.0}
-    sections["_env"] = {"engine": engine, "fingerprint": fingerprint}
+    sections["_env"] = {"fingerprint": fingerprint}
     return sections
 
 
@@ -188,3 +200,28 @@ def test_corrupt_history_lines_are_skipped(tmp_path):
     assert guard.main(
         ["--snapshot", str(snap), "--history", str(hist)]
     ) == 0
+
+
+# ----------------------------------------------------------------------
+# The _env stamp the fingerprint comes from.
+# ----------------------------------------------------------------------
+def test_current_env_schema():
+    env = bench_io.current_env()
+    assert isinstance(env["python"], str) and env["python"].count(".") == 2
+    assert env["numpy"] is None or isinstance(env["numpy"], str)
+    assert "-" in env["platform"]
+    assert isinstance(env["cpus"], int) and env["cpus"] >= 1
+    # The fingerprint hashes exactly these fields, so it still matches
+    # the committed BENCH_history.jsonl records of this environment.
+    hashed = {
+        "engine": "interpreted",
+        "python": ".".join(platform.python_version().split(".")[:2]),
+        "numpy": (
+            ".".join(env["numpy"].split(".")[:2]) if env["numpy"] else None
+        ),
+        "platform": env["platform"],
+    }
+    digest = hashlib.sha256(json.dumps(hashed, sort_keys=True).encode())
+    assert env["fingerprint"] == digest.hexdigest()[:16]
+    # JSON-serializable as-is (it lands in BENCH_throughput.json).
+    json.dumps(env)

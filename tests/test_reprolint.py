@@ -33,7 +33,6 @@ FIXTURES = {
     "hygiene-slots": "slots_missing.py",
     "hygiene-try-in-loop": "try_in_loop.py",
     "hygiene-mutable-default": "mutable_default.py",
-    "compiled-incompatible": "compiled_incompatible.py",
     "twin-drift": "twin_drift.py",
     "cow-unsafe-mutation": "cow_unsafe_mutation.py",
     "timing-unchecked-issue": "timing_unchecked_issue.py",
@@ -152,11 +151,10 @@ def test_batch_modules_trip_rule_without_declarations(rel_path, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Compiled-engine list: the registry mirrors repro.engine, every listed
-# module keeps resolving oracle declarations, and the mypyc rule is
-# armed for the listed paths (not just passing vacuously).
+# The simulation hot path (timing core, rank views, controller, cache
+# arrays) is registered too, and its oracle declarations stay live.
 # ----------------------------------------------------------------------
-COMPILED_MODULES = (
+HOT_MODULES = (
     "repro.cache.set_assoc",
     "repro.controller.memctrl",
     "repro.dram.rank",
@@ -164,43 +162,19 @@ COMPILED_MODULES = (
 )
 
 
-def test_compiled_list_matches_engine():
-    """registry.COMPILED_MODULE_PATHS mirrors repro.engine exactly.
-
-    The engine list drives the mypyc build and runtime detection; the
-    registry list drives the lint rule.  If they diverge, a module
-    could be compiled without being linted for compilability (or vice
-    versa), so the mapping is pinned structurally.
-    """
-    from repro.analysis.registry import COMPILED_MODULE_PATHS
-    from repro.engine import COMPILED_MODULES as ENGINE_LIST
-
-    assert tuple(sorted(ENGINE_LIST)) == COMPILED_MODULES
-    expected = {
-        "src/" + mod.replace(".", "/") + ".py" for mod in ENGINE_LIST
-    }
-    assert COMPILED_MODULE_PATHS == frozenset(expected)
-
-
-@pytest.mark.parametrize("module_name", COMPILED_MODULES)
-def test_compiled_modules_are_registered_fast_paths(module_name):
-    """Every compiled module is also oracle-registered (rules armed)."""
-    from repro.analysis.registry import (
-        FAST_PATH_MODULES,
-        is_compiled_module,
-        is_registered_fast_path,
-    )
+@pytest.mark.parametrize("module_name", HOT_MODULES)
+def test_hot_modules_are_registered_fast_paths(module_name):
+    """Every hot-path module is oracle-registered (rules armed)."""
+    from repro.analysis.registry import FAST_PATH_MODULES, is_registered_fast_path
 
     rel_path = "src/" + module_name.replace(".", "/") + ".py"
     assert rel_path in FAST_PATH_MODULES
-    full = os.path.join(REPO_ROOT, rel_path)
-    assert is_registered_fast_path(full)
-    assert is_compiled_module(full, "")
+    assert is_registered_fast_path(os.path.join(REPO_ROOT, rel_path))
 
 
-@pytest.mark.parametrize("module_name", COMPILED_MODULES)
-def test_compiled_oracle_declarations_resolve(module_name):
-    """ORACLE_TWIN / ORACLE_TESTS on the compiled modules are live."""
+@pytest.mark.parametrize("module_name", HOT_MODULES)
+def test_hot_module_oracle_declarations_resolve(module_name):
+    """ORACLE_TWIN / ORACLE_TESTS on the hot-path modules are live."""
     import importlib
 
     module = importlib.import_module(module_name)
@@ -230,26 +204,6 @@ def test_compiled_oracle_declarations_resolve(module_name):
             assert stem in handle.read(), (
                 f"{test_rel} never references {stem}"
             )
-
-
-def test_compiled_rule_is_armed_for_listed_paths(tmp_path):
-    """A mypyc-breaking construct at a compiled path fails lint.
-
-    Clones a registered compiled path into tmp_path with a slots
-    dataclass appended: the path-based registry match (no marker
-    comment involved) must trip ``compiled-incompatible``.
-    """
-    rel_path = "src/repro/dram/soa.py"
-    source = open(os.path.join(REPO_ROOT, rel_path), encoding="utf-8").read()
-    clone = tmp_path / rel_path
-    clone.parent.mkdir(parents=True)
-    clone.write_text(
-        source
-        + "\n\nfrom dataclasses import dataclass\n\n\n"
-        + "@dataclass(slots=True)\nclass Sneaky:\n    x: int = 0\n"
-    )
-    rules = {f.rule for f in check_file(str(clone), repo_root=str(tmp_path))}
-    assert "compiled-incompatible" in rules
 
 
 # ----------------------------------------------------------------------

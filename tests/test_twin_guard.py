@@ -20,9 +20,6 @@ guard = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(guard)
 
 _FP = twins.FINGERPRINT_FILE
-_SCALAR = "src/repro/sim/system.py"
-_BATCH = "src/repro/sim/batch.py"
-_MEMCTRL = "src/repro/controller/memctrl.py"
 _SOA = "src/repro/dram/soa.py"
 _SOA_BATCH = "src/repro/dram/soa_batch.py"
 
@@ -31,54 +28,45 @@ def test_no_fingerprint_change_is_vacuous():
     assert guard.check([]) == []
     # Twin source edits without a re-pin are the lint pass's problem,
     # not the guard's.
-    assert guard.check([_SCALAR]) == []
+    assert guard.check([_SOA]) == []
 
 
 def test_one_sided_regen_is_rejected():
-    violations = guard.check([_FP, _SCALAR])
+    violations = guard.check([_FP, _SOA])
     assert len(violations) == 1
-    assert "scalar-loop" in violations[0]
+    assert "timing-slots" in violations[0]
     assert "mirror the edit" in violations[0]
 
 
 def test_rejection_works_for_either_side():
-    # Touching only the b side of the issue-screen pair is just as
-    # one-sided as touching only the a side.
-    violations = guard.check([_FP, _MEMCTRL, _SCALAR, _BATCH])
-    # scalar-loop (system+batch) is mirrored; issue-screen
-    # (memctrl+batch) is mirrored too — clean.
-    assert violations == []
-    violations = guard.check([_FP, _BATCH])
-    assert any("issue-screen" in v for v in violations)
-    assert any("scalar-loop" in v for v in violations)
+    # Touching only the b side of the pair is just as one-sided as
+    # touching only the a side.
+    violations = guard.check([_FP, _SOA_BATCH])
+    assert len(violations) == 1
+    assert "timing-slots" in violations[0]
 
 
 def test_both_sides_touched_passes():
     assert guard.check([_FP, _SOA, _SOA_BATCH]) == []
 
 
-def test_single_sided_pins_are_never_rejected():
-    # engine.py appears only in single-sided pins (compiled-modules):
-    # those have no mirror obligation.
-    assert guard.check([_FP, "src/repro/engine.py"]) == []
-
-
 def test_untouched_pairs_do_not_block_a_regen():
     # Re-pinning with neither side of a pair in the diff (new pair
-    # added, note edited) is allowed.
+    # added, note edited) is allowed, whatever else changed.
     assert guard.check([_FP]) == []
+    assert guard.check([_FP, "src/repro/sim/system.py"]) == []
 
 
 def test_backslash_paths_normalize():
     assert guard.check(
-        ["tests\\data\\twin_fingerprints.json", _SCALAR.replace("/", "\\")]
+        ["tests\\data\\twin_fingerprints.json", _SOA.replace("/", "\\")]
     )  # still one-sided after normalization
 
 
 def test_main_files_mode_exit_codes(capsys):
-    assert guard.main(["--files", _FP, _SCALAR]) == 1
+    assert guard.main(["--files", _FP, _SOA]) == 1
     out = capsys.readouterr()
-    assert "scalar-loop" in out.out
+    assert "timing-slots" in out.out
     assert "rejected" in out.err
 
     assert guard.main(["--files", _FP, _SOA, _SOA_BATCH]) == 0
