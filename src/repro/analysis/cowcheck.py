@@ -1,21 +1,19 @@
 """COW/aliasing-escape analysis over the shared dataflow layer.
 
-The warm-pool snapshot machinery and the lane-major slab both rely on
-*deliberate* aliasing: ``restore_state(cow=True)`` rebinds per-set
-containers that are still shared with the snapshot until ``_own_set``
-privatizes them, ``restore_rows(cow=True)`` installs immutable tuple
-aliases that ``mark_dirty``/``mark_clean`` thaw on first write, and
-``BatchTimingCore.lane()`` returns ``TimingCore`` views whose slots
-*are* slab rows.  The invariant that keeps snapshots reusable is
-"never mutate a possibly-shared value in place without first
-privatizing it" — previously enforced only by code review.
+The warm-pool snapshot machinery relies on *deliberate* aliasing:
+``restore_state(cow=True)`` rebinds per-set containers that are still
+shared with the snapshot until ``_own_set`` privatizes them, and
+``restore_rows(cow=True)`` installs immutable tuple aliases that
+``mark_dirty``/``mark_clean`` thaw on first write.  The invariant that
+keeps snapshots reusable is "never mutate a possibly-shared value in
+place without first privatizing it" — previously enforced only by code
+review.
 
 This pass makes the invariant checkable.  A module opts in with an
 in-file protocol declaration::
 
     REPRO_COW_PROTOCOL = {
         "shared_roots": ("_tags", "_free"),   # attrs holding COW containers
-        "shared_calls": ("lane",),            # calls returning aliased views
         "privatizers": ("_own_set",),         # calls that unshare
     }
 
@@ -30,8 +28,7 @@ For each function we run a forward may-alias dataflow (see
 * ``ROOT``   — the outer container itself (``self._tags``); the outer
   container is a fresh copy, so mutating *it* is safe,
 * ``SHARED`` — an element view of a root (``self._tags[i]``,
-  ``self._rows.get(k)``, ``slab.lane(i)``): possibly aliased with a
-  snapshot or another lane.
+  ``self._rows.get(k)``): possibly aliased with a snapshot.
 
 In-place mutation of a ``SHARED`` value (subscript store/delete,
 mutating method call, augmented assignment) is a finding unless some
@@ -39,7 +36,7 @@ mutating method call, augmented assignment) is a finding unless some
 privatizer or a fresh-copy self-rebind (``lines = set(lines)``) of the
 mutated name — or the line carries an intentional-sharing pragma::
 
-    # reprolint: shares[lane timers decay in place by design]
+    # reprolint: shares[rows alias the snapshot by design]
 
 The reason string is mandatory; an empty ``shares[]`` does not parse.
 """
@@ -76,17 +73,15 @@ FRESH_COPY_CALLS = frozenset({"set", "list", "dict", "frozenset", "tuple",
 class Protocol:
     """A module's parsed ``REPRO_COW_PROTOCOL`` declaration."""
 
-    __slots__ = ("shared_roots", "shared_calls", "privatizers", "line")
+    __slots__ = ("shared_roots", "privatizers", "line")
 
     def __init__(
         self,
         shared_roots: Tuple[str, ...],
-        shared_calls: Tuple[str, ...],
         privatizers: Tuple[str, ...],
         line: int,
     ) -> None:
         self.shared_roots = shared_roots
-        self.shared_calls = shared_calls
         self.privatizers = privatizers
         self.line = line
 
@@ -118,7 +113,6 @@ def parse_protocol(tree: ast.Module) -> Optional[Protocol]:
                 )
         return Protocol(
             fields.get("shared_roots", ()),
-            fields.get("shared_calls", ()),
             fields.get("privatizers", ()),
             stmt.lineno,
         )
@@ -162,8 +156,6 @@ class _Classifier:
             name = _call_name(node)
             if name in self.protocol.privatizers:
                 return NONE
-            if name in self.protocol.shared_calls:
-                return SHARED
             if name in FRESH_COPY_CALLS:
                 return NONE
             if name == "get" and isinstance(node.func, ast.Attribute):
@@ -438,9 +430,9 @@ def check_module(
         if must_declare:
             return [(
                 1,
-                f"module is listed in registry.COW_MODULES but declares no "
-                f"REPRO_COW_PROTOCOL; declare shared_roots/shared_calls/"
-                f"privatizers so the aliasing pass can check it",
+                "module is listed in registry.COW_MODULES but declares no "
+                "REPRO_COW_PROTOCOL; declare shared_roots/privatizers "
+                "so the aliasing pass can check it",
             )]
         return []
     findings: List[Tuple[int, str]] = []

@@ -30,7 +30,6 @@ from __future__ import annotations
 FAST_PATH_MODULES = frozenset(
     {
         "src/repro/dram/soa.py",
-        "src/repro/dram/soa_batch.py",
         "src/repro/dram/rank.py",
         "src/repro/controller/memctrl.py",
         "src/repro/cache/set_assoc.py",
@@ -75,19 +74,17 @@ HOT_PATH_PARTS = (
 #: point (the power model) and therefore allowed.
 ENERGY_ACCUMULATOR_PARTS = ("src/repro/power/",)
 
-#: Repo-relative paths of modules that traffic in copy-on-write or
-#: zero-copy aliased containers.  Each MUST declare an in-file
-#: ``REPRO_COW_PROTOCOL`` (shared roots / aliasing constructors /
-#: privatizers) so :mod:`repro.analysis.cowcheck` can verify that
-#: every in-place mutation of a possibly-shared value is dominated by
-#: a privatization or carries a ``shares[reason]`` pragma.  Modules
-#: not listed here may still opt in by declaring a protocol.
+#: Repo-relative paths of modules that traffic in copy-on-write
+#: aliased containers.  Each MUST declare an in-file
+#: ``REPRO_COW_PROTOCOL`` (shared roots / privatizers) so
+#: :mod:`repro.analysis.cowcheck` can verify that every in-place
+#: mutation of a possibly-shared value is dominated by a privatization
+#: or carries a ``shares[reason]`` pragma.  Modules not listed here may
+#: still opt in by declaring a protocol.
 COW_MODULES = frozenset(
     {
         "src/repro/cache/set_assoc.py",
         "src/repro/cache/dbi.py",
-        "src/repro/dram/soa_batch.py",
-        "src/repro/sim/batch.py",
     }
 )
 
@@ -97,7 +94,6 @@ COW_MODULES = frozenset(
 TIMING_SCOPE_PARTS = (
     "src/repro/controller/",
     "src/repro/dram/soa.py",
-    "src/repro/dram/soa_batch.py",
 )
 
 #: Paths never linted (the linter itself, tests' fixtures are linted

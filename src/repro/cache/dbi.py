@@ -28,7 +28,6 @@ RowLines = Union[Set[int], Tuple[int, ...]]
 # before mutating it in place.
 REPRO_COW_PROTOCOL = {
     "shared_roots": ("_rows",),
-    "shared_calls": (),
     "privatizers": (),
 }
 

@@ -44,7 +44,6 @@ ORACLE_TESTS = (
 # set's containers must be dominated by an _own_set guard.
 REPRO_COW_PROTOCOL = {
     "shared_roots": ("_tags", "_free"),
-    "shared_calls": (),
     "privatizers": ("_own_set",),
 }
 

@@ -523,7 +523,6 @@ _BATCH_PROFILE_BUCKETS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
     (
         "construction + restore",
         (
-            "repro/dram/soa_batch.py",
             "repro/cache/set_assoc.py",
             "repro/cache/dbi.py",
             "repro/sim/system.py",

@@ -31,23 +31,12 @@ class Channel:
         num_banks: int = 8,
         relax_act_constraints: bool = False,
         burst_cycles_multiplier: int = 1,
-        core: TimingCore | None = None,
     ) -> None:
         self.timing = timing
         #: Flat per-(rank, bank) timing-state arrays shared by every
         #: rank/bank of this channel; the controller's scheduling loops
-        #: index them directly (the objects below are views).  ``core``
-        #: injects externally allocated state — the batch kernel passes
-        #: one lane row of a :class:`~repro.dram.soa_batch.BatchTimingCore`
-        #: so N lanes' channel state shares one lane-major allocation.
-        if core is None:
-            core = TimingCore(num_ranks, num_banks)
-        elif core.num_ranks != num_ranks or core.num_banks != num_banks:
-            raise ValueError(
-                f"injected TimingCore is {core.num_ranks}x{core.num_banks}, "
-                f"channel needs {num_ranks}x{num_banks}"
-            )
-        self.core = core
+        #: index them directly (the objects below are views).
+        self.core = TimingCore(num_ranks, num_banks)
         self.ranks: List[Rank] = [
             Rank(timing, num_banks, relax_act_constraints, core=self.core, rank_index=r)
             for r in range(num_ranks)

@@ -18,10 +18,9 @@ Inter-bank timing state (``next_act_ok`` / ``next_col_ok`` /
 command gate, the power-down flag and the refresh deadline) lives in
 the channel's shared :class:`~repro.dram.soa.TimingCore` arrays at
 ``rank_index`` — the attributes here are views, so the controller's
-flat-array hot loops, the batch kernel's lane-major slabs and this
-object API always agree.  Only the tFAW window, power-down exit timing
-and background-residency integration stay plain attributes: they are
-touched on cold paths and never screened column-wise.
+flat-array hot loops and this object API always agree.  Only the tFAW
+window, power-down exit timing and background-residency integration
+stay plain attributes: they are touched on cold paths.
 
 The per-bank :class:`Bank` views are built lazily on first access:
 they carry no state of their own (everything lives in the core

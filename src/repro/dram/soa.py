@@ -27,12 +27,6 @@ Encoding conventions:
 * ``pd[r]`` is 1 while the rank sits in precharge power-down
   (``Rank.powered_down`` translates to/from ``bool``),
 * ``next_refresh[r]`` is the rank's next refresh deadline.
-
-Keeping every timing field here, not on ``Rank``, gives each one a
-lane-major column in the batch kernel's slabs
-(:mod:`repro.dram.soa_batch`), whose ``BatchTimingCore.__slots__``
-must mirror :attr:`TimingCore.__slots__` (the ``timing-slots`` twin
-pair of :mod:`repro.analysis.twins`).
 """
 
 from __future__ import annotations

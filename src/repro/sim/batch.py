@@ -8,14 +8,10 @@ interpreter overhead, not scheduling work.  This module changes the
 *unit of work*: a :class:`BatchSystem` holds N points as *lanes* and
 interleaves their event loops on one shared wake heap.
 
-* **Lane-major timing state.**  Each channel index gets one
-  :class:`~repro.dram.soa_batch.BatchTimingCore` slab — ``TimingCore``'s
-  flat vectors with a leading lane dimension, bulk-allocated as
-  whole-array ops (numpy via the ``.[fast]`` extra, pure-list fallback
-  with identical semantics; :data:`HAVE_NUMPY` is the loud-skip shim).
-  Every lane's controllers run against lane-sliced views (real
-  ``TimingCore`` objects aliasing the slab rows), so the scheduler hot
-  path is byte-for-byte the scalar one and bit-identity holds by
+* **One System per lane.**  Each lane is a plain
+  :class:`~repro.sim.system.System` with its own per-channel
+  :class:`~repro.dram.soa.TimingCore`, exactly as in a solo run, so
+  the scheduler hot path is the scalar one and bit-identity holds by
   construction.
 * **Shared wake heap keyed ``(cycle, lane)``.**  Every lane runs the
   scalar engine's own event loop, :meth:`System._passes
@@ -34,8 +30,8 @@ interleaves their event loops on one shared wake heap.
 
 The scalar engine remains the oracle: every lane's
 :class:`~repro.sim.results.SimResult` must equal its serial run
-bit-for-bit (``tests/test_batch.py`` pins this across schemes,
-backends, and mixed snapshot-restored/cold batches).
+bit-for-bit (``tests/test_batch.py`` pins this across schemes and
+mixed snapshot-restored/cold batches).
 
 Entry points: :class:`BatchSystem` directly, :func:`simulate_batch`
 for one-shot use, ``Sweep.run(batch=N)`` for grids, and
@@ -50,8 +46,10 @@ from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.dram.soa import TimingCore
-from repro.dram.soa_batch import HAVE_NUMPY, BatchTimingCore
+# Not called here.  The layered benchmark's span table names the column
+# ops in this module, and its Tracer.patch (perfbench/spans.py) looks
+# them up in sys.modules, so importing the batch kernel loads it.
+import repro.dram.soa_batch  # noqa: F401
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sim.snapshot import default_warmup, warm_fingerprint
@@ -60,7 +58,7 @@ from repro.sim.system import System
 from repro.workloads.mixes import Workload
 from repro.workloads.mixes import workload as lookup_workload
 
-__all__ = ["HAVE_NUMPY", "BatchSystem", "simulate_batch"]
+__all__ = ["BatchSystem", "simulate_batch"]
 
 # Oracle-parity declaration enforced by reprolint: the lane heap is a
 # fast path; the scalar ``System.run`` is the oracle every lane
@@ -68,16 +66,6 @@ __all__ = ["HAVE_NUMPY", "BatchSystem", "simulate_batch"]
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.system.System.run"
 ORACLE_TESTS = ("tests/test_batch.py",)
-
-# COW contract for the aliasing pass (repro.analysis.cowcheck): the
-# TimingCore views slab.lane() returns alias slab rows — this module
-# may read through them freely but must never mutate one in place
-# (mutation belongs to the controller that owns the lane's channel).
-REPRO_COW_PROTOCOL = {
-    "shared_roots": (),
-    "shared_calls": ("lane",),
-    "privatizers": (),
-}
 
 #: One lane: a specialized config plus its workload (or workload name).
 LaneSpec = Tuple[SystemConfig, Union[Workload, str]]
@@ -111,16 +99,13 @@ class BatchSystem:
         seed: Optional[int] = None,
         warmup_events_per_core: Optional[int] = None,
         snapshot_dir: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> None:
-        """Build all lanes (shared slabs, snapshots, trace blocks).
+        """Build all lanes (shared snapshots and trace blocks).
 
         ``lanes`` is one ``(config, workload)`` pair per grid point
         (workloads may be names).  ``events_per_core`` / ``seed`` /
         ``warmup_events_per_core`` / ``snapshot_dir`` are grid-wide
         invariants, exactly as in :class:`~repro.sim.sweep.Sweep`.
-        ``backend`` forces the slab allocation backend (tests); the
-        default follows :func:`repro.dram.soa_batch.default_backend`.
 
         Construction runs with the cyclic GC paused: building N lanes
         allocates hundreds of thousands of container objects that are
@@ -138,7 +123,6 @@ class BatchSystem:
                 seed,
                 warmup_events_per_core,
                 snapshot_dir,
-                backend,
             )
         finally:
             if gc_was_enabled:
@@ -151,7 +135,6 @@ class BatchSystem:
         seed: Optional[int],
         warmup_events_per_core: Optional[int],
         snapshot_dir: Optional[str],
-        backend: Optional[str],
     ) -> None:
         specs: List[Tuple[SystemConfig, Workload]] = []
         for config, wl in lanes:
@@ -159,23 +142,6 @@ class BatchSystem:
             specs.append((config, workload))
         if not specs:
             raise ValueError("BatchSystem needs at least one lane")
-
-        # Slab allocation: one BatchTimingCore per channel index per
-        # geometry group (grids normally share one geometry; mixed
-        # geometries each get their own lane-major slabs).
-        geo_groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for i, (config, _) in enumerate(specs):
-            geo = config.geometry
-            geo_key = (geo.channels, geo.ranks_per_channel, geo.chip.banks)
-            geo_groups.setdefault(geo_key, []).append(i)
-        lane_cores: Dict[int, List[TimingCore]] = {}
-        for (channels, ranks, banks), members in geo_groups.items():
-            slabs = [
-                BatchTimingCore(len(members), ranks, banks, backend=backend)
-                for _ in range(channels)
-            ]
-            for slot, i in enumerate(members):
-                lane_cores[i] = [slab.lane(slot) for slab in slabs]
 
         # Construction in warm-fingerprint groups: the first lane of a
         # group builds/loads the snapshot, the rest restore from the
@@ -202,7 +168,6 @@ class BatchSystem:
                     warmup_events_per_core=warmup_events_per_core,
                     snapshot_dir=snapshot_dir,
                     cow_restore=True,
-                    channel_cores=lane_cores[i],
                 )
         self.lanes: List[_Lane] = [
             _Lane(system) for system in systems if system is not None
@@ -220,9 +185,8 @@ class BatchSystem:
         The shared heap holds ``(cycle, lane_index)``: each pop advances
         the earliest-due lane by one pass and re-keys it at its next
         event cycle (ties break on lane index).  Lanes never share
-        mutable state (slab rows are disjoint, snapshot sharing is
-        copy-on-write), so the interleaving cannot affect per-lane
-        results; a lane that terminates finalizes immediately (stats
+        mutable state (snapshot sharing is copy-on-write), so the
+        interleaving cannot affect per-lane results; a lane that terminates finalizes immediately (stats
         flush + summary) and leaves the heap.
         """
         if self._ran:
@@ -248,7 +212,6 @@ def simulate_batch(
     seed: Optional[int] = None,
     warmup_events_per_core: Optional[int] = None,
     snapshot_dir: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> List[SimResult]:
     """Convenience one-shot: build a :class:`BatchSystem` and run it."""
     return BatchSystem(
@@ -257,7 +220,6 @@ def simulate_batch(
         seed=seed,
         warmup_events_per_core=warmup_events_per_core,
         snapshot_dir=snapshot_dir,
-        backend=backend,
     ).run()
 
 

@@ -184,12 +184,18 @@ class ExperimentRunner:
         attached (warm workers, fingerprint-grouped scheduling), else
         on a throwaway process pool with ``workers`` > 1, else
         serially in-process — all three bit-identical (the same
-        deterministic seed governs every backend).  Everything lands
-        in the shared cache and the results come back in spec order.
-        Duplicate specs are simulated once.
+        deterministic seed governs every backend).  ``workers`` > 1 on
+        a runner with a pool is refused: the pool's own worker count
+        applies.  Everything lands in the shared cache and the results
+        come back in spec order.  Duplicate specs are simulated once.
         """
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer")
+        if workers is not None and workers > 1 and self.pool is not None:
+            raise ValueError(
+                f"workers={workers} cannot be combined with pool=: the "
+                "pool's own worker count applies"
+            )
         events = self.events_per_core if events_per_core is None else events_per_core
         keys: List[Tuple] = []
         todo: Dict[Tuple, RunSpec] = {}

@@ -24,7 +24,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 if TYPE_CHECKING:
-    from repro.dram.soa import TimingCore
     from repro.sim.sampling import EpochSampler
 
 from repro.cache.dbi import DirtyBlockIndex
@@ -85,7 +84,6 @@ class System:
         use_snapshots: bool = True,
         snapshot_dir: Optional[str] = None,
         cow_restore: bool = False,
-        channel_cores: Optional[List["TimingCore"]] = None,
     ) -> None:
         """Build the platform.
 
@@ -116,13 +114,10 @@ class System:
         * ``snapshot_dir`` opts into the on-disk snapshot layer (the
           ``REPRO_SNAPSHOT_DIR`` environment variable does the same).
 
-        The batch kernel (:mod:`repro.sim.batch`) passes two extra
-        hooks: ``cow_restore`` restores warm snapshots copy-on-write
+        The batch kernel (:mod:`repro.sim.batch`) passes one extra
+        hook: ``cow_restore`` restores warm snapshots copy-on-write
         (bit-identical, just lazier — see
-        :func:`repro.sim.snapshot.restore_warm_state`), and
-        ``channel_cores`` injects one externally allocated
-        :class:`~repro.dram.soa.TimingCore` per channel (a lane row of
-        a :class:`~repro.dram.soa_batch.BatchTimingCore`).
+        :func:`repro.sim.snapshot.restore_warm_state`).
         """
         if events_per_core <= 0:
             raise ValueError("events_per_core must be positive")
@@ -140,8 +135,6 @@ class System:
             chips_per_rank=geo.chips_per_rank,
             ecc_chips=config.ecc_chips,
         )
-        if channel_cores is not None and len(channel_cores) != geo.channels:
-            raise ValueError("need one injected TimingCore per channel")
         self.channels: List[Channel] = [
             Channel(
                 config.timing,
@@ -149,9 +142,8 @@ class System:
                 num_banks=geo.chip.banks,
                 relax_act_constraints=scheme.relax_act_constraints,
                 burst_cycles_multiplier=scheme.burst_multiplier,
-                core=None if channel_cores is None else channel_cores[idx],
             )
-            for idx in range(geo.channels)
+            for _ in range(geo.channels)
         ]
         ctrl_cfg = config.controller
         self.controllers: List[ChannelController] = [

@@ -9,7 +9,6 @@ join, so the unguarded path writes through a snapshot-shared dict.
 
 REPRO_COW_PROTOCOL = {
     "shared_roots": ("_tags",),
-    "shared_calls": (),
     "privatizers": ("_own_set",),
 }
 

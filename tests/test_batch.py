@@ -1,20 +1,18 @@
 """Oracle-parity tests for the lane-parallel batch kernel.
 
-``repro.sim.batch`` and ``repro.dram.soa_batch`` are registered fast
-paths: every lane of a :class:`BatchSystem` must produce a
-:class:`SimResult` bit-identical to running that lane's (config,
-workload) through the scalar ``System.run`` on its own — values *and*
-structure, pinned here via ``to_dict()`` deep equality.  These tests
-cover both slab backends (numpy and the pure-list fallback), batches
-mixing snapshot-restored and cold lanes, the ``Sweep.run(batch=N)``
-and ``SimPool.map_groups`` integration layers, the CLI worker-budget
+``repro.sim.batch`` is a registered fast path: every lane of a
+:class:`BatchSystem` must produce a :class:`SimResult` bit-identical
+to running that lane's (config, workload) through the scalar
+``System.run`` on its own — values *and* structure, pinned here via
+``to_dict()`` deep equality.  These tests cover batches mixing
+snapshot-restored and cold lanes, the ``Sweep.run(batch=N)`` and
+``SimPool.map_groups`` integration layers, the CLI worker-budget
 guard, the rejection of ``workers`` alongside ``pool``/``batch``, and
 a hypothesis property test driving randomized lane counts/configs
-through the kernel.  It also covers the slab column ops
-(``decay_timers`` / ``open_row_hits`` / ``refresh_due`` /
-``next_wake_min`` / ``power_down_resident``) including slab-row
-aliasing of the ``pd`` / ``next_refresh`` columns, plus
-``batch="auto"`` lane sizing.
+through the kernel.  It also covers the column ops of
+``repro.dram.soa_batch`` (``decay_timers`` / ``open_row_hits`` /
+``refresh_due`` / ``next_wake_min`` / ``power_down_resident``) over
+plain ``TimingCore`` lists, plus ``batch="auto"`` lane sizing.
 """
 
 import pytest
@@ -23,12 +21,9 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.schemes import by_name
+from repro.dram.soa import TimingCore
 from repro.dram.soa_batch import (
-    BACKENDS,
-    BatchTimingCore,
-    HAVE_NUMPY,
     decay_timers,
-    default_backend,
     next_wake_min,
     open_row_hits,
     power_down_resident,
@@ -46,11 +41,6 @@ from repro.workloads.mixes import workload as lookup_workload
 SMALL_CACHE = CacheConfig(llc_bytes=128 * 1024)
 EVENTS = 400
 WARMUP = 1200
-
-#: Skip marker for tests that exercise the numpy backend specifically.
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy not installed (pip install 'repro[fast]')"
-)
 
 
 def _specs(schemes=("Baseline", "PRA", "SDS", "DBI+PRA"), workloads=("GUPS", "MIX1")):
@@ -87,17 +77,11 @@ def _small_sweep():
 
 # ----------------------------------------------------------------------
 class TestLaneBitIdentity:
-    @pytest.mark.parametrize(
-        "backend",
-        [pytest.param("numpy", marks=needs_numpy), "list"],
-    )
-    def test_every_lane_matches_its_serial_run(self, backend):
+    def test_every_lane_matches_its_serial_run(self):
         specs = _specs()
         serial = _serial(specs)
         SNAPSHOTS.clear()
-        results = simulate_batch(
-            specs, EVENTS, warmup_events_per_core=WARMUP, backend=backend
-        )
+        results = simulate_batch(specs, EVENTS, warmup_events_per_core=WARMUP)
         assert [r.to_dict() for r in results] == serial
 
     def test_mixed_cold_and_snapshot_restored_lanes(self):
@@ -198,53 +182,6 @@ class TestMapGroups:
 
 
 # ----------------------------------------------------------------------
-class TestSlab:
-    @pytest.mark.parametrize(
-        "backend",
-        [pytest.param("numpy", marks=needs_numpy), "list"],
-    )
-    def test_backends_allocate_identical_state(self, backend):
-        slab = BatchTimingCore(3, 2, 8, backend=backend)
-        reference = BatchTimingCore(3, 2, 8, backend="list")
-        for field in BatchTimingCore.__slots__:
-            if field in ("backend",):
-                continue
-            assert getattr(slab, field) == getattr(reference, field), field
-
-    def test_lane_views_alias_slab_rows(self):
-        slab = BatchTimingCore(2, 2, 8, backend="list")
-        lane0 = slab.lane(0)
-        lane1 = slab.lane(1)
-        lane0.open_row[3] = 77
-        assert slab.open_row[0][3] == 77
-        assert lane1.open_row[3] == -1  # other lanes unaffected
-
-    def test_geometry_and_lane_validation(self):
-        with pytest.raises(ValueError, match="at least one lane"):
-            BatchTimingCore(0, 2, 8)
-        slab = BatchTimingCore(1, 2, 8, backend="list")
-        with pytest.raises(IndexError, match="out of range"):
-            slab.lane(1)
-        with pytest.raises(ValueError, match="unknown backend"):
-            BatchTimingCore(1, 2, 8, backend="cuda")
-
-    def test_default_backend_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_BACKEND", "list")
-        assert default_backend() == "list"
-        monkeypatch.setenv("REPRO_BATCH_BACKEND", "weird")
-        with pytest.raises(ValueError, match="REPRO_BATCH_BACKEND"):
-            default_backend()
-        monkeypatch.delenv("REPRO_BATCH_BACKEND")
-        assert default_backend() in BACKENDS
-
-
-# ----------------------------------------------------------------------
-#: Both slab backends, numpy skipped where unavailable.
-both_backends = pytest.mark.parametrize(
-    "backend",
-    [pytest.param("numpy", marks=needs_numpy), "list"],
-)
-
 #: Randomized lane mixes for the batch/serial property test: schemes
 #: and workloads sampled with repetition, so duplicate specs exercise
 #: multi-lane fingerprint groups sharing one snapshot.
@@ -262,80 +199,58 @@ lane_choices = st.lists(
 
 
 class TestCohortKernelOps:
-    """Slab column ops: correctness on both backends, plus the slab-row
-    aliasing contract for the ``pd`` / ``next_refresh`` columns (all
-    mutations go through *lane views*, so a passing test proves the
-    views alias the rows the ops read)."""
+    """Column ops over a list of lanes' ``TimingCore``s: each op reads
+    (``decay_timers``: clamps) exactly the cores it is given."""
 
     @staticmethod
-    def _slab(backend):
-        slab = BatchTimingCore(4, 2, 4, backend=backend)
-        lane1, lane3 = slab.lane(1), slab.lane(3)
-        lane1.open_bits[0] = 0b0101
-        lane1.next_refresh[:] = [700, 640]
-        lane1.pd[:] = [1, 1]
-        lane3.open_bits[1] = 0b1000
-        lane3.next_refresh[:] = [500, 900]
-        lane3.pd[0] = 1
-        return slab
+    def _cores():
+        cores = [TimingCore(2, 4) for _ in range(4)]
+        cores[1].open_bits[0] = 0b0101
+        cores[1].next_refresh[:] = [700, 640]
+        cores[1].pd[:] = [1, 1]
+        cores[3].open_bits[1] = 0b1000
+        cores[3].next_refresh[:] = [500, 900]
+        cores[3].pd[0] = 1
+        return cores
 
-    @both_backends
-    def test_open_row_hits(self, backend):
-        slab = self._slab(backend)
-        assert open_row_hits(slab, [1, 3, 0]) == [0b0101, 0b1000, 0]
+    def test_open_row_hits(self):
+        c = self._cores()
+        assert open_row_hits([c[1], c[3], c[0]]) == [0b0101, 0b1000, 0]
 
-    @both_backends
-    def test_refresh_due_aliases_lane_views(self, backend):
-        slab = self._slab(backend)
-        assert refresh_due(slab, [1, 3, 0]) == [640, 500, 0]
-        slab.lane(3).next_refresh[1] = 450  # view write, column read
-        assert refresh_due(slab, [3]) == [450]
+    def test_refresh_due(self):
+        c = self._cores()
+        assert refresh_due([c[1], c[3], c[0]]) == [640, 500, 0]
+        c[3].next_refresh[1] = 450
+        assert refresh_due([c[3]]) == [450]
 
-    @both_backends
-    def test_power_down_resident_aliases_lane_views(self, backend):
-        slab = self._slab(backend)
-        assert power_down_resident(slab, [1, 3, 0]) == [True, False, False]
-        slab.lane(3).pd[1] = 1
-        assert power_down_resident(slab, [3]) == [True]
+    def test_power_down_resident(self):
+        c = self._cores()
+        assert power_down_resident([c[1], c[3], c[0]]) == [True, False, False]
+        c[3].pd[1] = 1
+        assert power_down_resident([c[3]]) == [True]
 
-    @both_backends
-    def test_decay_timers_clamps_in_place(self, backend):
-        slab = BatchTimingCore(3, 2, 4, backend=backend)
-        lane0, lane2 = slab.lane(0), slab.lane(2)
-        lane0.next_act_ok[:] = [10, 900]  # one stale, one live
-        lane0.gate[:] = [0, 55]
-        lane2.next_write_ok[:] = [99, 100]
-        decay_timers(slab, [0, 2], 100)
-        # Stale timers clamped to the cycle, live ones untouched — and
-        # the pre-existing lane views observe it (row identity kept).
-        assert lane0.next_act_ok == [100, 900]
-        assert lane0.gate == [100, 100]
-        assert lane2.next_write_ok == [100, 100]
-        assert slab.lane(2).next_col_ok == [100, 100]
-        # Lane 1 was not among the slots: untouched.
-        assert slab.lane(1).next_act_ok == [0, 0]
+    def test_decay_timers_clamps_in_place(self):
+        cores = [TimingCore(2, 4) for _ in range(3)]
+        core0, core2 = cores[0], cores[2]
+        core0.next_act_ok[:] = [10, 900]  # one stale, one live
+        core0.gate[:] = [0, 55]
+        core2.next_write_ok[:] = [99, 100]
+        decay_timers([core0, core2], 100)
+        # Stale timers clamped to the cycle, live ones untouched.
+        assert core0.next_act_ok == [100, 900]
+        assert core0.gate == [100, 100]
+        assert core2.next_write_ok == [100, 100]
+        assert core2.next_col_ok == [100, 100]
+        # Core 1 was not passed: untouched.
+        assert cores[1].next_act_ok == [0, 0]
         # Non-timer columns are never decayed.
-        assert lane0.next_refresh == [0, 0]
-        assert lane0.last_act == [-1] * 8
+        assert core0.next_refresh == [0, 0]
+        assert core0.last_act == [-1] * 8
 
-    @both_backends
-    def test_next_wake_min(self, backend):
-        assert next_wake_min([[7, 3, 9], [4, 4, 4]], backend) == [3, 4]
-        # Ragged rows (lanes with different candidate counts) must fall
-        # back cleanly on the numpy backend.
-        assert next_wake_min([[5], [2, 8], [6, 1, 7]], backend) == [5, 2, 1]
-
-    @needs_numpy
-    def test_backends_agree(self):
-        a, b = self._slab("numpy"), self._slab("list")
-        slots = [3, 1, 0, 2]
-        assert open_row_hits(a, slots) == open_row_hits(b, slots)
-        assert refresh_due(a, slots) == refresh_due(b, slots)
-        assert power_down_resident(a, slots) == power_down_resident(b, slots)
-        decay_timers(a, slots, 50)
-        decay_timers(b, slots, 50)
-        for field in ("next_act_ok", "next_col_ok", "gate"):
-            assert getattr(a, field) == getattr(b, field), field
+    def test_next_wake_min(self):
+        assert next_wake_min([[7, 3, 9], [4, 4, 4]]) == [3, 4]
+        # Lanes may have different candidate counts.
+        assert next_wake_min([[5], [2, 8], [6, 1, 7]]) == [5, 2, 1]
 
 
 # ----------------------------------------------------------------------

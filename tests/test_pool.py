@@ -123,6 +123,16 @@ class TestOracleParity:
             )
         assert pooled == serial
 
+    def test_runner_workers_with_pool_rejected(self):
+        # The pool's own worker count applies; a second one is refused
+        # rather than dropped without a word.
+        spec = ("GUPS", BASELINE, RowPolicy.RELAXED_CLOSE)
+        with SimPool(workers=1) as pool:
+            runner = ExperimentRunner(events_per_core=100, pool=pool)
+            with pytest.raises(ValueError, match="pool="):
+                runner.run_many([spec], workers=2)
+            assert pool.tasks_done == 0
+
     def test_pool_reused_across_sweeps(self):
         with SimPool(workers=2) as pool:
             first = _small_sweep().run(pool=pool)

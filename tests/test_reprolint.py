@@ -33,7 +33,6 @@ FIXTURES = {
     "hygiene-slots": "slots_missing.py",
     "hygiene-try-in-loop": "try_in_loop.py",
     "hygiene-mutable-default": "mutable_default.py",
-    "twin-drift": "twin_drift.py",
     "cow-unsafe-mutation": "cow_unsafe_mutation.py",
     "timing-unchecked-issue": "timing_unchecked_issue.py",
 }
@@ -74,10 +73,7 @@ def test_tests_tree_lints_clean():
 # Fast-path registration coverage: the oracle-parity rules must be
 # *armed* for the performance-critical modules, not just pass on them.
 # ----------------------------------------------------------------------
-BATCH_FAST_PATHS = (
-    "src/repro/dram/soa_batch.py",
-    "src/repro/sim/batch.py",
-)
+BATCH_FAST_PATHS = ("src/repro/sim/batch.py",)
 
 
 @pytest.mark.parametrize("rel_path", BATCH_FAST_PATHS)
@@ -94,9 +90,7 @@ def test_batch_modules_are_registered_fast_paths(rel_path):
     assert is_registered_fast_path(os.path.join(REPO_ROOT, rel_path))
 
 
-@pytest.mark.parametrize(
-    "module_name", ["repro.dram.soa_batch", "repro.sim.batch"]
-)
+@pytest.mark.parametrize("module_name", ["repro.sim.batch"])
 def test_batch_oracle_declarations_resolve(module_name):
     """ORACLE_TWIN / ORACLE_TESTS on the batch modules are live.
 
