@@ -112,6 +112,29 @@ class TestDigests:
         assert points[0] == {"scheme": "Baseline", "workload": "GUPS"}
         assert points[-1] == {"scheme": "PRA", "workload": "mcf"}
 
+    def test_smoke_spec_cache_keys_are_pinned(self):
+        """The CI smoke spec's job id and point digests, as literals.
+
+        These are the service store's on-disk cache keys: a refactor of
+        the sweep helpers that moves any of them orphans every stored
+        row, so they must only change together with ``SPEC_FORMAT`` or
+        ``POINT_FORMAT``.
+        """
+        spec = SweepSpec.from_payload({
+            "events_per_core": 100,
+            "warmup_events_per_core": 2000,
+            "axes": {"scheme": ["Baseline", "PRA"], "workload": ["GUPS", "MIX1"]},
+        })
+        assert spec.job_id() == (
+            "e9ad59725a20a7b60c00fe71bc9f8b8670d90513ea843c6c6729092585c95d28"
+        )
+        assert [spec.point_digest(p) for p in spec.points()] == [
+            "42a84d4bbc4e936f449ca130ba9cd4cf41349fe16c199ee49659d1eacf844caa",
+            "dfdf82652e5ca6b43bce355a65af738fd7020c17255281cd7baf63ef6803e628",
+            "c39452ad39888a2739d9a669850cc6488ba5a84a8a7e6f339f0f532bd2c757c4",
+            "34b25fbbb5daf0c46b1216e7ba489953f3a13c1e8e7dc04f080c11bbf448d2e6",
+        ]
+
 
 # ----------------------------------------------------------------------
 # Result store: atomic, content-addressed, picky about keys.
