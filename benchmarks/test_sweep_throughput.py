@@ -3,11 +3,11 @@
 Not a paper figure — this measures the sweep *service* itself: a
 24-point grid (6 schemes x 4 workloads) executed
 
-* on a throwaway ``multiprocessing`` pool under the **spawn** start
-  method — every worker pays the full cold start (interpreter boot,
-  package import, trace-block compilation, one warmup replay per warm
-  fingerprint it encounters), the cost every fresh sweep invocation
-  pays; versus
+* on a fresh :class:`repro.sim.pool.SimPool` under the **spawn** start
+  method, opened and closed inside the timed region — every worker
+  pays the full cold start (interpreter boot, package import,
+  trace-block compilation, one warmup replay per warm fingerprint it
+  encounters), the cost every fresh sweep invocation pays; versus
 * on a persistent :class:`repro.sim.pool.SimPool` whose workers are
   already **warm** — snapshot and trace caches populated by an earlier
   batch, fingerprint-grouped scheduling keeping them hot — the steady
@@ -72,14 +72,16 @@ def test_sweep_pool_speedup():
     # Serial oracle (also the bit-identity reference for both arms).
     serial_rows = make_sweep().run()
 
-    # Cold arm: throwaway pool, spawn start method — each worker is a
-    # fresh interpreter with empty caches, as in a fresh CLI/CI
-    # invocation.  Parent caches are irrelevant to spawned children but
-    # are cleared anyway so the arm never depends on test order.
+    # Cold arm: a fresh spawn-start pool, start-up and close timed —
+    # each worker is a fresh interpreter with empty caches, as in a
+    # fresh CLI/CI invocation.  Parent caches are irrelevant to spawned
+    # children but are cleared anyway so the arm never depends on test
+    # order.
     SNAPSHOTS.clear()
     cold_sweep = make_sweep()
     t0 = time.perf_counter()
-    cold_rows = cold_sweep.run(workers=WORKERS, mp_start="spawn")
+    with SimPool(workers=WORKERS, start_method="spawn") as pool:
+        cold_rows = cold_sweep.run(pool=pool)
     cold_s = time.perf_counter() - t0
 
     # Warm arm: a persistent pool that has already served one batch
@@ -158,12 +160,14 @@ def test_batch_sweep_speedup():
     # builds the warm snapshots the in-process arms restore from).
     serial_rows = make_batch_sweep().run()
 
-    # Cold arm: spawn-start throwaway pool, exactly one (untimed-warmup
-    #-free) run — every worker pays interpreter boot, imports and one
-    # warmup replay per fingerprint it encounters.
+    # Cold arm: a fresh spawn-start pool, start-up and close timed,
+    # exactly one run with no untimed warm-up — every worker pays
+    # interpreter boot, imports and one warmup replay per fingerprint
+    # it encounters.
     SNAPSHOTS.clear()
     t0 = time.perf_counter()
-    cold_rows = make_batch_sweep().run(workers=WORKERS, mp_start="spawn")
+    with SimPool(workers=WORKERS, start_method="spawn") as pool:
+        cold_rows = make_batch_sweep().run(pool=pool)
     cold_s = time.perf_counter() - t0
     make_batch_sweep().run()  # re-warm parent snapshots for the arms below
 

@@ -10,9 +10,9 @@ Commands
 ``compare``
     Run several schemes on one workload and print normalized results.
 ``sweep``
-    Run a grid and export CSV/JSON (``--pool N`` for a persistent
-    warm worker pool, ``--workers N`` for a throwaway process pool,
-    ``--batch N`` for the lane-parallel batch kernel).
+    Run a grid and export CSV/JSON, serially in-process or on a pool
+    of N worker processes (``--pool N``); ``--batch N`` adds the
+    lane-parallel batch kernel.
 ``bench``
     Drive a whole figure suite (scheme x workload grid) through one
     persistent pool and print points/sec plus normalized summaries.
@@ -57,16 +57,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 if TYPE_CHECKING:
     from repro.sim.config import SystemConfig
 
-from repro.controller.policies import RowPolicy
 from repro.core.schemes import ALL_SCHEMES, BASELINE, by_name
 from repro.sim.runner import ExperimentRunner
+from repro.sim.sweep import POLICIES, Sweep, write_csv, write_json
 from repro.workloads.mixes import ALL_WORKLOADS
 
-_POLICIES = {
-    "relaxed": RowPolicy.RELAXED_CLOSE,
-    "restricted": RowPolicy.RESTRICTED_CLOSE,
-    "open": RowPolicy.OPEN_PAGE,
-}
 
 def _available_cpus() -> int:
     """CPUs this process may use (monkeypatchable in tests)."""
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", default="MIX1", help="one of the 14 workloads")
         p.add_argument("--events", type=int, default=4000,
                        help="memory instructions per core")
-        p.add_argument("--policy", choices=sorted(_POLICIES), default="relaxed")
+        p.add_argument("--policy", choices=sorted(POLICIES), default="relaxed")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--profile", action="store_true",
                        help="run under cProfile, print top-25 by cumulative time")
@@ -153,23 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a grid and export CSV/JSON")
     sweep_p.add_argument("--workloads", nargs="+", default=["GUPS", "MIX1"])
     sweep_p.add_argument("--schemes", nargs="+", default=["Baseline", "PRA"])
-    sweep_p.add_argument("--policies", nargs="+", choices=sorted(_POLICIES),
+    sweep_p.add_argument("--policies", nargs="+", choices=sorted(POLICIES),
                          default=["relaxed"])
     sweep_p.add_argument("--events", type=int, default=4000)
     sweep_p.add_argument("--seed", type=int, default=1)
     sweep_p.add_argument("--out", required=True,
                          help="output path (.csv or .json)")
-    sweep_p.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="fan grid points over a throwaway process pool")
     sweep_p.add_argument("--pool", type=int, default=0, metavar="N",
-                         help="run the grid on a persistent pool of N warm "
-                         "workers (fingerprint-grouped scheduling)")
+                         help="run the grid on a pool of N worker processes "
+                         "(fingerprint-grouped scheduling)")
     sweep_p.add_argument("--batch", type=_batch_arg, default=None, metavar="N",
                          help="advance up to N grid points per shared event "
                          "loop (lane-parallel batch kernel); combines with "
                          "--pool to ship whole lane groups per worker task; "
-                         "'auto' sizes the lane count from the grid and "
-                         "available memory")
+                         "'auto' sizes the lane count from the grid, the "
+                         "pool's workers and available memory")
     sweep_p.add_argument("--profile", action="store_true",
                          help="run under cProfile, print top-25 by cumulative time")
 
@@ -181,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="which figure's (scheme x workload) grid to run")
     bench_p.add_argument("--events", type=int, default=2000,
                          help="memory instructions per core")
-    bench_p.add_argument("--policy", choices=sorted(_POLICIES), default="relaxed")
+    bench_p.add_argument("--policy", choices=sorted(POLICIES), default="relaxed")
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument("--pool", type=int, default=None, metavar="N",
                          help="persistent pool workers (0 = serial in-process; "
@@ -223,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_service_endpoint(submit_p)
     submit_p.add_argument("--workloads", nargs="+", default=["GUPS", "MIX1"])
     submit_p.add_argument("--schemes", nargs="+", default=["Baseline", "PRA"])
-    submit_p.add_argument("--policies", nargs="+", choices=sorted(_POLICIES),
+    submit_p.add_argument("--policies", nargs="+", choices=sorted(POLICIES),
                           default=None)
     submit_p.add_argument("--ecc-chips", nargs="+", type=int, default=None,
                           help="ecc_chips axis values (0 and/or 1)")
@@ -280,7 +273,7 @@ def cmd_list() -> int:
     for name in ALL_SCHEMES:
         print(f"  {name}")
     print("policies:")
-    for name, policy in _POLICIES.items():
+    for name, policy in POLICIES.items():
         print(f"  {name:<12} {policy.value}")
     return 0
 
@@ -301,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         base_config=_base_config(args),
     )
     scheme = by_name(args.scheme)
-    policy = _POLICIES[args.policy]
+    policy = POLICIES[args.policy]
     result = runner.run(args.workload, scheme, policy)
     print(f"{args.workload} / {scheme.name} / {policy.value}")
     for key, value in result.summary().items():
@@ -364,7 +357,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         events_per_core=args.events, seed=args.seed,
         base_config=_base_config(args),
     )
-    policy = _POLICIES[args.policy]
+    policy = POLICIES[args.policy]
     schemes = [by_name(s) for s in args.schemes]
     if BASELINE not in schemes:
         schemes.insert(0, BASELINE)
@@ -383,22 +376,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a scheme x workload x policy grid and export CSV/JSON."""
-    from repro.sim.sweep import Sweep
-
     sweep = Sweep(events_per_core=args.events, seed=args.seed)
     sweep.add_axis("scheme", args.schemes)
     sweep.add_axis("workload", args.workloads)
     sweep.add_axis("policy", args.policies)
     if isinstance(args.batch, int) and args.batch < 1:
         raise ValueError("--batch must be a positive integer or 'auto'")
-    if args.workers is not None and args.workers > 1 and (
-        args.pool or args.batch is not None
-    ):
-        raise ValueError(
-            f"--workers {args.workers} cannot be combined with --pool or "
-            f"--batch; use --pool {args.workers} (plus --batch to ship "
-            "lane groups to the pool's workers)"
-        )
     if args.pool:
         _check_worker_budget("--pool", args.pool)
         from repro.sim.pool import SimPool
@@ -406,13 +389,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with SimPool(workers=args.pool) as pool:
             rows = sweep.run(pool=pool, batch=args.batch)
     else:
-        if args.workers is not None:
-            _check_worker_budget("--workers", args.workers)
-        rows = sweep.run(workers=args.workers, batch=args.batch)
-    if args.out.endswith(".json"):
-        sweep.to_json(args.out)
-    else:
-        sweep.to_csv(args.out)
+        rows = sweep.run(batch=args.batch)
+    _export_rows(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -434,7 +412,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if workload_names is None:
         workload_names = list(ALL_WORKLOADS)
     schemes = [by_name(name) for name in scheme_names]
-    policy = _POLICIES[args.policy]
+    policy = POLICIES[args.policy]
     specs = [
         (wl_name, scheme, policy)
         for wl_name in workload_names
@@ -611,18 +589,11 @@ def _service_client(args: argparse.Namespace) -> "object":
 
 
 def _export_rows(rows: "List[dict]", out: str) -> None:
-    """Write service rows to ``.csv`` or ``.json`` (sweep-compatible)."""
-    import csv
-    import json as _json
-
+    """Write result rows to ``out``: JSON for ``.json``, else CSV."""
     if out.endswith(".json"):
-        with open(out, "w") as handle:
-            _json.dump(rows, handle, indent=2)
-        return
-    with open(out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        write_json(rows, out)
+    else:
+        write_csv(rows, out)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ properties come from canonicalization:
 * a **point digest** (:func:`point_digest`) hashes the canonical JSON
   of everything the simulation result depends on: the run length,
   seed, warmup, cache geometry, the point's axis values, and the warm
-  fingerprint (:func:`repro.sim.snapshot.resolve_fingerprint`) of the
+  fingerprint (:func:`repro.sim.sweep.point_fingerprint`) of the
   exact configuration the point runs under.  The fingerprint folds in
   the workload's trace profiles, so renaming a workload without
   changing its behavior keeps the digest stable, while changing its
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.config import CacheConfig, SystemConfig
-from repro.sim.snapshot import fingerprint_digest, resolve_fingerprint
-from repro.sim.sweep import _KNOWN_AXES, SweepContext, _apply_point
+from repro.sim.snapshot import fingerprint_digest
+from repro.sim.sweep import _KNOWN_AXES, SweepContext, _apply_point, point_fingerprint
 from repro.workloads.mixes import workload as lookup_workload
 
 #: Spec/point canonical-format markers; bump to invalidate stale
@@ -187,11 +187,7 @@ class SweepSpec:
 
     def group_key(self, point: Dict[str, Any]) -> tuple:
         """Warm fingerprint of one point (pool-affinity grouping)."""
-        config = _apply_point(self.base_config(), point)
-        workload = lookup_workload(point["workload"])
-        return resolve_fingerprint(
-            config, workload, self.seed, self.warmup_events_per_core
-        )
+        return point_fingerprint(self.context(), point)
 
     def point_digest(self, point: Dict[str, Any]) -> str:
         """Content digest of one grid point under this spec."""

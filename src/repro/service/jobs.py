@@ -132,7 +132,6 @@ class JobManager:
         pools: int = 2,
         workers_per_pool: int = 1,
         max_inflight: int = 2,
-        start_method: Optional[str] = None,
     ) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
@@ -142,7 +141,6 @@ class JobManager:
             pools=pools,
             workers_per_pool=workers_per_pool,
             max_inflight=max_inflight,
-            start_method=start_method,
             snapshot_dir=os.path.join(root, "snapshots"),
         )
         self._jobs: Dict[str, _Job] = {}

@@ -3,7 +3,7 @@
 The single-host stand-in for multi-host sharding: the service owns
 ``pools`` independent :class:`~repro.sim.pool.SimPool` instances and
 routes every grid point by its warm fingerprint
-(:func:`~repro.sim.snapshot.resolve_fingerprint`).  Placement is
+(:func:`~repro.sim.sweep.point_fingerprint`).  Placement is
 **sticky**: the first point of a fingerprint picks the least-loaded
 pool, and every later point of that fingerprint — from any job, any
 client, any day of the service's life — lands on the same pool, so
@@ -59,7 +59,6 @@ class PoolScheduler:
         pools: int = 2,
         workers_per_pool: int = 1,
         max_inflight: int = 2,
-        start_method: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
     ) -> None:
         if pools < 1:
@@ -67,7 +66,6 @@ class PoolScheduler:
         self.pool_count = pools
         self.workers_per_pool = workers_per_pool
         self.max_inflight = max_inflight
-        self.start_method = start_method
         self.snapshot_dir = snapshot_dir
         self._pools: List[Optional[SimPool]] = [None] * pools
         self._queues: List["asyncio.Queue[_Item]"] = []
@@ -127,9 +125,7 @@ class PoolScheduler:
             if pool is not None:
                 self.pool_rebuilds += 1
             pool = SimPool(
-                workers=self.workers_per_pool,
-                max_inflight=self.max_inflight,
-                start_method=self.start_method,
+                workers=self.workers_per_pool, max_inflight=self.max_inflight
             )
             self._pools[idx] = pool
         return pool

@@ -52,7 +52,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import repro.dram.soa_batch  # noqa: F401
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
-from repro.sim.snapshot import default_warmup, warm_fingerprint
+from repro.sim.snapshot import resolve_fingerprint
 from repro.sim.sweep import SweepContext, _apply_point
 from repro.sim.system import System
 from repro.workloads.mixes import Workload
@@ -149,11 +149,10 @@ class BatchSystem:
         # can age it out of the LRU.
         fp_groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
         for i, (config, workload) in enumerate(specs):
-            warmup = warmup_events_per_core
-            if warmup is None:
-                warmup = default_warmup(config, workload)
             resolved_seed = config.seed if seed is None else seed
-            fp = warm_fingerprint(config, workload, resolved_seed, warmup)
+            fp = resolve_fingerprint(
+                config, workload, resolved_seed, warmup_events_per_core
+            )
             fp_groups.setdefault(fp, []).append(i)
 
         systems: List[Optional[System]] = [None] * len(specs)

@@ -1,13 +1,15 @@
-"""Persistent sweep service: a warm pool of long-lived sim workers.
+"""The process fan-out: a pool of long-lived sim workers.
 
 Every broad evaluation in this repo — the figure/sensitivity benchmark
-suites, ``Sweep.run`` grids, ``ExperimentRunner.run_many`` batches —
-fans simulations out over processes.  A throwaway
-``multiprocessing.Pool`` per sweep makes each worker pay the full cold
-start again: interpreter boot and package import (under the spawn
-start method), trace-block compilation per workload, and a cache
-warmup per warm fingerprint.  :class:`SimPool` keeps the workers
-alive instead:
+suites, ``Sweep.run`` grids, ``ExperimentRunner.run_many`` batches,
+the sweep service — fans simulations out over processes through
+:class:`SimPool`, and only through it; the one alternative is running
+serially in-process.  A fresh worker pays the full cold start:
+interpreter boot and package import (under the spawn start method),
+trace-block compilation per workload, and a cache warmup per warm
+fingerprint.  A pool opened for one sweep (``with SimPool(workers=N)
+as pool``) pays it once per worker and fingerprint, and a pool kept
+open pays it once for its lifetime.  The pool's properties:
 
 * **warm workers** — each worker process owns the ordinary in-process
   caches (:data:`repro.sim.snapshot.SNAPSHOTS`, the compiled
@@ -16,7 +18,7 @@ alive instead:
   fingerprint ever replays warmup;
 * **fingerprint-batched scheduling** — :meth:`SimPool.map` accepts one
   group key per task (the sweep layer passes
-  :func:`repro.sim.snapshot.warm_fingerprint`); tasks of one group are
+  :func:`repro.sim.sweep.point_fingerprint`); tasks of one group are
   assigned to one worker back to back, so consecutive tasks hit the
   worker's warm snapshot and block caches instead of spreading each
   fingerprint over every worker;
@@ -33,10 +35,11 @@ alive instead:
   config, run length, seed, snapshot dir) cross the process boundary
   once per worker per batch, not once per task;
 * **clean shutdown and reuse** — one pool serves any number of
-  batches (the benchmark conftest shares one across all figure
-  suites); ``close()`` / the context manager tears the workers down,
-  and a worker death surfaces as :class:`SimPoolBrokenError` naming
-  the worker instead of a hang.
+  batches (the benchmark conftest passes one to all figure suites);
+  ``close()`` / the context manager tears the workers down, and a
+  worker death surfaces as :class:`SimPoolBrokenError` naming the
+  worker instead of a hang.  Each caller opens and closes its own
+  pool.
 
 The serial in-process path (``SimPool(...)`` not involved at all) is
 the oracle twin: pooled results must be bit-identical to it, which
@@ -46,7 +49,6 @@ the on-disk snapshot layer.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import traceback
 from multiprocessing import connection as mp_connection
@@ -65,8 +67,8 @@ from typing import (
 # Oracle-parity declaration enforced by reprolint: running a batch
 # through the pool is the fast path; mapping the same task function
 # over the same payloads serially in-process is the oracle it must
-# match bit-for-bit (see e.g. ``repro.sim.sweep.Sweep.run`` with
-# ``workers=None``).
+# match bit-for-bit (see e.g. ``repro.sim.sweep.Sweep.run`` without
+# ``pool=``).
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.sweep._run_point"
 ORACLE_TESTS = ("tests/test_pool.py",)
@@ -265,8 +267,10 @@ class SimPool:
         With group keys, indices sharing a key form one group; groups
         go whole to the currently least-loaded worker (largest group
         first, ties broken by first appearance), so every fingerprint
-        warms exactly one worker.  Without keys, indices are split into
-        contiguous runs, preserving grid locality.
+        warms exactly one worker.  Each worker runs its groups in that
+        same order, largest first, each group's tasks back to back.
+        Without keys, indices are split into contiguous runs,
+        preserving grid locality.
         """
         if count == 0:
             return [[] for _ in range(self.workers)]
@@ -293,8 +297,6 @@ class SimPool:
             target = min(range(self.workers), key=lambda w: (loads[w], w))
             plan[target].extend(members)
             loads[target] += len(members)
-        # Within one worker, run groups in first-appearance order so a
-        # multi-group worker still sweeps each fingerprint contiguously.
         return plan
 
     # ------------------------------------------------------------------
@@ -498,30 +500,3 @@ class SimPool:
             flat.extend(result)
         return flat
 
-
-# ----------------------------------------------------------------------
-#: Process-wide shared pool (CLI and ad-hoc callers); created lazily.
-_SHARED_POOL: Optional[SimPool] = None
-
-
-def shared_pool(workers: int = 2) -> SimPool:
-    """Return the process-wide :class:`SimPool`, creating it on demand.
-
-    A live shared pool is reused even if ``workers`` differs (the pool
-    is a service, not a per-call resource); close it first to resize.
-    """
-    global _SHARED_POOL
-    if _SHARED_POOL is None or _SHARED_POOL.closed:
-        _SHARED_POOL = SimPool(workers=workers)
-    return _SHARED_POOL
-
-
-def close_shared_pool() -> None:
-    """Tear down the process-wide pool (idempotent; atexit-registered)."""
-    global _SHARED_POOL
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close()
-        _SHARED_POOL = None
-
-
-atexit.register(close_shared_pool)

@@ -8,11 +8,14 @@ the same simulations.
 Run length is controlled by ``events_per_core`` (memory instructions
 per core).  The ``REPRO_EVENTS`` environment variable overrides the
 default, so benchmark fidelity can be scaled up without code changes.
+
+Uncached runs execute serially in-process (the oracle) or, when the
+runner is given a :class:`repro.sim.pool.SimPool`, on that pool's
+warm workers; both are bit-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -76,24 +79,6 @@ def _simulate_task(ctx: RunnerContext, spec: RunSpec) -> SimResult:
     return system.run()
 
 
-#: Per-process runner context for throwaway ``multiprocessing`` pools;
-#: assigned by :func:`_init_runner_worker` before any task runs.
-_WORKER_CTX: List[Optional[RunnerContext]] = [None]
-
-
-def _init_runner_worker(ctx: RunnerContext) -> None:
-    """Pool initializer: receive the runner-wide invariants once."""
-    _WORKER_CTX[0] = ctx
-
-
-def _simulate_in_worker(spec: RunSpec) -> SimResult:
-    """Worker-side task body for ``Pool.map`` (context from initializer)."""
-    ctx = _WORKER_CTX[0]
-    if ctx is None:
-        raise RuntimeError("runner worker used before initialization")
-    return _simulate_task(ctx, spec)
-
-
 class ExperimentRunner:
     """Runs and caches full-system simulations."""
 
@@ -109,9 +94,9 @@ class ExperimentRunner:
         """Configure shared run parameters for all cached simulations.
 
         ``snapshot_dir`` opts the runner into the on-disk warm-state
-        snapshot layer, extending warm-state reuse across
-        :meth:`run_many` worker processes (which share no in-process
-        cache) and across interpreter invocations.
+        snapshot layer, extending warm-state reuse across pool worker
+        processes (which share no in-process cache) and across
+        interpreter invocations.
 
         ``pool`` routes every uncached simulation through a persistent
         :class:`repro.sim.pool.SimPool`: one set of warm workers
@@ -156,46 +141,25 @@ class ExperimentRunner:
         events_per_core: Optional[int] = None,
     ) -> SimResult:
         """Run (or fetch from cache) one simulation."""
-        wl = lookup_workload(workload) if isinstance(workload, str) else workload
-        events = self.events_per_core if events_per_core is None else events_per_core
-        key = (wl.name, tuple(wl.app_names), scheme.name, policy.value, events)
-        result = self._results.get(key)
-        if result is None:
-            spec: RunSpec = (wl, scheme.name, policy.value, events)
-            if self.pool is not None:
-                result = self.pool.map(
-                    _simulate_task, [spec], shared=self._context()
-                )[0]
-            else:
-                result = _simulate_task(self._context(), spec)
-            self._results[key] = result
-        return result
+        return self.run_many(
+            [(workload, scheme, policy)], events_per_core=events_per_core
+        )[0]
 
     # ------------------------------------------------------------------
     def run_many(
         self,
         specs: Sequence[Tuple],
-        workers: Optional[int] = None,
         events_per_core: Optional[int] = None,
     ) -> List[SimResult]:
         """Run a batch of ``(workload, scheme, policy)`` specs.
 
-        Uncached specs run on the runner's persistent pool when one is
-        attached (warm workers, fingerprint-grouped scheduling), else
-        on a throwaway process pool with ``workers`` > 1, else
-        serially in-process — all three bit-identical (the same
-        deterministic seed governs every backend).  ``workers`` > 1 on
-        a runner with a pool is refused: the pool's own worker count
-        applies.  Everything lands in the shared cache and the results
-        come back in spec order.  Duplicate specs are simulated once.
+        Uncached specs run on the runner's pool when one is attached
+        (warm workers, fingerprint-grouped scheduling), else serially
+        in-process — bit-identical either way (the same deterministic
+        seed governs both).  Everything lands in the shared cache and
+        the results come back in spec order.  Duplicate specs are
+        simulated once.
         """
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if workers is not None and workers > 1 and self.pool is not None:
-            raise ValueError(
-                f"workers={workers} cannot be combined with pool=: the "
-                "pool's own worker count applies"
-            )
         events = self.events_per_core if events_per_core is None else events_per_core
         keys: List[Tuple] = []
         todo: Dict[Tuple, RunSpec] = {}
@@ -216,13 +180,6 @@ class ExperimentRunner:
                     shared=ctx,
                     group_keys=[self._spec_group_key(task) for task in tasks],
                 )
-            elif workers is not None and workers > 1 and len(tasks) > 1:
-                with multiprocessing.Pool(
-                    processes=min(workers, len(tasks)),
-                    initializer=_init_runner_worker,
-                    initargs=(ctx,),
-                ) as mp_pool:
-                    results = mp_pool.map(_simulate_in_worker, tasks)
             else:
                 results = [_simulate_task(ctx, task) for task in tasks]
             for key, result in zip(todo, results):

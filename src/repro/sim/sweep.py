@@ -23,21 +23,21 @@ the run plus identification columns).
 Execution backends, all bit-identical row for row:
 
 * serial in-process (the oracle the others must match),
-* ``run(workers=N)`` — a throwaway ``multiprocessing`` pool; the
-  grid-wide invariants (base config, run length, seed, snapshot dir)
-  are shipped once per worker via the pool initializer, so each task
-  payload is just its point dict (the config *delta*), not a full
-  pickled :class:`SystemConfig` per point;
-* ``run(pool=...)`` — a persistent :class:`repro.sim.pool.SimPool`
-  whose warm workers carry snapshot/trace caches across points *and*
-  across sweeps; points are grouped by warm fingerprint so each
-  fingerprint warms exactly one worker;
+* ``run(pool=...)`` — a :class:`repro.sim.pool.SimPool` the caller
+  passes in.  The grid-wide invariants (base config, run length,
+  seed, snapshot dir) cross to each worker once per sweep, so each
+  task payload is just its point dict (the config *delta*).  Points
+  are grouped by warm fingerprint (:func:`point_fingerprint`) so each
+  fingerprint warms exactly one worker, and a long-lived pool keeps
+  those caches across sweeps.  A one-off fan-out over fresh processes
+  is ``with SimPool(workers=N) as pool: sweep.run(pool=pool)``;
 * ``run(batch=N)`` — the lane-parallel batch kernel
   (:mod:`repro.sim.batch`): up to N points advance together through
   one shared event loop, sharing warm snapshots (copy-on-write) and
   compiled trace blocks; combines with ``pool`` to ship whole lane
   groups per task.  ``batch="auto"`` sizes the lane count from the
-  grid and available memory (:func:`auto_batch_lanes`).
+  grid, the pool's worker count and available memory
+  (:func:`auto_batch_lanes`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import replace
@@ -61,7 +60,8 @@ from repro.sim.snapshot import resolve_fingerprint
 from repro.sim.system import simulate
 from repro.workloads.mixes import workload as lookup_workload
 
-_POLICIES = {
+#: Row-policy names accepted by the ``policy`` axis and the CLI.
+POLICIES = {
     "relaxed": RowPolicy.RELAXED_CLOSE,
     "restricted": RowPolicy.RESTRICTED_CLOSE,
     "open": RowPolicy.OPEN_PAGE,
@@ -80,7 +80,7 @@ def _apply_point(base_config: SystemConfig, point: Dict) -> SystemConfig:
     if "scheme" in point:
         config = config.with_scheme(by_name(point["scheme"]))
     if "policy" in point:
-        config = config.with_policy(_POLICIES[point["policy"]])
+        config = config.with_policy(POLICIES[point["policy"]])
     if "ecc_chips" in point:
         config = replace(config, ecc_chips=int(point["ecc_chips"]))
     return config
@@ -107,22 +107,35 @@ def _run_point(ctx: SweepContext, point: Dict) -> Dict:
     return row
 
 
-#: Per-process sweep context for throwaway ``multiprocessing`` pools;
-#: assigned by :func:`_init_worker` before any task runs.
-_WORKER_CTX: List[Optional[SweepContext]] = [None]
+def point_fingerprint(ctx: SweepContext, point: Dict) -> tuple:
+    """Warm fingerprint of one grid point: its pool-affinity key.
+
+    Resolves the same default warmup length the ``System`` will, so
+    points that share post-warmup state (every non-DBI scheme of one
+    (workload, seed) column) land on one warm worker back to back.
+    The sweep service hashes it into each point's cache key.
+    """
+    base_config, _events, seed, warmup, _snapshot_dir = ctx
+    return resolve_fingerprint(
+        _apply_point(base_config, point),
+        lookup_workload(point["workload"]),
+        seed,
+        warmup,
+    )
 
 
-def _init_worker(ctx: SweepContext) -> None:
-    """Pool initializer: receive the grid-wide invariants once."""
-    _WORKER_CTX[0] = ctx
+def write_csv(rows: List[Dict], path: str) -> None:
+    """Write result rows as CSV, columns in the first row's key order."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
-def _run_point_in_worker(point: Dict) -> Dict:
-    """Worker-side task body for ``Pool.map`` (context from initializer)."""
-    ctx = _WORKER_CTX[0]
-    if ctx is None:
-        raise RuntimeError("sweep worker used before initialization")
-    return _run_point(ctx, point)
+def write_json(rows: List[Dict], path: str) -> None:
+    """Write result rows as pretty-printed JSON."""
+    with open(path, "w") as handle:
+        json.dump(rows, handle, indent=2)
 
 
 def _available_memory_bytes() -> Optional[int]:
@@ -141,30 +154,38 @@ def _available_memory_bytes() -> Optional[int]:
     return page * pages
 
 
-def auto_batch_lanes(num_points: int, base_config: SystemConfig) -> int:
-    """Lane count for ``batch="auto"``: the whole grid, memory permitting.
+def auto_batch_lanes(
+    num_points: int, base_config: SystemConfig, workers: int = 1
+) -> int:
+    """Lane count for ``batch="auto"``: one lane group per worker.
 
-    The batch kernel's sweet spot is one lane group for the entire
-    grid (maximum construction/event-loop sharing), so that is the
-    default answer.  Each lane's dominant resident cost is its private
-    LLC tag state (three flat 8-byte arrays per slot, plus privatized
-    per-set dicts as it diverges from the shared snapshot); the
-    estimate below envelopes that at one byte of lane state per two
-    bytes of modelled LLC capacity, floored at 4 MB to cover queues,
-    cores and controller state.  Lanes are capped so their combined
+    The batch kernel's sweet spot is one lane group per executor
+    (maximum construction/event-loop sharing), so that is the default
+    answer: the whole grid in-process, or ``ceil(points / workers)``
+    lanes when the groups ship to a pool of ``workers`` processes, so
+    every worker gets a group.  Each lane's dominant resident cost is
+    its private LLC tag state (three flat 8-byte arrays per slot, plus
+    privatized per-set dicts as it diverges from the shared snapshot);
+    the estimate below envelopes that at one byte of lane state per
+    two bytes of modelled LLC capacity, floored at 4 MB to cover
+    queues, cores and controller state.  Lanes are capped so their combined
     envelope stays within half of currently-available memory —
     conservative, because an overcommitted batch run swaps and loses
-    far more than extra groups cost.  When available memory cannot be
-    determined the grid size is used unchanged.
+    far more than extra groups cost.  With ``workers`` groups in flight
+    at once, each gets ``1 / workers`` of that budget.  When available
+    memory cannot be determined the memory cap is skipped.
     """
     if num_points < 1:
         raise ValueError("auto batch sizing needs at least one grid point")
+    if workers < 1:
+        raise ValueError("workers must be a positive integer")
+    lanes = -(-num_points // workers)  # ceil division
     avail = _available_memory_bytes()
     if avail is None:
-        return num_points
+        return lanes
     per_lane = max(4 << 20, base_config.cache.llc_bytes // 2)
-    budget = max(1, (avail // 2) // per_lane)
-    return min(num_points, budget)
+    budget = max(1, (avail // 2) // per_lane // workers)
+    return min(lanes, budget)
 
 
 class Sweep:
@@ -183,7 +204,7 @@ class Sweep:
         ``snapshot_dir`` opts the grid into the on-disk warm-state
         snapshot layer: every scheme/policy point of the same
         (workload, seed) restores one shared post-warmup state instead
-        of replaying warmup — including across ``run(workers=N)``
+        of replaying warmup — including across ``run(pool=...)``
         worker processes, which share no in-process cache.
         """
         self.events_per_core = events_per_core
@@ -204,9 +225,6 @@ class Sweep:
         return self
 
     # ------------------------------------------------------------------
-    def _config_for(self, point: Dict) -> SystemConfig:
-        return _apply_point(self.base_config, point)
-
     def _context(self) -> SweepContext:
         """The grid-wide invariants every execution backend shares."""
         return (
@@ -234,33 +252,18 @@ class Sweep:
             for combo in itertools.product(*(self._axes[n] for n in names))
         ]
 
-    def _group_key(self, point: Dict) -> tuple:
-        """Warm fingerprint of a point, for pool cache-affinity grouping.
-
-        Resolves the same default warmup length the ``System`` will, so
-        points that share post-warmup state (every non-DBI scheme of one
-        (workload, seed) column) land on one warm worker back to back.
-        """
-        config = _apply_point(self.base_config, point)
-        workload = lookup_workload(point["workload"])
-        return resolve_fingerprint(config, workload, self.seed, self.warmup)
-
     def run(
         self,
-        workers: Optional[int] = None,
         pool: "Optional[SimPool]" = None,
-        mp_start: Optional[str] = None,
         batch: "Optional[Union[int, str]]" = None,
     ) -> List[Dict]:
         """Execute the grid; returns (and stores) one row per point.
 
-        ``pool`` runs the grid on a persistent
-        :class:`repro.sim.pool.SimPool` (warm workers, fingerprint-
-        grouped scheduling).  ``workers`` > 1 fans the points out over
-        a throwaway process pool instead, and is rejected alongside
-        ``pool`` or ``batch``; ``mp_start`` selects its
-        multiprocessing start method (``"spawn"`` models the fully
-        cold worker cost, ``None`` uses the platform default).
+        Without ``pool`` the points run serially in-process: the
+        oracle every other backend must match.  ``pool`` runs them on
+        the caller's :class:`repro.sim.pool.SimPool` instead (warm
+        workers, fingerprint-grouped scheduling); the caller owns the
+        pool and closes it.
 
         ``batch=N`` selects the lane-parallel batch kernel
         (:mod:`repro.sim.batch`): points are chunked into lane groups
@@ -272,57 +275,34 @@ class Sweep:
         (:meth:`~repro.sim.pool.SimPool.map_groups`), amortizing the
         per-point IPC as well.
 
-        ``batch="auto"`` picks the lane count itself: the whole grid
-        as one lane group, capped by available physical memory
-        (:func:`auto_batch_lanes`).
+        ``batch="auto"`` picks the lane count itself: one lane group
+        per pool worker (the whole grid in-process), capped by
+        available physical memory (:func:`auto_batch_lanes`).
 
         Every point carries the same deterministic seed on every
-        backend and the rows are merged back in grid order, so
-        parallel, pooled and batched sweeps are row-for-row identical
-        to a serial one.
+        backend and the rows are merged back in grid order, so pooled
+        and batched sweeps are row-for-row identical to a serial one.
         """
         tasks = self._tasks()
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if workers is not None and workers > 1:
-            if pool is not None:
-                raise ValueError(
-                    f"workers={workers} cannot be combined with pool=: the "
-                    "pool's own worker count applies"
-                )
-            if batch is not None:
-                raise ValueError(
-                    f"workers={workers} cannot be combined with batch=: "
-                    "lane groups run in-process unless given "
-                    f"pool=SimPool(workers={workers})"
-                )
         if isinstance(batch, str):
             if batch != "auto":
                 raise ValueError(
                     f"batch={batch!r}: expected a positive integer or 'auto'"
                 )
-            batch = auto_batch_lanes(max(1, len(tasks)), self.base_config)
+            workers = pool.workers if pool is not None else 1
+            batch = auto_batch_lanes(len(tasks), self.base_config, workers)
         elif batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or 'auto'")
         ctx = self._context()
         if batch is not None and batch > 1 and len(tasks) > 1:
             self.rows = self._run_batched(tasks, ctx, batch, pool)
-            return self.rows
-        if pool is not None:
+        elif pool is not None:
             self.rows = pool.map(
                 _run_point,
                 tasks,
                 shared=ctx,
-                group_keys=[self._group_key(point) for point in tasks],
+                group_keys=[point_fingerprint(ctx, point) for point in tasks],
             )
-        elif workers is not None and workers > 1 and len(tasks) > 1:
-            mp_ctx = multiprocessing.get_context(mp_start)
-            with mp_ctx.Pool(
-                processes=min(workers, len(tasks)),
-                initializer=_init_worker,
-                initargs=(ctx,),
-            ) as mp_pool:
-                self.rows = mp_pool.map(_run_point_in_worker, tasks)
         else:
             self.rows = [_run_point(ctx, task) for task in tasks]
         return self.rows
@@ -348,9 +328,10 @@ class Sweep:
         # breaks the cycle.
         from repro.sim.batch import _run_lane_group
 
+        keys = [point_fingerprint(ctx, point) for point in tasks]
         order: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for index, point in enumerate(tasks):
-            order.setdefault(self._group_key(point), []).append(index)
+        for index, key in enumerate(keys):
+            order.setdefault(key, []).append(index)
         ordered = [index for members in order.values() for index in members]
         chunks = [ordered[i : i + batch] for i in range(0, len(ordered), batch)]
         payloads = [[tasks[index] for index in chunk] for chunk in chunks]
@@ -359,7 +340,7 @@ class Sweep:
                 _run_lane_group,
                 payloads,
                 shared=ctx,
-                group_keys=[self._group_key(group[0]) for group in payloads],
+                group_keys=[keys[chunk[0]] for chunk in chunks],
             )
         else:
             flat = [
@@ -375,14 +356,10 @@ class Sweep:
         """Export the grid rows as CSV."""
         if not self.rows:
             raise ValueError("run() the sweep before exporting")
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(self.rows[0]))
-            writer.writeheader()
-            writer.writerows(self.rows)
+        write_csv(self.rows, path)
 
     def to_json(self, path: str) -> None:
         """Export the grid rows as pretty-printed JSON."""
         if not self.rows:
             raise ValueError("run() the sweep before exporting")
-        with open(path, "w") as handle:
-            json.dump(self.rows, handle, indent=2)
+        write_json(self.rows, path)

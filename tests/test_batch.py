@@ -7,12 +7,12 @@ to running that lane's (config, workload) through the scalar
 ``to_dict()`` deep equality.  These tests cover batches mixing
 snapshot-restored and cold lanes, the ``Sweep.run(batch=N)`` and
 ``SimPool.map_groups`` integration layers, the CLI worker-budget
-guard, the rejection of ``workers`` alongside ``pool``/``batch``, and
-a hypothesis property test driving randomized lane counts/configs
+guard, and a hypothesis property test driving randomized lane counts/configs
 through the kernel.  It also covers the column ops of
 ``repro.dram.soa_batch`` (``decay_timers`` / ``open_row_hits`` /
 ``refresh_due`` / ``next_wake_min`` / ``power_down_resident``) over
-plain ``TimingCore`` lists, plus ``batch="auto"`` lane sizing.
+plain ``TimingCore`` lists, plus ``batch="auto"`` lane sizing (one
+lane group per pool worker).
 """
 
 import pytest
@@ -255,13 +255,23 @@ class TestCohortKernelOps:
 
 # ----------------------------------------------------------------------
 class TestAutoBatch:
-    """``batch="auto"``: grid-sized lane count, memory permitting."""
+    """``batch="auto"``: one lane group per worker, memory permitting."""
 
     def test_auto_matches_serial(self):
         SNAPSHOTS.clear()
         serial = _small_sweep().run()
         SNAPSHOTS.clear()
         assert _small_sweep().run(batch="auto") == serial
+
+    def test_auto_on_pool_ships_one_group_per_worker(self):
+        # 8 points over 2 workers: two 4-lane groups, one task each,
+        # rather than the whole grid as one group on one worker.
+        SNAPSHOTS.clear()
+        serial = _small_sweep().run()
+        with SimPool(workers=2) as pool:
+            rows = _small_sweep().run(pool=pool, batch="auto")
+            assert pool.tasks_done == 2
+        assert rows == serial
 
     def test_lane_count_capped_by_available_memory(self, monkeypatch):
         base = SystemConfig(cache=CacheConfig(llc_bytes=8 * 1024 * 1024))
@@ -271,6 +281,8 @@ class TestAutoBatch:
             sweep_mod, "_available_memory_bytes", lambda: 64 << 20
         )
         assert auto_batch_lanes(24, base) == 8
+        # Two pool workers split those 8 lanes in flight: 4 per group.
+        assert auto_batch_lanes(24, base, 2) == 4
         # Tiny machines still get one lane rather than zero.
         monkeypatch.setattr(
             sweep_mod, "_available_memory_bytes", lambda: 1 << 20
@@ -281,8 +293,13 @@ class TestAutoBatch:
         monkeypatch.setattr(sweep_mod, "_available_memory_bytes", lambda: None)
         assert auto_batch_lanes(24, SystemConfig()) == 24
         assert auto_batch_lanes(3, SystemConfig()) == 3
+        # One lane group per pool worker.
+        assert auto_batch_lanes(24, SystemConfig(), 2) == 12
+        assert auto_batch_lanes(25, SystemConfig(), 2) == 13
         with pytest.raises(ValueError, match="at least one grid point"):
             auto_batch_lanes(0, SystemConfig())
+        with pytest.raises(ValueError, match="workers"):
+            auto_batch_lanes(24, SystemConfig(), 0)
 
     def test_small_llc_floors_at_minimum_envelope(self, monkeypatch):
         # A 128 KB LLC must not let the estimate claim thousands of
@@ -306,8 +323,9 @@ class TestAutoBatch:
             cli.build_parser().parse_args(common + ["fast"])
         assert "--batch" in capsys.readouterr().err
 
-    def test_cli_auto_sweep_matches_plain(self, tmp_path):
+    def test_cli_auto_sweep_matches_plain(self, tmp_path, monkeypatch):
         plain, auto = tmp_path / "plain.csv", tmp_path / "auto.csv"
+        pooled = tmp_path / "pooled.csv"
         common = [
             "sweep", "--schemes", "Baseline", "PRA", "--workloads", "GUPS",
             "--events", "300",
@@ -315,6 +333,11 @@ class TestAutoBatch:
         assert cli.main(common + ["--out", str(plain)]) == 0
         assert cli.main(common + ["--batch", "auto", "--out", str(auto)]) == 0
         assert auto.read_text() == plain.read_text()
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        assert cli.main(
+            common + ["--pool", "2", "--batch", "auto", "--out", str(pooled)]
+        ) == 0
+        assert pooled.read_text() == plain.read_text()
 
 
 # ----------------------------------------------------------------------
@@ -328,15 +351,6 @@ class TestWorkerBudgetGuard:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--pool 3 exceeds the 2 available CPU" in err
-
-    def test_sweep_workers_over_cpu_budget_exits_nonzero(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
-        out = str(tmp_path / "grid.csv")
-        rc = cli.main(["sweep", "--workers", "8", "--out", out])
-        assert rc == 2
-        assert "--workers 8 exceeds" in capsys.readouterr().err
 
     def test_bench_pool_over_cpu_budget_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
@@ -360,26 +374,6 @@ class TestWorkerBudgetGuard:
         rc = cli.main(["sweep", "--batch", "0", "--out", out])
         assert rc == 2
         assert "--batch" in capsys.readouterr().err
-
-    def test_workers_with_batch_rejected(self, tmp_path, capsys):
-        # Lane groups run in-process: a process fan-out request next to
-        # --batch would be dropped silently, so it is refused.
-        with pytest.raises(ValueError, match="pool="):
-            _small_sweep().run(workers=2, batch=4)
-        out = str(tmp_path / "grid.csv")
-        rc = cli.main(["sweep", "--workers", "2", "--batch", "4", "--out", out])
-        assert rc == 2
-        assert "--pool" in capsys.readouterr().err
-
-    def test_workers_with_pool_rejected(self, tmp_path, capsys):
-        # The pool's own worker count applies; a second one is refused.
-        with SimPool(workers=1) as pool:
-            with pytest.raises(ValueError, match="pool="):
-                _small_sweep().run(workers=2, pool=pool)
-        out = str(tmp_path / "grid.csv")
-        rc = cli.main(["sweep", "--pool", "1", "--workers", "2", "--out", out])
-        assert rc == 2
-        assert "--pool" in capsys.readouterr().err
 
     def test_cli_batched_sweep_matches_plain(self, tmp_path):
         plain, batched = tmp_path / "plain.csv", tmp_path / "batched.csv"

@@ -7,11 +7,11 @@ must agree *exactly* — same served counts, same runtime cycles, same
 energy — on every scheme/workload/seed.  Any divergence means a hint
 was later than a true ready cycle (a scheduling event was skipped).
 
-The parallel sweep/runner engines carry the same obligation: a worker
-pool must reproduce the serial rows bit for bit.  So does the front-end
-fast path: precompiled trace blocks and warm-state snapshot restore
-must yield results bit-identical to per-event generation plus replayed
-warmup.
+The pooled sweep/runner paths carry the same obligation: a
+:class:`~repro.sim.pool.SimPool` must reproduce the serial rows bit
+for bit.  So does the front-end fast path: precompiled trace blocks
+and warm-state snapshot restore must yield results bit-identical to
+per-event generation plus replayed warmup.
 
 Both loops drive the same hot-path modules — the FR-FCFS controller
 (``repro.controller.memctrl``), the array-backed cache
@@ -27,6 +27,7 @@ import pytest
 from repro.controller.policies import RowPolicy
 from repro.core.schemes import BASELINE, DBI_PRA, PRA, SDS
 from repro.sim.config import CacheConfig, SystemConfig
+from repro.sim.pool import SimPool
 from repro.sim.runner import ExperimentRunner
 from repro.sim.snapshot import SNAPSHOTS
 from repro.sim.sweep import Sweep
@@ -109,7 +110,8 @@ def _grid():
 
 def test_parallel_sweep_matches_serial():
     serial = _grid().run()
-    parallel = _grid().run(workers=2)
+    with SimPool(workers=2) as pool:
+        parallel = _grid().run(pool=pool)
     assert parallel == serial
 
 
@@ -122,10 +124,14 @@ def test_run_many_parallel_matches_serial_and_dedups():
     serial = ExperimentRunner(
         events_per_core=300, warmup_events_per_core=1000
     ).run_many(specs)
-    runner = ExperimentRunner(events_per_core=300, warmup_events_per_core=1000)
-    parallel = runner.run_many(specs, workers=2)
+    with SimPool(workers=2) as pool:
+        runner = ExperimentRunner(
+            events_per_core=300, warmup_events_per_core=1000, pool=pool
+        )
+        parallel = runner.run_many(specs)
+        # The duplicate resolved to the same cached object, simulated once.
+        assert pool.tasks_done == 2
     assert [r.summary() for r in parallel] == [r.summary() for r in serial]
-    # The duplicate resolved to the same cached object, simulated once.
     assert parallel[0] is parallel[2]
     assert len(runner._results) == 2
 
@@ -198,7 +204,8 @@ def test_parallel_sweep_with_disk_snapshots_matches_serial(tmp_path):
     serial = _grid().run()
     sweep = _grid()
     sweep.snapshot_dir = str(tmp_path / "snaps")
-    assert sweep.run(workers=2) == serial
+    with SimPool(workers=2) as pool:
+        assert sweep.run(pool=pool) == serial
 
 
 def test_timing_core_arrays_mirror_bank_rank_views():

@@ -14,6 +14,12 @@ the test follows it when the benchmark changes.  Resolution runs in a
 fresh interpreter: this test process has imported far more of the
 package than the benchmark does, which would hide a module that only
 loads by accident.
+
+The benchmark also rebinds ``repro.sim.sweep.simulate`` (the global
+``_run_point`` calls; ``perfbench/measure.py::captured_results``) to
+count the ``screen`` grid's DRAM requests, so a ``_run_point`` that
+stopped calling it would zero those counts without an error;
+:func:`test_run_point_calls_module_simulate` pins that hook.
 """
 
 import ast
@@ -25,6 +31,8 @@ import sys
 import pytest
 
 import repro
+from repro.sim import sweep as sweep_mod
+from repro.sim.config import CacheConfig, SystemConfig
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYERS = os.path.join(REPO_ROOT, "perfbench", "layers.py")
@@ -85,3 +93,19 @@ def problems():
 @pytest.mark.parametrize("target", [t for _, t in TARGETS], ids=[n for n, _ in TARGETS])
 def test_patch_target_resolves(target, problems):
     assert target not in problems, problems[target]
+
+
+def test_run_point_calls_module_simulate(monkeypatch):
+    ctx = (SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024)), 40, 1, 200, None)
+    point = {"scheme": "PRA", "workload": "GUPS"}
+    expected = sweep_mod._run_point(ctx, point)
+    calls = []
+    original = sweep_mod.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "simulate", counting)
+    assert sweep_mod._run_point(ctx, point) == expected
+    assert len(calls) == 1

@@ -19,8 +19,6 @@ from repro.sim.pool import (
     SimPoolBrokenError,
     SimPoolError,
     SimPoolTaskError,
-    close_shared_pool,
-    shared_pool,
 )
 from repro.sim.runner import ExperimentRunner
 from repro.sim.snapshot import SNAPSHOTS
@@ -122,16 +120,6 @@ class TestOracleParity:
                 )
             )
         assert pooled == serial
-
-    def test_runner_workers_with_pool_rejected(self):
-        # The pool's own worker count applies; a second one is refused
-        # rather than dropped without a word.
-        spec = ("GUPS", BASELINE, RowPolicy.RELAXED_CLOSE)
-        with SimPool(workers=1) as pool:
-            runner = ExperimentRunner(events_per_core=100, pool=pool)
-            with pytest.raises(ValueError, match="pool="):
-                runner.run_many([spec], workers=2)
-            assert pool.tasks_done == 0
 
     def test_pool_reused_across_sweeps(self):
         with SimPool(workers=2) as pool:
@@ -274,21 +262,6 @@ class TestAssignmentPlan:
 
 # ----------------------------------------------------------------------
 class TestSharedPool:
-    def test_shared_pool_is_reused_and_closable(self):
-        close_shared_pool()
-        pool = shared_pool(workers=1)
-        try:
-            assert shared_pool() is pool
-            assert pool.map(_square, [3], shared={"scale": 1}) == [9]
-        finally:
-            close_shared_pool()
-        assert pool.closed
-        replacement = shared_pool(workers=1)
-        try:
-            assert replacement is not pool
-        finally:
-            close_shared_pool()
-
     def test_pool_runs_sweep_task_fn_directly(self):
         # The oracle-twin pairing in miniature: the exact worker-side
         # task function, fed through the pool, matches calling it

@@ -8,10 +8,9 @@ cache, and — because worker pools rely on it — that spawned processes
 materialize byte-identical blocks.
 """
 
-import multiprocessing
-
 import pytest
 
+from repro.sim.pool import SimPool
 from repro.workloads.profiles import BENCHMARKS, profile
 from repro.workloads.synthetic import (
     TraceBlocks,
@@ -62,6 +61,11 @@ def test_compiled_trace_shares_blocks():
     assert compiled_trace(prof, seed=12, core_id=0) is not first
 
 
+def _job_digest(_shared, job):
+    """Pool task body (module-level, so spawn workers can import it)."""
+    return blocks_digest(*job)
+
+
 def test_blocks_identical_across_spawned_processes():
     """Spawn workers (fresh interpreters) materialize identical bytes.
 
@@ -70,8 +74,7 @@ def test_blocks_identical_across_spawned_processes():
     strictest start method: nothing is inherited.
     """
     jobs = [("GUPS", 1, 0, 3000), ("mcf", 42, 2, 3000)]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(2) as pool:
-        worker_digests = pool.starmap(blocks_digest, jobs)
+    with SimPool(workers=2, start_method="spawn") as pool:
+        worker_digests = pool.map(_job_digest, jobs)
     local_digests = [blocks_digest(*job) for job in jobs]
     assert worker_digests == local_digests
