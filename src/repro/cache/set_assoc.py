@@ -387,7 +387,7 @@ class SetAssociativeCache:
         identical — the snapshot rows are only ever read while shared —
         it just skips the per-set dict/list copies that dominate eager
         restore, which matters when many lanes restore from one
-        snapshot at once.  The eager default remains the oracle path.
+        snapshot back to back.  The eager default remains the oracle path.
 
         Pre-``array('q')`` snapshots (plain lists, e.g. aged on-disk
         snapshot files) restore transparently: the arrays are rebuilt

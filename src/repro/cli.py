@@ -12,7 +12,7 @@ Commands
 ``sweep``
     Run a grid and export CSV/JSON, serially in-process or on a pool
     of N worker processes (``--pool N``); ``--batch N`` adds the
-    lane-parallel batch kernel.
+    batch kernel.
 ``bench``
     Drive a whole figure suite (scheme x workload grid) through one
     persistent pool and print points/sec plus normalized summaries.
@@ -158,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the grid on a pool of N worker processes "
                          "(fingerprint-grouped scheduling)")
     sweep_p.add_argument("--batch", type=_batch_arg, default=None, metavar="N",
-                         help="advance up to N grid points per shared event "
-                         "loop (lane-parallel batch kernel); combines with "
-                         "--pool to ship whole lane groups per worker task; "
-                         "'auto' sizes the lane count from the grid, the "
-                         "pool's workers and available memory")
+                         help="run grid points in lane groups of up to N, "
+                         "each lane restoring its warm snapshot copy-on-write "
+                         "(batch kernel); combines with --pool to ship whole "
+                         "lane groups per worker task; 'auto' makes one group "
+                         "per pool worker, or one for the whole grid")
     sweep_p.add_argument("--profile", action="store_true",
                          help="run under cProfile, print top-25 by cumulative time")
 
@@ -491,7 +491,7 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
 #: time it collects (first matching bucket wins).
 _BATCH_PROFILE_BUCKETS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
     (
-        "event loop + lane heap",
+        "event loop",
         ("repro/sim/system.py:_passes", "repro/sim/batch.py"),
     ),
     (

@@ -469,34 +469,3 @@ class SimPool:
         for index, result in self._execute(fn, payloads, shared, group_keys):
             results[index] = result
         return results
-
-    def map_groups(
-        self,
-        fn: TaskFn,
-        groups: Sequence[Sequence[Any]],
-        shared: Any = None,
-        group_keys: Optional[Sequence[Hashable]] = None,
-    ) -> List[Any]:
-        """Lane-group task mode: one task per *group* of items.
-
-        Each payload is a whole group (e.g. a batch-kernel lane group —
-        see :func:`repro.sim.batch._run_lane_group`), so a single task
-        message ships N grid points to one warm worker and the worker
-        amortizes construction and event-loop overhead across the whole
-        group instead of paying per-point IPC.  ``fn(shared, group)``
-        must return one result per group item, in group order; the
-        flattened per-item results come back in submission order, so
-        callers see exactly the rows ``map`` over the flattened items
-        would have produced.
-        """
-        per_group = self.map(fn, groups, shared=shared, group_keys=group_keys)
-        flat: List[Any] = []
-        for group, result in zip(groups, per_group):
-            if not isinstance(result, (list, tuple)) or len(result) != len(group):
-                raise SimPoolError(
-                    "map_groups task must return one result per group item "
-                    f"(got {type(result).__name__} for a group of {len(group)})"
-                )
-            flat.extend(result)
-        return flat
-

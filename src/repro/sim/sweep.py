@@ -31,13 +31,17 @@ Execution backends, all bit-identical row for row:
   fingerprint warms exactly one worker, and a long-lived pool keeps
   those caches across sweeps.  A one-off fan-out over fresh processes
   is ``with SimPool(workers=N) as pool: sweep.run(pool=pool)``;
-* ``run(batch=N)`` — the lane-parallel batch kernel
-  (:mod:`repro.sim.batch`): up to N points advance together through
-  one shared event loop, sharing warm snapshots (copy-on-write) and
-  compiled trace blocks; combines with ``pool`` to ship whole lane
-  groups per task.  ``batch="auto"`` sizes the lane count from the
-  grid, the pool's worker count and available memory
+* ``run(batch=N)`` — the batch kernel (:mod:`repro.sim.batch`):
+  points run in lane groups of up to N, each lane restoring its warm
+  snapshot copy-on-write; combines with ``pool`` to ship whole lane
+  groups per task.  ``batch="auto"`` makes one lane group per pool
+  worker, or one for the whole grid without a pool
   (:func:`auto_batch_lanes`).
+
+Serially and in lane groups, points run in warm-fingerprint order
+(:func:`_fingerprint_order`), so each fingerprint warms once even when
+the grid has more fingerprints than ``SNAPSHOTS`` holds; rows still
+come back in grid order.
 """
 
 from __future__ import annotations
@@ -45,9 +49,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import os
-from collections import OrderedDict
 from dataclasses import replace
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
@@ -138,54 +141,32 @@ def write_json(rows: List[Dict], path: str) -> None:
         json.dump(rows, handle, indent=2)
 
 
-def _available_memory_bytes() -> Optional[int]:
-    """Currently available physical memory, or ``None`` if unknowable.
+def _fingerprint_order(ctx: SweepContext, tasks: List[Dict]) -> List[int]:
+    """Task indices with same-fingerprint points back to back.
 
-    Monkeypatchable in tests; uses the POSIX ``sysconf`` keys, which
-    the supported platforms expose.
+    Fingerprints keep the order of their first point, and points keep
+    grid order within a fingerprint.  Run in this order, a fingerprint
+    warms once and its other points restore its snapshot before another
+    fingerprint can age it out of ``SNAPSHOTS``.
     """
-    try:
-        page = os.sysconf("SC_PAGE_SIZE")
-        pages = os.sysconf("SC_AVPHYS_PAGES")
-    except (AttributeError, OSError, ValueError):  # pragma: no cover
-        return None
-    if page <= 0 or pages <= 0:  # pragma: no cover - degenerate sysconf
-        return None
-    return page * pages
+    groups: Dict[tuple, List[int]] = {}
+    for index, point in enumerate(tasks):
+        groups.setdefault(point_fingerprint(ctx, point), []).append(index)
+    return [index for members in groups.values() for index in members]
 
 
-def auto_batch_lanes(
-    num_points: int, base_config: SystemConfig, workers: int = 1
-) -> int:
+def auto_batch_lanes(num_points: int, workers: int = 1) -> int:
     """Lane count for ``batch="auto"``: one lane group per worker.
 
-    The batch kernel's sweet spot is one lane group per executor
-    (maximum construction/event-loop sharing), so that is the default
-    answer: the whole grid in-process, or ``ceil(points / workers)``
-    lanes when the groups ship to a pool of ``workers`` processes, so
-    every worker gets a group.  Each lane's dominant resident cost is
-    its private LLC tag state (three flat 8-byte arrays per slot, plus
-    privatized per-set dicts as it diverges from the shared snapshot);
-    the estimate below envelopes that at one byte of lane state per
-    two bytes of modelled LLC capacity, floored at 4 MB to cover
-    queues, cores and controller state.  Lanes are capped so their combined
-    envelope stays within half of currently-available memory —
-    conservative, because an overcommitted batch run swaps and loses
-    far more than extra groups cost.  With ``workers`` groups in flight
-    at once, each gets ``1 / workers`` of that budget.  When available
-    memory cannot be determined the memory cap is skipped.
+    ``ceil(points / workers)``: the whole grid in-process, or one group
+    per pool worker so every worker gets one.  Lanes run one after
+    another, so a group's memory does not grow with its lane count.
     """
     if num_points < 1:
         raise ValueError("auto batch sizing needs at least one grid point")
     if workers < 1:
         raise ValueError("workers must be a positive integer")
-    lanes = -(-num_points // workers)  # ceil division
-    avail = _available_memory_bytes()
-    if avail is None:
-        return lanes
-    per_lane = max(4 << 20, base_config.cache.llc_bytes // 2)
-    budget = max(1, (avail // 2) // per_lane // workers)
-    return min(lanes, budget)
+    return -(-num_points // workers)  # ceil division
 
 
 class Sweep:
@@ -265,23 +246,20 @@ class Sweep:
         workers, fingerprint-grouped scheduling); the caller owns the
         pool and closes it.
 
-        ``batch=N`` selects the lane-parallel batch kernel
-        (:mod:`repro.sim.batch`): points are chunked into lane groups
-        of up to N and each group advances through one shared
-        :class:`~repro.sim.batch.BatchSystem` event loop.  Groups are
-        cut along warm-fingerprint order so lanes in a group share
-        snapshots and trace blocks.  Combines with ``pool``: each lane
-        group then ships whole to a warm worker
-        (:meth:`~repro.sim.pool.SimPool.map_groups`), amortizing the
-        per-point IPC as well.
+        ``batch=N`` selects the batch kernel (:mod:`repro.sim.batch`):
+        points are cut into lane groups of up to N and each group runs
+        as one :class:`~repro.sim.batch.BatchSystem`, lane after lane,
+        each lane restoring its warm snapshot copy-on-write.  Combines
+        with ``pool``: each lane group then ships whole to a warm
+        worker, one task message per group.  ``batch="auto"`` picks
+        ``ceil(points / workers)`` lanes, one group per pool worker or
+        the whole grid in-process (:func:`auto_batch_lanes`).
 
-        ``batch="auto"`` picks the lane count itself: one lane group
-        per pool worker (the whole grid in-process), capped by
-        available physical memory (:func:`auto_batch_lanes`).
-
-        Every point carries the same deterministic seed on every
-        backend and the rows are merged back in grid order, so pooled
-        and batched sweeps are row-for-row identical to a serial one.
+        Serial and batched runs take the points in warm-fingerprint
+        order (:func:`_fingerprint_order`).  Every point carries the
+        same deterministic seed on every backend and the rows are
+        merged back in grid order, so pooled and batched sweeps are
+        row-for-row identical to a serial one.
         """
         tasks = self._tasks()
         if isinstance(batch, str):
@@ -290,66 +268,60 @@ class Sweep:
                     f"batch={batch!r}: expected a positive integer or 'auto'"
                 )
             workers = pool.workers if pool is not None else 1
-            batch = auto_batch_lanes(len(tasks), self.base_config, workers)
+            batch = auto_batch_lanes(len(tasks), workers)
         elif batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or 'auto'")
         ctx = self._context()
-        if batch is not None and batch > 1 and len(tasks) > 1:
-            self.rows = self._run_batched(tasks, ctx, batch, pool)
-        elif pool is not None:
+        lanes = batch if batch is not None and len(tasks) > 1 else 1
+        if pool is not None and lanes == 1:
             self.rows = pool.map(
                 _run_point,
                 tasks,
                 shared=ctx,
                 group_keys=[point_fingerprint(ctx, point) for point in tasks],
             )
+            return self.rows
+        order = _fingerprint_order(ctx, tasks)
+        if lanes > 1:
+            flat = self._run_batched([tasks[index] for index in order], ctx, lanes, pool)
         else:
-            self.rows = [_run_point(ctx, task) for task in tasks]
+            flat = [_run_point(ctx, tasks[index]) for index in order]
+        self.rows = [row for _, row in sorted(zip(order, flat), key=itemgetter(0))]
         return self.rows
 
     def _run_batched(
         self,
-        tasks: List[Dict],
+        points: List[Dict],
         ctx: SweepContext,
         batch: int,
         pool: "Optional[SimPool]",
     ) -> List[Dict]:
-        """Run the grid through the batch kernel in lane groups.
+        """Run ``points`` through the batch kernel in lane groups.
 
-        Points are reordered so same-fingerprint points sit adjacent,
-        then cut into groups of up to ``batch`` lanes: a group whose
-        lanes share a fingerprint restores from one warm snapshot
-        (copy-on-write) and shares one compiled trace-block set, and a
-        group spanning fingerprints still amortizes the event-loop
-        interpreter overhead.  Rows come back in grid order regardless.
+        ``points`` come in warm-fingerprint order and are cut into
+        groups of up to ``batch`` lanes, so the lanes of one
+        fingerprint restore from one warm snapshot back to back.
+        Returns the rows in ``points`` order.
         """
         # Imported here: repro.sim.batch imports this module at top
         # level (for SweepContext/_apply_point), so the lazy import
         # breaks the cycle.
         from repro.sim.batch import _run_lane_group
 
-        keys = [point_fingerprint(ctx, point) for point in tasks]
-        order: "OrderedDict[tuple, List[int]]" = OrderedDict()
-        for index, key in enumerate(keys):
-            order.setdefault(key, []).append(index)
-        ordered = [index for members in order.values() for index in members]
-        chunks = [ordered[i : i + batch] for i in range(0, len(ordered), batch)]
-        payloads = [[tasks[index] for index in chunk] for chunk in chunks]
+        groups = [points[i : i + batch] for i in range(0, len(points), batch)]
         if pool is not None:
-            flat = pool.map_groups(
+            # One key per group, even where groups start on the same
+            # fingerprint: the pool then spreads the groups over its
+            # workers instead of queueing them on one.
+            results = pool.map(
                 _run_lane_group,
-                payloads,
+                groups,
                 shared=ctx,
-                group_keys=[keys[chunk[0]] for chunk in chunks],
+                group_keys=range(len(groups)),
             )
         else:
-            flat = [
-                row for group in payloads for row in _run_lane_group(ctx, group)
-            ]
-        rows: List[Optional[Dict]] = [None] * len(tasks)
-        for index, row in zip(ordered, flat):
-            rows[index] = row
-        return [row for row in rows if row is not None]
+            results = [_run_lane_group(ctx, group) for group in groups]
+        return [row for rows in results for row in rows]
 
     # ------------------------------------------------------------------
     def to_csv(self, path: str) -> None:

@@ -391,10 +391,10 @@ class System:
         Each pass runs at one cycle and yields the cycle of the next
         pass; the generator returns once the run is done (or has
         reached ``max_cycles``), so its last pass ran at the cycle it
-        yielded last (0 if it yielded nothing).  :meth:`run` drains it;
-        the batch kernel (:mod:`repro.sim.batch`) interleaves the
-        generators of many Systems one pass at a time.  The loop state
-        lives in the generator's frame, so a pass reloads nothing.
+        yielded last (0 if it yielded nothing).  :meth:`run` drains it,
+        and so does the batch kernel (:mod:`repro.sim.batch`), one pass
+        per ``_Lane.advance`` call.  The loop state lives in the
+        generator's frame, so a pass reloads nothing.
         """
         cycle = 0
         cores = self.cores

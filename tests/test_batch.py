@@ -1,18 +1,19 @@
-"""Oracle-parity tests for the lane-parallel batch kernel.
+"""Oracle-parity tests for the batch kernel.
 
 ``repro.sim.batch`` is a registered fast path: every lane of a
 :class:`BatchSystem` must produce a :class:`SimResult` bit-identical
 to running that lane's (config, workload) through the scalar
 ``System.run`` on its own — values *and* structure, pinned here via
 ``to_dict()`` deep equality.  These tests cover batches mixing
-snapshot-restored and cold lanes, the ``Sweep.run(batch=N)`` and
-``SimPool.map_groups`` integration layers, the CLI worker-budget
-guard, and a hypothesis property test driving randomized lane counts/configs
-through the kernel.  It also covers the column ops of
-``repro.dram.soa_batch`` (``decay_timers`` / ``open_row_hits`` /
-``refresh_due`` / ``next_wake_min`` / ``power_down_resident``) over
-plain ``TimingCore`` lists, plus ``batch="auto"`` lane sizing (one
-lane group per pool worker).
+snapshot-restored and cold lanes, lanes running one after another,
+the ``Sweep.run(batch=N)`` integration layer (in-process and on a
+``SimPool``), the CLI worker-budget guard, and a hypothesis property
+test driving randomized lane counts/configs through the kernel.  It
+also covers the column ops of ``repro.dram.soa_batch``
+(``decay_timers`` / ``open_row_hits`` / ``refresh_due`` /
+``next_wake_min`` / ``power_down_resident``) over plain
+``TimingCore`` lists, plus ``batch="auto"`` lane sizing (one lane
+group per pool worker).
 """
 
 import pytest
@@ -31,10 +32,9 @@ from repro.dram.soa_batch import (
 )
 from repro.sim.batch import BatchSystem, simulate_batch
 from repro.sim.config import CacheConfig, SystemConfig
-from repro.sim.pool import SimPool, SimPoolError
+from repro.sim.pool import SimPool
 from repro.sim.snapshot import SNAPSHOTS
-from repro.sim import sweep as sweep_mod
-from repro.sim.sweep import Sweep, auto_batch_lanes
+from repro.sim.sweep import Sweep, auto_batch_lanes, point_fingerprint
 from repro.sim.system import System
 from repro.workloads.mixes import workload as lookup_workload
 
@@ -86,22 +86,49 @@ class TestLaneBitIdentity:
 
     def test_mixed_cold_and_snapshot_restored_lanes(self):
         # With a cold snapshot cache, the first lane of each warm
-        # fingerprint warms cold and stores; the rest of its group
-        # restore copy-on-write — a genuinely mixed batch.
+        # fingerprint warms cold and stores; the other lanes of its
+        # fingerprint restore copy-on-write — a genuinely mixed batch.
         specs = _specs()
         serial = _serial(specs)
         SNAPSHOTS.clear()
         batch = BatchSystem(specs, EVENTS, warmup_events_per_core=WARMUP)
-        restored = [lane.system.snapshot_restored for lane in batch.lanes]
-        assert True in restored and False in restored
-        assert [r.to_dict() for r in batch.run()] == serial
+        hits, misses = SNAPSHOTS.hits, SNAPSHOTS.misses
+        results = batch.run()
+        # 8 lanes over 4 fingerprints: {GUPS, MIX1} x {DBI, no DBI}.
+        assert SNAPSHOTS.misses - misses == 4
+        assert SNAPSHOTS.hits - hits == 4
+        assert [r.to_dict() for r in results] == serial
 
     def test_all_lanes_snapshot_restored(self):
         specs = _specs()
         serial = _serial(specs)  # leaves SNAPSHOTS warm
         batch = BatchSystem(specs, EVENTS, warmup_events_per_core=WARMUP)
-        assert all(lane.system.snapshot_restored for lane in batch.lanes)
-        assert [r.to_dict() for r in batch.run()] == serial
+        hits, misses = SNAPSHOTS.hits, SNAPSHOTS.misses
+        results = batch.run()
+        assert SNAPSHOTS.misses - misses == 0
+        assert SNAPSHOTS.hits - hits == len(specs)
+        assert [r.to_dict() for r in results] == serial
+
+    def test_lanes_build_and_finalize_one_after_another(self, monkeypatch):
+        # Only one lane's System is alive at a time: run() finalizes a
+        # lane before it builds the next one.
+        events = []
+        build, finalize = System.__init__, System._finalize
+
+        def spy_build(self, *args, **kwargs):
+            events.append("build")
+            build(self, *args, **kwargs)
+
+        def spy_finalize(self, cycle):
+            events.append("finalize")
+            return finalize(self, cycle)
+
+        monkeypatch.setattr(System, "__init__", spy_build)
+        monkeypatch.setattr(System, "_finalize", spy_finalize)
+        specs = _specs(workloads=("GUPS",))
+        results = BatchSystem(specs, EVENTS, warmup_events_per_core=WARMUP).run()
+        assert len(results) == len(specs)
+        assert events == ["build", "finalize"] * len(specs)
 
     def test_single_lane_batch(self):
         specs = _specs(schemes=("DBI+PRA",), workloads=("MIX1",))
@@ -154,31 +181,6 @@ class TestSweepIntegration:
     def test_invalid_batch_rejected(self):
         with pytest.raises(ValueError, match="batch"):
             _small_sweep().run(batch=0)
-
-
-# ----------------------------------------------------------------------
-def _double_each(shared, group):
-    return [shared * item for item in group]
-
-
-def _wrong_shape(shared, group):
-    return "not a list"
-
-
-class TestMapGroups:
-    def test_flattens_in_submission_order(self):
-        groups = [[1, 2], [3], [4, 5, 6]]
-        with SimPool(workers=2) as pool:
-            flat = pool.map_groups(_double_each, groups, shared=10)
-        assert flat == [10, 20, 30, 40, 50, 60]
-
-    def test_misshapen_group_result_rejected(self):
-        pool = SimPool(workers=1)
-        try:
-            with pytest.raises(SimPoolError, match="one result per group item"):
-                pool.map_groups(_wrong_shape, [[1, 2]])
-        finally:
-            pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +257,7 @@ class TestCohortKernelOps:
 
 # ----------------------------------------------------------------------
 class TestAutoBatch:
-    """``batch="auto"``: one lane group per worker, memory permitting."""
+    """``batch="auto"``: one lane group per worker."""
 
     def test_auto_matches_serial(self):
         SNAPSHOTS.clear()
@@ -273,41 +275,42 @@ class TestAutoBatch:
             assert pool.tasks_done == 2
         assert rows == serial
 
-    def test_lane_count_capped_by_available_memory(self, monkeypatch):
-        base = SystemConfig(cache=CacheConfig(llc_bytes=8 * 1024 * 1024))
-        # 64 MB available, 8 MB LLC -> 4 MB/lane envelope, half of
-        # available budgeted: 32 MB / 4 MB = 8 lanes.
-        monkeypatch.setattr(
-            sweep_mod, "_available_memory_bytes", lambda: 64 << 20
-        )
-        assert auto_batch_lanes(24, base) == 8
-        # Two pool workers split those 8 lanes in flight: 4 per group.
-        assert auto_batch_lanes(24, base, 2) == 4
-        # Tiny machines still get one lane rather than zero.
-        monkeypatch.setattr(
-            sweep_mod, "_available_memory_bytes", lambda: 1 << 20
-        )
-        assert auto_batch_lanes(24, base) == 1
+    def test_auto_on_pool_spreads_one_fingerprint_over_workers(self, monkeypatch):
+        # Every lane group starts on the grid's one warm fingerprint;
+        # the pool still plans one group per worker.
+        plans = []
+        assign = SimPool._assign
 
-    def test_unknown_memory_uses_grid_size(self, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_available_memory_bytes", lambda: None)
-        assert auto_batch_lanes(24, SystemConfig()) == 24
-        assert auto_batch_lanes(3, SystemConfig()) == 3
+        def spy_assign(self, count, group_keys):
+            plan = assign(self, count, group_keys)
+            plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(SimPool, "_assign", spy_assign)
+        sweep = Sweep(
+            events_per_core=100,
+            base_config=SystemConfig(cache=SMALL_CACHE),
+            warmup_events_per_core=WARMUP,
+        )
+        sweep.add_axis("scheme", ["Baseline", "PRA", "SDS", "FGA"])
+        sweep.add_axis("workload", ["GUPS"])
+        ctx = sweep._context()
+        assert len({point_fingerprint(ctx, p) for p in sweep._tasks()}) == 1
+        with SimPool(workers=2) as pool:
+            sweep.run(pool=pool, batch="auto")
+        assert plans == [[[0], [1]]]
+
+    def test_unknown_memory_uses_grid_size(self):
+        # In-process: the whole grid as one lane group.
+        assert auto_batch_lanes(24) == 24
+        assert auto_batch_lanes(3) == 3
         # One lane group per pool worker.
-        assert auto_batch_lanes(24, SystemConfig(), 2) == 12
-        assert auto_batch_lanes(25, SystemConfig(), 2) == 13
+        assert auto_batch_lanes(24, 2) == 12
+        assert auto_batch_lanes(25, 2) == 13
         with pytest.raises(ValueError, match="at least one grid point"):
-            auto_batch_lanes(0, SystemConfig())
+            auto_batch_lanes(0)
         with pytest.raises(ValueError, match="workers"):
-            auto_batch_lanes(24, SystemConfig(), 0)
-
-    def test_small_llc_floors_at_minimum_envelope(self, monkeypatch):
-        # A 128 KB LLC must not let the estimate claim thousands of
-        # lanes fit: the 4 MB floor covers queues/cores/controllers.
-        monkeypatch.setattr(
-            sweep_mod, "_available_memory_bytes", lambda: 256 << 20
-        )
-        assert auto_batch_lanes(1000, SystemConfig(cache=SMALL_CACHE)) == 32
+            auto_batch_lanes(24, 0)
 
     def test_bad_batch_string_rejected(self):
         with pytest.raises(ValueError, match="'auto'"):

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from repro.sim.config import CacheConfig, SystemConfig
+from repro.sim.snapshot import SNAPSHOTS
 from repro.sim.sweep import Sweep
+from repro.workloads.mixes import ALL_WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +94,26 @@ class TestPolicyAndECCAxes:
         ecc_power = [r["total_power_mw"] for r in rows if r["ecc_chips"] == 1]
         plain_power = [r["total_power_mw"] for r in rows if r["ecc_chips"] == 0]
         assert min(ecc_power) > min(plain_power)
+
+
+class TestFingerprintOrder:
+    def test_serial_sweep_warms_each_fingerprint_once(self):
+        # 10 workloads are 10 warm fingerprints, more than SNAPSHOTS
+        # holds.  In grid order (every Baseline point, then every PRA
+        # point) each snapshot would age out before its PRA point.
+        workloads = list(ALL_WORKLOADS)[:10]
+        assert len(workloads) > SNAPSHOTS.capacity
+        sweep = Sweep(
+            events_per_core=50,
+            base_config=SystemConfig(cache=CacheConfig(llc_bytes=64 * 1024)),
+        )
+        sweep.add_axis("scheme", ["Baseline", "PRA"])
+        sweep.add_axis("workload", workloads)
+        SNAPSHOTS.clear()
+        rows = sweep.run()
+        assert SNAPSHOTS.misses == 10
+        assert SNAPSHOTS.hits == 10
+        # Rows still come back in grid order.
+        assert [(r["scheme"], r["workload"]) for r in rows] == [
+            (scheme, wl) for scheme in ("Baseline", "PRA") for wl in workloads
+        ]
