@@ -7,7 +7,9 @@ against the most recent ``BENCH_history.jsonl`` record produced in the
 (python/numpy major.minor, platform), so a 3.12 run is never graded
 against a 3.10 baseline, nor one platform against another.  A scheme whose best-of-N req/s dropped more than
 the threshold (default 25%, ``REPRO_PERF_REGRESSION_PCT`` or
-``--threshold`` overrides) fails the check.
+``--threshold`` overrides) fails the check.  So does a harness cost in
+:data:`COST_KEY` (the 4 MB cold set-up) that rose by more than the
+same threshold; a baseline without the key grades it vacuously.
 
 Stdlib-only on purpose: CI runs it right after the benchmark steps
 (``python benchmarks/check_perf_trajectory.py``) without needing the
@@ -36,6 +38,10 @@ HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
 RATE_KEY = "requests_per_second_best"
 LEGACY_RATE_KEYS = ("requests_per_second_best_of_3",)
 
+#: Harness-section cost graded beside the rates, as (section, key);
+#: lower is better.
+COST_KEY = ("_construction", "cold_setup_ms_best")
+
 DEFAULT_THRESHOLD_PCT = 25.0
 
 
@@ -56,6 +62,16 @@ def scheme_rates(sections):
                 rates[name] = float(rate)
                 break
     return rates
+
+
+def harness_costs(sections):
+    """``{"section.key": value}`` for :data:`COST_KEY`, if recorded."""
+    section, key = COST_KEY
+    value = sections.get(section)
+    value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, (int, float)) and value > 0:
+        return {f"{section}.{key}": float(value)}
+    return {}
 
 
 def read_history(path):
@@ -95,23 +111,31 @@ def find_baseline(records, fingerprint, current_sections):
     return None
 
 
-def compare(current_rates, baseline_rates, threshold_pct):
-    """(failures, report lines) for schemes present in both snapshots."""
+def compare(current_rates, baseline_rates, threshold_pct, unit="req/s",
+            lower_is_better=False):
+    """(failures, report lines) for metrics present in both snapshots.
+
+    Rates (the default) fail on a drop beyond the threshold; with
+    ``lower_is_better`` a cost fails on a rise beyond it.
+    """
     failures = []
     lines = []
     for name in sorted(current_rates):
         if name not in baseline_rates:
-            lines.append(f"  {name:<12} {current_rates[name]:>10,.0f} req/s "
+            lines.append(f"  {name:<12} {current_rates[name]:>10,.0f} {unit} "
                          f"(no baseline entry)")
             continue
         now, then = current_rates[name], baseline_rates[name]
         delta_pct = (now - then) / then * 100.0
         verdict = "ok"
-        if delta_pct < -threshold_pct:
+        if lower_is_better and delta_pct > threshold_pct:
+            verdict = f"REGRESSION (>{threshold_pct:.0f}% rise)"
+            failures.append(name)
+        elif not lower_is_better and delta_pct < -threshold_pct:
             verdict = f"REGRESSION (>{threshold_pct:.0f}% drop)"
             failures.append(name)
         lines.append(
-            f"  {name:<12} {now:>10,.0f} req/s vs {then:>10,.0f} "
+            f"  {name:<12} {now:>10,.0f} {unit} vs {then:>10,.0f} "
             f"({delta_pct:+6.1f}%)  {verdict}"
         )
     return failures, lines
@@ -159,6 +183,12 @@ def main(argv=None):
 
     baseline_rates = scheme_rates(baseline["sections"])
     failures, lines = compare(current_rates, baseline_rates, args.threshold)
+    cost_failures, cost_lines = compare(
+        harness_costs(current), harness_costs(baseline["sections"]),
+        args.threshold, unit="ms", lower_is_better=True,
+    )
+    failures += cost_failures
+    lines += cost_lines
     print(f"perf-guard: comparing against commit "
           f"{baseline.get('commit')} ({baseline.get('timestamp')}), "
           f"environment {env.get('fingerprint')!r}, "

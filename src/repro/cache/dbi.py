@@ -36,9 +36,10 @@ class DirtyBlockIndex:
     """Row-organized registry of dirty line addresses.
 
     ``row_of`` maps a cache-line address to its DRAM-row identity (the
-    address-mapper's ``row_key``).  ``max_writebacks`` bounds how many
-    companion lines one trigger may drain (the paper drains the whole
-    row; a bound keeps pathological rows from flooding the write queue).
+    address-mapper's ``line_row_key``).  ``max_writebacks`` bounds how
+    many companion lines one trigger may drain (the paper drains the
+    whole row; a bound keeps pathological rows from flooding the write
+    queue).
     """
 
     def __init__(self, row_of: RowOf, max_writebacks: int = 16) -> None:
@@ -85,11 +86,6 @@ class DirtyBlockIndex:
         lines = self._rows.get(self.row_of(line_addr))
         return bool(lines) and line_addr in lines
 
-    def dirty_lines_in_row(self, line_addr: int) -> List[int]:
-        """Dirty companions of ``line_addr`` in its DRAM row (sorted)."""
-        lines: RowLines = self._rows.get(self.row_of(line_addr), ())
-        return sorted(addr for addr in lines if addr != line_addr)
-
     def export_rows(self) -> Dict[Hashable, Tuple[int, ...]]:
         """Snapshot the dirty registry as picklable sorted tuples."""
         return {key: tuple(sorted(lines)) for key, lines in self._rows.items()}
@@ -116,12 +112,26 @@ class DirtyBlockIndex:
         Returns the companion line addresses (up to ``max_writebacks``)
         and removes them and the trigger line from the index.  The
         caller is responsible for cleaning them in the cache and
-        enqueueing the DRAM writes.
+        enqueueing the DRAM writes.  The row is looked up once, and a
+        shared snapshot row is privatized at most once.
         """
         self.triggers += 1
-        companions = self.dirty_lines_in_row(line_addr)[: self.max_writebacks]
-        self.mark_clean(line_addr)
-        for addr in companions:
-            self.mark_clean(addr)
+        key = self.row_of(line_addr)
+        lines = self._rows.get(key)
+        if lines is None:
+            return []
+        companions = sorted(addr for addr in lines if addr != line_addr)[
+            : self.max_writebacks
+        ]
+        if not companions and line_addr not in lines:
+            return []
+        if isinstance(lines, tuple):
+            # Shared snapshot row (cow restore): privatize on mutation.
+            lines = set(lines)
+            self._rows[key] = lines
+        lines.discard(line_addr)
+        lines.difference_update(companions)
+        if not lines:
+            del self._rows[key]
         self.proactive_writebacks += len(companions)
         return companions

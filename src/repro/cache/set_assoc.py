@@ -267,7 +267,7 @@ class SetAssociativeCache:
         if self._cow_owned is not None:
             tags = self._own_set(set_idx)
         if len(tags) >= self.ways:
-            victim, slot = self._evict_slot(tags)
+            victim, slot = self._evict_slot(set_idx, tags)
         else:
             slot = self._free[set_idx].pop()
         tags[line_addr // self.num_sets] = slot
@@ -276,18 +276,28 @@ class SetAssociativeCache:
         self._stamps[slot] = stamp
         return (False, victim)
 
-    def _evict_slot(self, tags: Dict[int, int]) -> Tuple[Eviction, int]:
-        """Drop the LRU line of a full set; return (victim, freed slot)."""
-        stamps = self._stamps
-        victim_tag, slot = min(tags.items(), key=lambda kv: stamps[kv[1]])
-        del tags[victim_tag]
+    def _evict_slot(
+        self, set_idx: int, tags: Dict[int, int]
+    ) -> Tuple[Eviction, int]:
+        """Drop the LRU line of a full set; return (victim, freed slot).
+
+        A full set occupies exactly its own slot range, and every
+        resident slot carries a distinct stamp (each access or install
+        takes the next clock value), so the argmin of that range of
+        ``_stamps`` is the LRU line, with no tie to break.
+        """
+        base = set_idx * self.ways
+        stamps = self._stamps[base:base + self.ways]
+        slot = base + stamps.index(min(stamps))
+        line_addr = self._addr[slot]
+        del tags[line_addr // self.num_sets]
         stats = self.stats
         stats.evictions += 1
         mask = self._mask[slot]
         if mask:
             stats.dirty_evictions += 1
             stats.dirty_word_hist[bin(mask).count("1")] += 1
-        return Eviction(line_addr=self._addr[slot], dirty_mask=mask), slot
+        return Eviction(line_addr=line_addr, dirty_mask=mask), slot
 
     def install(self, line_addr: int, dirty_mask: int = 0) -> Optional[Eviction]:
         """Insert a line (e.g. absorbed from an upper level)."""
@@ -304,7 +314,7 @@ class SetAssociativeCache:
         if self._cow_owned is not None:
             tags = self._own_set(set_idx)
         if len(tags) >= self.ways:
-            victim, slot = self._evict_slot(tags)
+            victim, slot = self._evict_slot(set_idx, tags)
         else:
             slot = self._free[set_idx].pop()
         tags[tag] = slot
@@ -377,7 +387,7 @@ class SetAssociativeCache:
 
         Dict-insertion order is part of the copy, so a restored cache
         evolves bit-identically to the one that was snapshotted
-        (eviction scans iterate the tag dicts).
+        (end-of-run drains iterate the tag dicts).
 
         ``cow=True`` selects the copy-on-write restore the batch kernel
         uses: the flat arrays are still plainly copied (one ``memcpy``

@@ -106,7 +106,7 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
         return self.decode_line(byte_addr // LINE_BYTES)
 
     def encode_line(self, addr: Address) -> int:
-        """Inverse of :meth:`decode_line` (used by tests and DBI)."""
+        """Inverse of :meth:`decode_line` (used by tests)."""
         geo = self.geometry
         bank = addr.bank
         if self.xor_bank_hash:
@@ -130,6 +130,35 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
     def row_key(self, addr: Address) -> tuple:
         """Hashable identity of the DRAM row an address falls in."""
         return (addr.channel, addr.rank, addr.bank, addr.row)
+
+    def line_row_key(self, line_index: int) -> tuple:
+        """``row_key(decode_line(line_index))`` without building an Address.
+
+        The DBI keys its registry by this on every dirty mark, clean
+        and writeback, which makes it the warmup replay's hottest
+        mapping call; it skips the column digit and the
+        :class:`Address` allocation, and returns the identical tuple
+        (``tests/test_mapping.py`` holds the two to equality).
+        """
+        if line_index < 0:
+            raise ValueError("line index must be non-negative")
+        v = line_index % self._capacity
+        if self.interleaving is Interleaving.ROW:
+            # offset | column | channel | bank | rank | row
+            v //= self._cols
+            v, channel = divmod(v, self._channels)
+            v, bank = divmod(v, self._banks)
+            v, rank = divmod(v, self._ranks)
+        else:
+            # offset | channel | bank | rank | column | row
+            v, channel = divmod(v, self._channels)
+            v, bank = divmod(v, self._banks)
+            v, rank = divmod(v, self._ranks)
+            v //= self._cols
+        row = v % self._rows
+        if self.xor_bank_hash:
+            bank ^= row % self._banks
+        return (channel, rank, bank, row)
 
 
 def word_index_to_mat_group(word: int) -> int:

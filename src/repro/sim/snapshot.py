@@ -25,6 +25,10 @@ copy:
   worker processes and repeated benchmark invocations reuse warm state
   across process boundaries.  Disk writes are atomic (temp file +
   rename), so racing workers at worst both compute the same snapshot.
+  Each file is a short header, the sha256 of the pickled payload, then
+  the payload; a file that fails the check (bit rot, truncation, a
+  header-less file of an older layout) is never unpickled and counts
+  as a miss under :attr:`SnapshotCache.corrupt`.
 
 Trace position needs no snapshotting on the fast path: the precompiled
 trace blocks (:mod:`repro.workloads.synthetic`) are indexable, so the
@@ -52,6 +56,10 @@ DbiRows = Optional[Dict[Hashable, Tuple[int, ...]]]
 #: whenever the cache state layout or warmup semantics change.
 #: v2: snapshots may carry a capture-time state digest (sanitizer).
 _FORMAT = "warm-v2"
+
+#: First bytes of an on-disk snapshot; the payload's raw sha256 follows.
+_DISK_MAGIC = b"repro-warmsnap sha256\n"
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
 # Oracle-parity declaration enforced by reprolint: restoring a warm
 # snapshot is the fast path; a cold warmup through the hierarchy
@@ -243,7 +251,9 @@ class SnapshotCache:
     The memory layer serves repeated Systems inside one process (the
     common sweep/runner/benchmark case).  The disk layer — enabled per
     call by passing ``disk_dir`` — extends reuse across worker
-    processes and interpreter invocations.
+    processes and interpreter invocations.  ``corrupt`` counts disk
+    files that failed their digest check or could not be loaded; each
+    is also a miss, and the next store of its key overwrites it.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -254,6 +264,7 @@ class SnapshotCache:
         self._mem: "OrderedDict[tuple, WarmSnapshot]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -276,17 +287,39 @@ class SnapshotCache:
             self.hits += 1
             return snapshot
         if disk_dir:
-            path = self._disk_path(disk_dir, key)
-            try:
-                with open(path, "rb") as handle:
-                    snapshot = pickle.load(handle)
-            except (OSError, pickle.PickleError, EOFError, AttributeError):
-                snapshot = None
-            if isinstance(snapshot, WarmSnapshot):
+            snapshot = self._load(self._disk_path(disk_dir, key))
+            if snapshot is not None:
                 self._insert(key, snapshot)
                 self.hits += 1
                 return snapshot
         self.misses += 1
+        return None
+
+    def _load(self, path: str) -> Optional[WarmSnapshot]:
+        """Read one disk snapshot; ``None`` if absent or corrupt.
+
+        The payload is unpickled only once its digest matches, so a
+        flipped bit or a truncated file can neither raise out of
+        ``System()`` nor restore an altered state.
+        """
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError:
+            return None
+        start = len(_DISK_MAGIC) + _DIGEST_BYTES
+        payload = blob[start:]
+        if (
+            blob.startswith(_DISK_MAGIC)
+            and hashlib.sha256(payload).digest() == blob[len(_DISK_MAGIC):start]
+        ):
+            try:
+                snapshot = pickle.loads(payload)
+            except Exception:  # noqa: BLE001 - any load error is a miss
+                snapshot = None
+            if isinstance(snapshot, WarmSnapshot):
+                return snapshot
+        self.corrupt += 1
         return None
 
     def store(
@@ -295,11 +328,14 @@ class SnapshotCache:
         """Insert a snapshot into memory and (optionally) onto disk."""
         self._insert(key, snapshot)
         if disk_dir:
+            payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
             try:
                 os.makedirs(disk_dir, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=disk_dir, suffix=".tmp")
                 with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    handle.write(_DISK_MAGIC)
+                    handle.write(hashlib.sha256(payload).digest())
+                    handle.write(payload)
                 os.replace(tmp, self._disk_path(disk_dir, key))
             except OSError:
                 # Disk layer is best-effort; warm state stays in memory.
@@ -317,6 +353,7 @@ class SnapshotCache:
         self._mem.clear()
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
 
     def __len__(self) -> int:
         """Snapshots currently held in memory."""

@@ -209,8 +209,11 @@ class System:
             ]
         dbi = None
         if scheme.dbi:
+            # A bound method of the mapper, not a closure over ``self``:
+            # a closure would make a reference cycle, leaving every DBI
+            # System and its LLC to the cyclic collector.
             dbi = DirtyBlockIndex(
-                row_of=lambda la: self.mapper.row_key(self.mapper.decode_line(la)),
+                row_of=self.mapper.line_row_key,
                 max_writebacks=cache_cfg.dbi_max_writebacks,
             )
         self.hierarchy = CacheHierarchy(l2, l1s=l1s, dbi=dbi)

@@ -32,6 +32,7 @@ import random
 import zlib
 from array import array
 from collections import OrderedDict
+from math import log
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cpu.trace import TraceEvent
@@ -107,32 +108,46 @@ class TraceGenerator:
         # Cumulative stream-choice thresholds.
         self._load_cut = profile.load_fraction
         self._store_cut = profile.load_fraction + profile.store_fraction
-        self._dist = profile.dirty_word_dist
+        # Cumulative dirty-word thresholds, summed in histogram order.
+        self._word_cuts: List[Tuple[float, int]] = []
+        cumulative = 0.0
+        for count, prob in profile.dirty_word_dist:
+            cumulative += prob
+            self._word_cuts.append((cumulative, count))
+        # Exponential gap rate (None: no gaps) and cap.
+        mean = profile.mean_gap
+        self._gap_rate = 1.0 / mean if mean > 0 else None
+        self._gap_cap = int(mean * 8) + 1
 
     # ------------------------------------------------------------------
     def _gap(self) -> int:
-        mean = self.profile.mean_gap
-        if mean <= 0:
+        rate = self._gap_rate
+        if rate is None:
             return 0
-        return min(int(self.rng.expovariate(1.0 / mean)), int(mean * 8) + 1)
+        # ``rng.expovariate(rate)`` drawn directly: the same
+        # ``-log(1 - random()) / rate``, without the call's overhead.
+        return min(int(-log(1.0 - self.rng.random()) / rate), self._gap_cap)
 
     def _dirty_mask(self) -> int:
         roll = self.rng.random()
-        cumulative = 0.0
-        words = 1
-        for count, prob in self._dist:
-            cumulative += prob
-            if roll <= cumulative:
-                words = count
+        # A roll past the last cut (the sum fell short of 1.0) keeps the
+        # last count.
+        for cut, words in self._word_cuts:
+            if roll <= cut:
                 break
-        else:
-            words = self._dist[-1][0]
         if words >= 8:
             return 0xFF
-        positions = self.rng.sample(range(8), words)
+        # ``rng.sample(range(8), words)`` drawn directly: for a
+        # population of 8, sample's pool swap takes ``randrange(8 - i)``
+        # for the i-th pick.  Only the OR of the picks is kept, so the
+        # pool holds the bits' masks.
+        randrange = self.rng.randrange
+        pool = [1, 2, 4, 8, 16, 32, 64, 128]
         mask = 0
-        for bit in positions:
-            mask |= 1 << bit
+        for i in range(words):
+            j = randrange(8 - i)
+            mask |= pool[j]
+            pool[j] = pool[7 - i]
         return mask
 
     # ------------------------------------------------------------------

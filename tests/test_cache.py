@@ -173,3 +173,37 @@ class TestSetAssociativeCache:
             if victim is not None:
                 assert victim.dirty == (victim.dirty_mask != 0)
         assert cache.stats.dirty_evictions <= cache.stats.evictions
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("access", "install", "invalidate", "restore")),
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=255),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_victim_is_least_recently_stamped(self, ops):
+        """Every victim is the resident line of its set with the smallest
+        ``lru_stamp``, through hits, installs, invalidations (which leave
+        holes in a set) and copy-on-write restores."""
+        cache = SetAssociativeCache(capacity_bytes=16 * 64, ways=4)  # 4 sets
+        for op, addr, mask in ops:
+            if op == "invalidate":
+                cache.invalidate(addr)
+                continue
+            if op == "restore":
+                cache.restore_state(cache.export_state(), cow=True)
+                continue
+            resident = cache._sets[addr % cache.num_sets]
+            expected = None
+            if addr // cache.num_sets not in resident and len(resident) == cache.ways:
+                expected = min(resident.values(), key=lambda v: v.lru_stamp).line_addr
+            if op == "access":
+                _, victim = cache.access(addr, write_mask=mask)
+            else:
+                victim = cache.install(addr, dirty_mask=mask)
+            assert (None if victim is None else victim.line_addr) == expected

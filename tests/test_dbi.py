@@ -35,7 +35,8 @@ class TestTracking:
         dbi.mark_dirty(5)
         dbi.mark_dirty(6)
         dbi.mark_dirty(8)  # different row
-        assert dbi.dirty_lines_in_row(4) == [5, 6]
+        assert dbi.on_writeback(4) == [5, 6]
+        assert dbi.is_dirty(8)
 
 
 class TestWriteback:
@@ -72,3 +73,35 @@ class TestWriteback:
         dbi.mark_dirty(4)
         dbi.mark_dirty(4)
         assert len(dbi) == 1
+
+
+class TestCopyOnWriteRestore:
+    """``on_writeback`` on a registry restored with ``cow=True``."""
+
+    #: Rows (4 lines each): 1 -> {4, 5, 6, 7}, 2 -> {9, 10}, 3 -> {13}.
+    DIRTY = (4, 5, 6, 7, 9, 10, 13)
+
+    @pytest.mark.parametrize("cap", [16, 2])
+    @pytest.mark.parametrize(
+        "trigger",
+        [5, 9, 13, 8, 21],
+        ids=["full-row", "pair-row", "lonely", "trigger-clean", "absent-row"],
+    )
+    def test_matches_eager_restore(self, trigger, cap):
+        source = DirtyBlockIndex(row_of=row_of)
+        for line in self.DIRTY:
+            source.mark_dirty(line)
+        snapshot = source.export_rows()
+        pristine = dict(snapshot)
+        eager = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
+        eager.restore_rows(snapshot)
+        cow = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
+        cow.restore_rows(snapshot, cow=True)
+
+        assert cow.on_writeback(trigger) == eager.on_writeback(trigger)
+        assert list(cow.export_rows().items()) == list(eager.export_rows().items())
+        assert cow.proactive_writebacks == eager.proactive_writebacks
+        # The snapshot's rows are still the very tuples it held.
+        assert snapshot == pristine
+        assert all(snapshot[key] is pristine[key] for key in pristine)
+        assert all(type(lines) is tuple for lines in snapshot.values())

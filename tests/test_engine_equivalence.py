@@ -22,6 +22,11 @@ are also pinned to the bit by the golden digests in
 ``tests/test_engine_identity.py``.
 """
 
+import glob
+import hashlib
+import os
+import pickle
+
 import pytest
 
 from repro.controller.policies import RowPolicy
@@ -29,7 +34,7 @@ from repro.core.schemes import BASELINE, DBI_PRA, PRA, SDS
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.pool import SimPool
 from repro.sim.runner import ExperimentRunner
-from repro.sim.snapshot import SNAPSHOTS
+from repro.sim.snapshot import _DISK_MAGIC, SNAPSHOTS
 from repro.sim.sweep import Sweep
 from repro.sim.system import System
 from repro.workloads.mixes import workload
@@ -197,6 +202,59 @@ def test_snapshot_disk_layer_round_trip(tmp_path):
     restored_system = _build(PRA, "GUPS", 3, snapshot_dir=disk)
     assert restored_system.snapshot_restored
     assert _fingerprint(restored_system.run()) == _fingerprint(cold)
+
+
+def _damage(blob, how, snapshot):
+    """A warm-snapshot file's bytes after one kind of damage."""
+    magic, digest_end = len(_DISK_MAGIC), len(_DISK_MAGIC) + 32
+
+    def flip(pos):
+        return blob[:pos] + bytes([blob[pos] ^ 0x10]) + blob[pos + 1:]
+
+    if how == "magic-bit":
+        return flip(3)
+    if how == "digest-bit":
+        return flip(magic + 7)
+    if how == "payload-bit":
+        return flip((digest_end + len(blob)) // 2)
+    if how == "truncated":
+        return blob[: len(blob) // 2]
+    if how == "header-less":  # the layout of older releases
+        return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+    # "foreign": a well-formed file whose payload is not a snapshot.
+    payload = pickle.dumps({"not": "a snapshot"})
+    return _DISK_MAGIC + hashlib.sha256(payload).digest() + payload
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["magic-bit", "digest-bit", "payload-bit", "truncated", "header-less", "foreign"],
+)
+def test_damaged_disk_snapshot_is_a_counted_miss(tmp_path, how):
+    """A damaged snapshot file is never restored: the System misses,
+    counts the corruption, warms cold, and overwrites the file."""
+    disk = str(tmp_path / "snaps")
+    SNAPSHOTS.clear()
+    cold = _build(PRA, "GUPS", 3, use_snapshots=False).run()
+    _build(PRA, "GUPS", 3, snapshot_dir=disk)  # writes the snapshot
+    (snapshot,) = SNAPSHOTS._mem.values()
+    (path,) = glob.glob(os.path.join(disk, "*.warmsnap"))
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(_damage(blob, how, snapshot))
+
+    SNAPSHOTS.clear()  # a fresh worker: only the disk layer remains
+    system = _build(PRA, "GUPS", 3, snapshot_dir=disk)
+    assert not system.snapshot_restored
+    assert (SNAPSHOTS.corrupt, SNAPSHOTS.misses, SNAPSHOTS.hits) == (1, 1, 0)
+    assert _fingerprint(system.run()) == _fingerprint(cold)
+
+    with open(path, "rb") as handle:
+        assert handle.read() == blob  # the cold build rewrote the file
+    SNAPSHOTS.clear()
+    assert _build(PRA, "GUPS", 3, snapshot_dir=disk).snapshot_restored
+    assert SNAPSHOTS.corrupt == 0
 
 
 def test_parallel_sweep_with_disk_snapshots_matches_serial(tmp_path):

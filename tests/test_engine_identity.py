@@ -225,6 +225,49 @@ def test_command_trace_golden(scheme):
 
 
 # ----------------------------------------------------------------------
+# Set-up pinning: the golden digests above see only results, so a
+# change in warm state that happens to leave every counter equal would
+# pass them.  These literals pin the cold-warmed hierarchy itself.
+# ----------------------------------------------------------------------
+#: sha256 of :func:`_warm_state_json` after a cold warmup of MIX2
+#: (seed 1, 256 KB LLC, ``WARMUP`` events per core).
+WARM_STATE_DIGESTS = {
+    "Baseline": "8a5cf9927f6aae837ccc7fc49bcfdf1e70a92b5268e64907fd996812512caf55",
+    "DBI+PRA": "0230c0f2c78efd63431a8d3c18a87d99227da2dc664490472bd6a331a1cbc998",
+}
+
+
+def _warm_state_json(hierarchy):
+    """Canonical JSON of the LLC export and the DBI rows in key order.
+
+    JSON rather than pickle bytes, so the pin does not depend on the
+    pickle protocol: each set's tag -> slot items in dict order, the
+    addr/mask/stamp arrays, the free stacks and the stamp counter.
+    """
+    tags, addr, mask, stamps, free, counter = hierarchy.l2.export_state()
+    rows = hierarchy.dbi.export_rows() if hierarchy.dbi is not None else {}
+    return json.dumps({
+        "tags": [list(t.items()) for t in tags],
+        "addr": addr.tolist(),
+        "mask": mask.tolist(),
+        "stamps": stamps.tolist(),
+        "free": free,
+        "counter": counter,
+        "dbi": [[list(key), list(lines)] for key, lines in sorted(rows.items())],
+    }, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("precompiled", [True, False], ids=["blocks", "iterators"])
+@pytest.mark.parametrize("scheme", (BASELINE, DBI_PRA), ids=lambda s: s.name)
+def test_cold_warm_state_golden(scheme, precompiled):
+    system = _build(
+        scheme, "MIX2", use_snapshots=False, precompiled_traces=precompiled
+    )
+    blob = _warm_state_json(system.hierarchy).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == WARM_STATE_DIGESTS[scheme.name]
+
+
+# ----------------------------------------------------------------------
 # Property check: cold == restored under the sanitizer on random
 # scheme/workload/seed points (no goldens; the invariant itself).
 # ----------------------------------------------------------------------

@@ -91,6 +91,23 @@ class TestInterleavingSemantics:
             addr.row,
         )
 
+    @given(st.integers(min_value=0, max_value=3 * ROW_MAPPER.line_capacity))
+    @settings(max_examples=200)
+    def test_line_row_key_matches_decoded_row_key(self, line):
+        """The DBI's Address-free row key equals row_key(decode_line())."""
+        for interleaving in Interleaving:
+            for xor_bank_hash in (False, True):
+                mapper = AddressMapper(
+                    SystemGeometry(), interleaving, xor_bank_hash=xor_bank_hash
+                )
+                assert mapper.line_row_key(line) == mapper.row_key(
+                    mapper.decode_line(line)
+                )
+
+    def test_line_row_key_rejects_negative(self):
+        with pytest.raises(ValueError):
+            ROW_MAPPER.line_row_key(-1)
+
     def test_wraps_capacity(self):
         cap = ROW_MAPPER.line_capacity
         assert ROW_MAPPER.decode_line(cap + 5) == ROW_MAPPER.decode_line(5)

@@ -36,22 +36,27 @@ guard = _load("check_perf_trajectory")
 bench_io = _load("bench_io")
 
 
-def _snapshot(rates, fingerprint="fp-aaaa", rate_key="requests_per_second_best"):
+def _snapshot(rates, fingerprint="fp-aaaa", rate_key="requests_per_second_best",
+              cold_setup_ms=None):
     sections = {
         name: {rate_key: rate, "reps_used": 3}
         for name, rate in rates.items()
     }
     sections["_construction"] = {"cold_ms_best_of_3": 100.0}
+    if cold_setup_ms is not None:
+        sections["_construction"]["cold_setup_ms_best"] = cold_setup_ms
     sections["_env"] = {"fingerprint": fingerprint}
     return sections
 
 
-def _record(rates, fingerprint="fp-aaaa", commit="c0ffee"):
+def _record(rates, fingerprint="fp-aaaa", commit="c0ffee", cold_setup_ms=None):
     return {
         "commit": commit,
         "timestamp": "2026-08-08T00:00:00Z",
         "exitstatus": 0,
-        "sections": _snapshot(rates, fingerprint=fingerprint),
+        "sections": _snapshot(
+            rates, fingerprint=fingerprint, cold_setup_ms=cold_setup_ms
+        ),
     }
 
 
@@ -200,6 +205,54 @@ def test_corrupt_history_lines_are_skipped(tmp_path):
     assert guard.main(
         ["--snapshot", str(snap), "--history", str(hist)]
     ) == 0
+
+
+# ----------------------------------------------------------------------
+# The cold set-up cost (_construction.cold_setup_ms_best, lower is
+# better) is graded against the same baseline at the same threshold.
+# ----------------------------------------------------------------------
+def test_harness_costs_reads_cold_setup():
+    assert guard.harness_costs(_snapshot({"PRA": 9000}, cold_setup_ms=1800.0)) == {
+        "_construction.cold_setup_ms_best": 1800.0
+    }
+    assert guard.harness_costs(_snapshot({"PRA": 9000})) == {}
+
+
+def test_cold_setup_rise_fails(tmp_path, capsys):
+    code = _run(
+        tmp_path,
+        _snapshot({"PRA": 10000}, cold_setup_ms=2600.0),
+        [_record({"PRA": 10000}, cold_setup_ms=2000.0)],
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "_construction.cold_setup_ms_best" in out and "rise" in out
+
+
+def test_cold_setup_rise_within_threshold_passes(tmp_path):
+    assert _run(
+        tmp_path,
+        _snapshot({"PRA": 10000}, cold_setup_ms=2400.0),
+        [_record({"PRA": 10000}, cold_setup_ms=2000.0)],
+    ) == 0
+
+
+def test_cold_setup_drop_passes(tmp_path):
+    assert _run(
+        tmp_path,
+        _snapshot({"PRA": 10000}, cold_setup_ms=1000.0),
+        [_record({"PRA": 10000}, cold_setup_ms=2000.0)],
+    ) == 0
+
+
+def test_cold_setup_without_baseline_key_passes(tmp_path, capsys):
+    code = _run(
+        tmp_path,
+        _snapshot({"PRA": 10000}, cold_setup_ms=9000.0),
+        [_record({"PRA": 10000})],
+    )
+    assert code == 0
+    assert "no baseline entry" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

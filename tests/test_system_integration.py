@@ -1,5 +1,8 @@
 """End-to-end integration: full-system runs and cross-module invariants."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.controller.policies import RowPolicy
@@ -180,3 +183,27 @@ class TestMixWorkload:
         names = [c.app_name for c in result.cores]
         assert names == ["mcf", "em3d", "GUPS", "LinkedList"]
         assert all(c.retired_instructions > 0 for c in result.cores)
+
+
+class TestReclamation:
+    def test_dbi_system_freed_without_cyclic_gc(self):
+        """A finished DBI+PRA System is freed by reference counting alone.
+
+        A DBI row function closing over the System would form a cycle
+        (System -> hierarchy -> dbi -> row_of -> System) and keep every
+        DBI System, with its whole LLC, alive until a full collection.
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            system = System(
+                small_config(DBI_PRA), workload("MIX2"), 200,
+                warmup_events_per_core=WARMUP,
+            )
+            result = system.run()
+            alive = weakref.ref(system)
+            del system
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert result.controller.total_served > 0
