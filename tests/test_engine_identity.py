@@ -20,6 +20,7 @@ subclass.  Cold construction and warm-snapshot restore must both land
 on the same digest, so the pin covers the snapshot machinery too.
 """
 
+import copy
 import hashlib
 import json
 import os
@@ -265,6 +266,41 @@ def test_cold_warm_state_golden(scheme, precompiled):
     )
     blob = _warm_state_json(system.hierarchy).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == WARM_STATE_DIGESTS[scheme.name]
+
+
+def test_restore_shares_snapshot_until_written():
+    """A restored System aliases its snapshot until it writes, and runs
+    exactly as a cold-warmed one.
+
+    Each miss privatizes at most one LLC set, so the owned sets are
+    bounded by the misses; every other set, and every DBI row the run
+    left untouched, is still the snapshot's own object.  The run leaves
+    the snapshot as it found it.
+    """
+    SNAPSHOTS.clear()
+    _build(DBI_PRA, "MIX2")  # cold warmup, captures the snapshot
+    (snapshot,) = SNAPSHOTS._mem.values()
+    before = copy.deepcopy((snapshot.l2, snapshot.l1s, snapshot.dbi_rows))
+    system = _build(DBI_PRA, "MIX2")
+    assert system.snapshot_restored
+    result = system.run()
+
+    l2 = system.hierarchy.l2
+    assert isinstance(l2._cow_owned, set)
+    assert len(l2._cow_owned) <= l2.stats.misses
+    tags, _addr, _mask, _stamps, free, _counter = snapshot.l2
+    for set_idx in range(l2.num_sets):
+        if set_idx not in l2._cow_owned:
+            assert l2._tags[set_idx] is tags[set_idx]
+            assert l2._free[set_idx] is free[set_idx]
+    rows = system.hierarchy.dbi._rows
+    shared = [key for key, lines in rows.items() if isinstance(lines, tuple)]
+    assert shared
+    assert all(rows[key] is snapshot.dbi_rows[key] for key in shared)
+    assert (snapshot.l2, snapshot.l1s, snapshot.dbi_rows) == before
+
+    cold = _build(DBI_PRA, "MIX2", use_snapshots=False).run()
+    assert _digest(result) == _digest(cold)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.controller.policies import RowPolicy
 from repro.core.schemes import BASELINE, DBI_PRA, FGA, HALF_DRAM, HALF_DRAM_PRA, PRA
 from repro.sim.config import CacheConfig, SystemConfig
+from repro.sim.sweep import Sweep
 from repro.sim.system import System, simulate
 from repro.workloads.mixes import Workload, homogeneous, workload
 from repro.workloads.profiles import profile
@@ -183,6 +184,35 @@ class TestMixWorkload:
         names = [c.app_name for c in result.cores]
         assert names == ["mcf", "em3d", "GUPS", "LinkedList"]
         assert all(c.retired_instructions > 0 for c in result.cores)
+
+
+class TestWarmupLength:
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup"):
+            System(small_config(), workload("GUPS"), 200, warmup_events_per_core=-1)
+
+    def test_negative_warmup_rejected_by_serial_sweep(self):
+        sweep = Sweep(
+            events_per_core=200,
+            base_config=small_config(),
+            warmup_events_per_core=-1,
+        )
+        sweep.add_axis("workload", ["GUPS"])
+        with pytest.raises(ValueError, match="warmup"):
+            sweep.run()
+
+    @pytest.mark.parametrize("scheme", [BASELINE, DBI_PRA], ids=lambda s: s.name)
+    def test_zero_warmup_same_on_both_trace_paths(self, scheme):
+        config = SystemConfig(scheme=scheme, cache=CacheConfig(llc_bytes=64 * 1024))
+        blocks = System(
+            config, workload("GUPS"), 200, warmup_events_per_core=0
+        ).run()
+        iterators = System(
+            config, workload("GUPS"), 200, warmup_events_per_core=0,
+            precompiled_traces=False,
+        ).run()
+        assert blocks.runtime_cycles == iterators.runtime_cycles
+        assert blocks.summary() == iterators.summary()
 
 
 class TestReclamation:
