@@ -1,10 +1,11 @@
 """COW/aliasing-escape analysis over the shared dataflow layer.
 
-The warm-pool snapshot machinery relies on *deliberate* aliasing:
-``restore_state(cow=True)`` rebinds per-set containers that are still
-shared with the snapshot until ``_own_set`` privatizes them, and
-``restore_rows(cow=True)`` installs immutable tuple aliases that
-``mark_dirty``/``mark_clean`` thaw on first write.  The invariant that
+The warm-state snapshot machinery relies on *deliberate* aliasing:
+``SetAssociativeCache.restore_state`` rebinds per-set containers that
+are still shared with the snapshot until ``_own_set`` privatizes them,
+and ``DirtyBlockIndex.restore_rows`` installs immutable tuple aliases
+that ``mark_dirty``/``mark_clean``/``on_writeback`` thaw on first
+write.  The invariant that
 keeps snapshots reusable is "never mutate a possibly-shared value in
 place without first privatizing it" — previously enforced only by code
 review.

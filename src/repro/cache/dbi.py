@@ -23,9 +23,9 @@ RowOf = Callable[[int], Hashable]
 RowLines = Union[Set[int], Tuple[int, ...]]
 
 # COW contract for the aliasing pass (repro.analysis.cowcheck): after
-# restore_rows(cow=True) the per-row values are the snapshot's shared
-# tuples; writers must thaw a row to a private set (lines = set(lines))
-# before mutating it in place.
+# restore_rows the per-row values are the snapshot's shared tuples;
+# writers must thaw a row to a private set (lines = set(lines)) before
+# mutating it in place.
 REPRO_COW_PROTOCOL = {
     "shared_roots": ("_rows",),
     "privatizers": (),
@@ -62,7 +62,7 @@ class DirtyBlockIndex:
             self._rows[key] = {line_addr}
             return
         if isinstance(lines, tuple):
-            # Shared snapshot row (cow restore): privatize on mutation.
+            # A row shared with the snapshot: privatize on mutation.
             lines = set(lines)
             self._rows[key] = lines
         lines.add(line_addr)
@@ -90,21 +90,16 @@ class DirtyBlockIndex:
         """Snapshot the dirty registry as picklable sorted tuples."""
         return {key: tuple(sorted(lines)) for key, lines in self._rows.items()}
 
-    def restore_rows(
-        self, rows: Dict[Hashable, Tuple[int, ...]], cow: bool = False
-    ) -> None:
-        """Restore-by-copy a registry captured by :meth:`export_rows`.
+    def restore_rows(self, rows: Dict[Hashable, Tuple[int, ...]]) -> None:
+        """Restore, copy-on-write, a registry captured by :meth:`export_rows`.
 
-        ``cow=True`` (the batch kernel's path) copies only the top-level
-        dict and keeps the snapshot's per-row tuples shared; a row is
-        privatized to a set on its first ``mark_dirty``/``mark_clean``.
-        Every reader is order-insensitive, so this is observationally
-        identical to the eager default, which stays the oracle path.
+        Copies only the top-level dict and keeps the snapshot's per-row
+        tuples shared; a row is privatized to a set on its first
+        ``mark_dirty``/``mark_clean``/``on_writeback``.  Every reader is
+        order-insensitive, so the registry behaves as one replayed by
+        ``mark_dirty`` (the cold oracle).
         """
-        if cow:
-            self._rows = dict(rows)
-        else:
-            self._rows = {key: set(lines) for key, lines in rows.items()}
+        self._rows = dict(rows)
 
     def on_writeback(self, line_addr: int) -> List[int]:
         """A dirty line is being written back: pick companions to drain.
@@ -126,7 +121,7 @@ class DirtyBlockIndex:
         if not companions and line_addr not in lines:
             return []
         if isinstance(lines, tuple):
-            # Shared snapshot row (cow restore): privatize on mutation.
+            # A row shared with the snapshot: privatize on mutation.
             lines = set(lines)
             self._rows[key] = lines
         lines.discard(line_addr)

@@ -9,14 +9,16 @@ per resident line plus a global ``itertools.count`` LRU clock, each
 set keeps a ``tag -> slot`` dict into three flat integer arrays
 (line address, dirty mask, LRU stamp) shared by all sets.  A hit is a
 dict probe plus two array writes — no object allocation anywhere on the
-hot path — and the whole cache state is a handful of picklable arrays,
-which is what makes the warm-state snapshot cache
-(:mod:`repro.sim.snapshot`) a plain copy.  The flat arrays are
-``array('q')`` rather than lists: a snapshot restore copies them with
-one ``memcpy`` instead of a pointer-copy-plus-incref per element, and
-the buffers are invisible to the cyclic GC — both of which matter when
-the batch kernel restores dozens of lanes from one snapshot back to
-back.  ``lookup`` and the ``_sets`` compatibility property materialize
+hot path — and the whole cache state is a handful of picklable arrays
+plus the per-set dicts, which is what makes a warm-state snapshot
+(:mod:`repro.sim.snapshot`) cheap to restore: the flat arrays are
+copied and the per-set containers shared copy-on-write
+(:meth:`SetAssociativeCache.restore_state`).  The flat arrays are
+``array('q')`` rather than lists: a restore copies them with one
+``memcpy`` instead of a pointer-copy-plus-incref per element, and the
+buffers are invisible to the cyclic GC — both of which matter when a
+sweep restores one snapshot for every point of a grid column.
+``lookup`` and the ``_sets`` compatibility property materialize
 :class:`~repro.cache.line.LineView` write-through views on demand for
 tests and introspection.
 """
@@ -38,8 +40,8 @@ ORACLE_TESTS = (
     "tests/test_engine_identity.py",
     "tests/test_engine_equivalence.py",
 )
-# COW contract for the aliasing pass (repro.analysis.cowcheck): after a
-# cow restore, per-set tag dicts and free lists are shared with the
+# COW contract for the aliasing pass (repro.analysis.cowcheck): after
+# restore_state, per-set tag dicts and free lists are shared with the
 # snapshot until _own_set privatizes them; every in-place mutation of a
 # set's containers must be dominated by an _own_set guard.
 REPRO_COW_PROTOCOL = {
@@ -196,10 +198,10 @@ class SetAssociativeCache:
         )
         #: Monotonic LRU clock (plain int: picklable, snapshot-friendly).
         self._stamp_counter = 0
-        #: Copy-on-write restore bookkeeping: ``None`` when every set's
-        #: tag dict / free stack is privately owned (the eager default),
-        #: else the (initially empty) indices privatized so far — every
-        #: other set still aliases a shared snapshot.
+        #: Copy-on-write restore bookkeeping: ``None`` while every set's
+        #: tag dict / free stack is privately owned (a cache built cold),
+        #: else, after :meth:`restore_state`, the indices privatized so
+        #: far — every other set still aliases the snapshot.
         self._cow_owned: Optional[set] = None
         self.stats = CacheStats()
 
@@ -225,12 +227,11 @@ class SetAssociativeCache:
     def _own_set(self, set_idx: int) -> Dict[int, int]:
         """Privatize one set before mutating its dict/free stack.
 
-        After a copy-on-write restore (``restore_state(..., cow=True)``)
-        the per-set tag dicts and free stacks still alias the shared
-        snapshot; the first structural mutation of a set copies just
-        that set.  Reads never need ownership, and the hit path only
-        touches the (always private) flat arrays, so the check sits on
-        the miss/evict/invalidate paths only.
+        After :meth:`restore_state` the per-set tag dicts and free
+        stacks still alias the snapshot; the first structural mutation
+        of a set copies just that set.  Reads never need ownership, and
+        the hit path only touches the (always private) flat arrays, so
+        the check sits on the miss/evict/invalidate paths only.
         """
         owned = self._cow_owned
         if owned is not None and set_idx not in owned:
@@ -382,41 +383,26 @@ class SetAssociativeCache:
             self._stamp_counter,
         )
 
-    def restore_state(self, state: tuple, cow: bool = False) -> None:
-        """Restore-by-copy a state captured by :meth:`export_state`.
+    def restore_state(self, state: tuple) -> None:
+        """Restore, copy-on-write, a state captured by :meth:`export_state`.
 
-        Dict-insertion order is part of the copy, so a restored cache
-        evolves bit-identically to the one that was snapshotted
-        (end-of-run drains iterate the tag dicts).
-
-        ``cow=True`` selects the copy-on-write restore the batch kernel
-        uses: the flat arrays are still plainly copied (one ``memcpy``
-        each) but the per-set tag dicts and free stacks initially
-        *alias* the snapshot and are privatized one set at a time on
-        first mutation (:meth:`_own_set`).  Observable behaviour is
-        identical — the snapshot rows are only ever read while shared —
-        it just skips the per-set dict/list copies that dominate eager
-        restore, which matters when many lanes restore from one
-        snapshot back to back.  The eager default remains the oracle path.
-
-        Pre-``array('q')`` snapshots (plain lists, e.g. aged on-disk
-        snapshot files) restore transparently: the arrays are rebuilt
-        from the lists element-wise.
+        The flat arrays are copied (one ``memcpy`` each), but the
+        per-set tag dicts and free stacks *alias* the snapshot and are
+        privatized one set at a time on first mutation
+        (:meth:`_own_set`), so a restore copies only the sets the run
+        goes on to write.  The snapshot is only ever read while shared,
+        and dict-insertion order travels with the dicts, so a restored
+        cache evolves bit-identically to the one that was snapshotted
+        (end-of-run drains iterate the tag dicts); a cold warmup is the
+        oracle.
         """
         tags, addr, mask, stamps, free, counter = state
         if len(tags) != self.num_sets or len(addr) != self.num_sets * self.ways:
             raise ValueError("snapshot geometry does not match this cache")
-        if cow:
-            self._tags = list(tags)
-            self._free = list(free)
-            self._cow_owned = set()
-        else:
-            self._tags = [dict(t) for t in tags]
-            self._free = [list(f) for f in free]
-            self._cow_owned = None
-        self._addr = addr[:] if isinstance(addr, array) else array("q", addr)
-        self._mask = mask[:] if isinstance(mask, array) else array("q", mask)
-        self._stamps = (
-            stamps[:] if isinstance(stamps, array) else array("q", stamps)
-        )
+        self._tags = list(tags)
+        self._free = list(free)
+        self._cow_owned = set()
+        self._addr = addr[:]
+        self._mask = mask[:]
+        self._stamps = stamps[:]
         self._stamp_counter = counter

@@ -81,8 +81,7 @@ def _check_worker_budget(flag: str, requested: int) -> None:
     if requested > cpus:
         raise ValueError(
             f"{flag} {requested} exceeds the {cpus} available CPU(s); "
-            f"use {flag} {cpus} or lower (lane batching via 'sweep "
-            "--batch N' or '--batch auto' scales without extra CPUs)"
+            f"use {flag} {cpus} or lower"
         )
 
 
@@ -158,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the grid on a pool of N worker processes "
                          "(fingerprint-grouped scheduling)")
     sweep_p.add_argument("--batch", type=_batch_arg, default=None, metavar="N",
-                         help="run grid points in lane groups of up to N, "
-                         "each lane restoring its warm snapshot copy-on-write "
-                         "(batch kernel); combines with --pool to ship whole "
-                         "lane groups per worker task; 'auto' makes one group "
-                         "per pool worker, or one for the whole grid")
+                         help="run grid points in lane groups of up to N "
+                         "(batch kernel); with --pool, each lane group "
+                         "ships to a worker as one task; 'auto' makes one "
+                         "group per pool worker, or one for the whole grid")
     sweep_p.add_argument("--profile", action="store_true",
                          help="run under cProfile, print top-25 by cumulative time")
 

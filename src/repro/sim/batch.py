@@ -3,8 +3,10 @@
 A sweep grid point is one (config, workload) simulation.  The scalar
 path builds a :class:`~repro.sim.system.System` per point and runs it
 to completion before touching the next point.  A :class:`BatchSystem`
-holds N points as *lanes* and does the same, with one difference: each
-lane restores its warm snapshot copy-on-write.
+holds N points as *lanes* and does exactly the same, so in-process it
+adds nothing over a serial sweep; on a pool, a lane group ships as one
+task.  The module stays because the layered benchmark's span table
+names :class:`BatchSystem` and :meth:`_Lane.advance`.
 
 * **One System per lane, one lane at a time.**  Each lane is a plain
   :class:`~repro.sim.system.System`, so the scheduler hot path is the
@@ -13,14 +15,10 @@ lane restores its warm snapshot copy-on-write.
   (one pass of :meth:`System._passes
   <repro.sim.system.System._passes>` per call), summarized and
   dropped before the next lane is built, so memory does not grow with
-  the lane count.
-* **Copy-on-write restore.**  Lanes are built with
-  ``System(cow_restore=True)``: per-set tag state aliases the warm
-  snapshot until the lane first writes to it, so at screening fidelity
-  (a few timed events per point) a restore copies little beyond the
-  flat arrays.  This is the kernel's whole lead over a serial sweep.
-  ``Sweep._run_batched`` passes lanes in warm-fingerprint order, so
-  the lanes of one fingerprint restore from one snapshot back to back.
+  the lane count.  Its warm snapshot is restored copy-on-write, as
+  every System's is.  ``Sweep._run_batched`` passes lanes in
+  warm-fingerprint order, so the lanes of one fingerprint restore from
+  one snapshot back to back.
 
 The scalar engine remains the oracle: every lane's
 :class:`~repro.sim.results.SimResult` must equal its serial run
@@ -80,7 +78,7 @@ class _Lane:
 
 
 class BatchSystem:
-    """N grid points run one after another, each restored copy-on-write."""
+    """N grid points run one after another, each as a plain System."""
 
     def __init__(
         self,
@@ -133,7 +131,6 @@ class BatchSystem:
                 seed=self._seed,
                 warmup_events_per_core=self._warmup,
                 snapshot_dir=self._snapshot_dir,
-                cow_restore=True,
             )
         )
         cycle = 0

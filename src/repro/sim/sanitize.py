@@ -12,7 +12,7 @@ otherwise unmodified simulation:
   set (a :class:`~repro.dram.protocol.ProtocolViolation` aborts the
   run at the offending command);
 * a warm-snapshot restore is verified against the capture-time state
-  digest (:func:`verify_restore`) — restore-by-copy must be
+  digest (:func:`verify_restore`) — a copy-on-write restore must be
   bit-identical to the warmup it replaces;
 * at finalize time, cheap cross-subsystem invariants are asserted
   (:func:`check_finalize`): the power accountant's event counters must

@@ -1,12 +1,12 @@
-"""Warm-state snapshot cache: warm the hierarchy once, restore by copy.
+"""Warm-state snapshot cache: warm the hierarchy once, restore copy-on-write.
 
 Every :class:`~repro.sim.system.System` replays roughly 4x the LLC
 line count through the cache hierarchy before timing even starts, and
 a sweep builds one System per grid point — so the second and every
 later scheme of the same (workload, seed, cache geometry) repeats a
 warmup whose outcome is already known.  This module snapshots the
-post-warmup state into a compact picklable form and restores it by
-copy:
+post-warmup state into a compact picklable form and restores it
+copy-on-write:
 
 * **fingerprint** — :func:`warm_fingerprint` hashes exactly the
   configuration bits warmup depends on: the workload's profiles, the
@@ -17,8 +17,11 @@ copy:
   share a single snapshot;
 * **payload** — :class:`WarmSnapshot` holds the array-backed caches'
   exported state (tag dicts + flat int arrays), plus the DBI registry.
-  Restoring is a plain copy, bit-identical to re-running warmup
-  because dict insertion order is part of the copy;
+  A restore copies the flat arrays and shares the per-set tag dicts,
+  free stacks and DBI row tuples with the snapshot until the restored
+  System first writes each one (:func:`restore_warm_state`).  It is
+  bit-identical to re-running warmup, which stays the oracle, because
+  dict insertion order travels with the shared dicts;
 * **layers** — an in-process LRU (:data:`SNAPSHOTS`) serves repeated
   Systems in one process; an opt-in disk layer (``snapshot_dir=`` or
   the ``REPRO_SNAPSHOT_DIR`` environment variable) lets sweep/runner
@@ -219,30 +222,27 @@ def capture_warm_state(
     return WarmSnapshot(l2, l1s, dbi_rows, digest)
 
 
-def restore_warm_state(
-    hierarchy: "CacheHierarchy", snapshot: WarmSnapshot, cow: bool = False
-) -> None:
-    """Copy a snapshot into a freshly built (cold) hierarchy.
+def restore_warm_state(hierarchy: "CacheHierarchy", snapshot: WarmSnapshot) -> None:
+    """Restore a snapshot, copy-on-write, into a freshly built hierarchy.
 
-    Restore is copy-in, so the snapshot stays pristine in the cache
-    while the restored System mutates its own state.  ``cow=True``
-    selects the copy-on-write restore used by the batch kernel
-    (:mod:`repro.sim.batch`): per-set tag dicts / DBI rows stay shared
-    with the snapshot until first mutation, so N lanes restoring from
-    one snapshot pay the expensive per-set copies only for the sets
-    they actually touch.  Observable state evolution is identical; the
-    eager default remains the oracle path.
+    The flat cache arrays are copied; per-set tag dicts, free stacks
+    and DBI rows stay shared with the snapshot until the restored
+    System first mutates each one, so every System restoring one
+    snapshot pays the per-set copies only for the sets it touches.
+    The snapshot is only read while shared, so it stays pristine in
+    the cache, and the restored System evolves exactly as a cold
+    warmup (the oracle) would.
     """
-    hierarchy.l2.restore_state(snapshot.l2, cow=cow)
+    hierarchy.l2.restore_state(snapshot.l2)
     if snapshot.l1s is not None:
         if hierarchy.l1s is None or len(hierarchy.l1s) != len(snapshot.l1s):
             raise ValueError("snapshot L1 layout does not match this hierarchy")
         for l1, state in zip(hierarchy.l1s, snapshot.l1s):
-            l1.restore_state(state, cow=cow)
+            l1.restore_state(state)
     if snapshot.dbi_rows is not None:
         if hierarchy.dbi is None:
             raise ValueError("snapshot carries DBI state but hierarchy has none")
-        hierarchy.dbi.restore_rows(snapshot.dbi_rows, cow=cow)
+        hierarchy.dbi.restore_rows(snapshot.dbi_rows)
 
 
 class SnapshotCache:

@@ -32,16 +32,17 @@ Execution backends, all bit-identical row for row:
   those caches across sweeps.  A one-off fan-out over fresh processes
   is ``with SimPool(workers=N) as pool: sweep.run(pool=pool)``;
 * ``run(batch=N)`` — the batch kernel (:mod:`repro.sim.batch`):
-  points run in lane groups of up to N, each lane restoring its warm
-  snapshot copy-on-write; combines with ``pool`` to ship whole lane
-  groups per task.  ``batch="auto"`` makes one lane group per pool
-  worker, or one for the whole grid without a pool
-  (:func:`auto_batch_lanes`).
+  points run in lane groups of up to N, one plain ``System`` after
+  another, which in-process is exactly a serial sweep; combines with
+  ``pool`` to ship whole lane groups per task.  ``batch="auto"`` makes
+  one lane group per pool worker, or one for the whole grid without a
+  pool (:func:`auto_batch_lanes`).
 
 Serially and in lane groups, points run in warm-fingerprint order
 (:func:`_fingerprint_order`), so each fingerprint warms once even when
-the grid has more fingerprints than ``SNAPSHOTS`` holds; rows still
-come back in grid order.
+the grid has more fingerprints than ``SNAPSHOTS`` holds, and every
+later point of a fingerprint restores its snapshot copy-on-write; rows
+still come back in grid order.
 """
 
 from __future__ import annotations
@@ -249,11 +250,12 @@ class Sweep:
         ``batch=N`` selects the batch kernel (:mod:`repro.sim.batch`):
         points are cut into lane groups of up to N and each group runs
         as one :class:`~repro.sim.batch.BatchSystem`, lane after lane,
-        each lane restoring its warm snapshot copy-on-write.  Combines
-        with ``pool``: each lane group then ships whole to a warm
-        worker, one task message per group.  ``batch="auto"`` picks
-        ``ceil(points / workers)`` lanes, one group per pool worker or
-        the whole grid in-process (:func:`auto_batch_lanes`).
+        each lane a plain ``System``, so in-process it computes exactly
+        what the serial path does.  Combined with ``pool``, each lane
+        group ships whole to a warm worker, one task message per group.
+        ``batch="auto"`` picks ``ceil(points / workers)`` lanes, one
+        group per pool worker or the whole grid in-process
+        (:func:`auto_batch_lanes`).
 
         Serial and batched runs take the points in warm-fingerprint
         order (:func:`_fingerprint_order`).  Every point carries the

@@ -83,7 +83,6 @@ class System:
         precompiled_traces: bool = True,
         use_snapshots: bool = True,
         snapshot_dir: Optional[str] = None,
-        cow_restore: bool = False,
     ) -> None:
         """Build the platform.
 
@@ -91,7 +90,9 @@ class System:
         cache hierarchy only (no timing), so the LLC reaches steady
         state — without warmup a short run would see almost no dirty
         evictions and therefore almost no DRAM write traffic.  The
-        default sizes the warmup to roughly twice the LLC capacity.
+        default replays 4x the LLC line count, split across the cores
+        (:func:`~repro.sim.snapshot.default_warmup`); 0 skips warmup,
+        and a negative length raises ``ValueError``.
 
         ``sampler`` may be an :class:`repro.sim.sampling.EpochSampler`
         to record power/queue time series during the run.
@@ -108,22 +109,24 @@ class System:
           (``False`` restores the per-event ``TraceGenerator``
           reference path, which also disables snapshots);
         * ``use_snapshots`` reuses post-warmup cache state across
-          Systems with the same warm fingerprint — bit-identical to a
-          cold warmup, just restored by copy
-          (:attr:`snapshot_restored` reports whether it happened);
+          Systems with the same warm fingerprint — restored
+          copy-on-write (:func:`repro.sim.snapshot.restore_warm_state`)
+          and bit-identical to a cold warmup, which ``False`` selects
+          (:attr:`snapshot_restored` reports whether a restore
+          happened);
         * ``snapshot_dir`` opts into the on-disk snapshot layer (the
           ``REPRO_SNAPSHOT_DIR`` environment variable does the same).
-
-        The batch kernel (:mod:`repro.sim.batch`) passes one extra
-        hook: ``cow_restore`` restores warm snapshots copy-on-write
-        (bit-identical, just lazier — see
-        :func:`repro.sim.snapshot.restore_warm_state`).
         """
         if events_per_core <= 0:
             raise ValueError("events_per_core must be positive")
+        if warmup_events_per_core is None:
+            warmup_events_per_core = default_warmup(config, workload)
+        if warmup_events_per_core < 0:
+            raise ValueError("warmup_events_per_core must be non-negative")
         self.config = config
         self.workload = workload
         self.events_per_core = events_per_core
+        self.warmup_events_per_core = warmup_events_per_core
         seed = config.seed if seed is None else seed
 
         scheme = config.scheme
@@ -170,10 +173,6 @@ class System:
         self._sanitize = sanitize_enabled(config)
         if self._sanitize:
             attach_checkers(self)
-
-        if warmup_events_per_core is None:
-            warmup_events_per_core = default_warmup(config, workload)
-        self.warmup_events_per_core = warmup_events_per_core
 
         if trace_overrides is not None and len(trace_overrides) != workload.num_cores:
             raise ValueError("need one trace override per core")
@@ -241,7 +240,7 @@ class System:
                 for core_id, profile in enumerate(workload.apps)
             ]
             if snapshot is not None:
-                restore_warm_state(self.hierarchy, snapshot, cow=cow_restore)
+                restore_warm_state(self.hierarchy, snapshot)
                 self.snapshot_restored = True
                 if self._sanitize:
                     verify_restore(self.hierarchy, snapshot)

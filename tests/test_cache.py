@@ -196,7 +196,7 @@ class TestSetAssociativeCache:
                 cache.invalidate(addr)
                 continue
             if op == "restore":
-                cache.restore_state(cache.export_state(), cow=True)
+                cache.restore_state(cache.export_state())
                 continue
             resident = cache._sets[addr % cache.num_sets]
             expected = None

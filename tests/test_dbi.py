@@ -76,7 +76,7 @@ class TestWriteback:
 
 
 class TestCopyOnWriteRestore:
-    """``on_writeback`` on a registry restored with ``cow=True``."""
+    """``on_writeback`` on a registry restored copy-on-write."""
 
     #: Rows (4 lines each): 1 -> {4, 5, 6, 7}, 2 -> {9, 10}, 3 -> {13}.
     DIRTY = (4, 5, 6, 7, 9, 10, 13)
@@ -87,20 +87,21 @@ class TestCopyOnWriteRestore:
         [5, 9, 13, 8, 21],
         ids=["full-row", "pair-row", "lonely", "trigger-clean", "absent-row"],
     )
-    def test_matches_eager_restore(self, trigger, cap):
+    def test_matches_cold_registry(self, trigger, cap):
         source = DirtyBlockIndex(row_of=row_of)
         for line in self.DIRTY:
             source.mark_dirty(line)
         snapshot = source.export_rows()
         pristine = dict(snapshot)
-        eager = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
-        eager.restore_rows(snapshot)
-        cow = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
-        cow.restore_rows(snapshot, cow=True)
+        cold = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
+        for line in self.DIRTY:
+            cold.mark_dirty(line)
+        restored = DirtyBlockIndex(row_of=row_of, max_writebacks=cap)
+        restored.restore_rows(snapshot)
 
-        assert cow.on_writeback(trigger) == eager.on_writeback(trigger)
-        assert list(cow.export_rows().items()) == list(eager.export_rows().items())
-        assert cow.proactive_writebacks == eager.proactive_writebacks
+        assert restored.on_writeback(trigger) == cold.on_writeback(trigger)
+        assert list(restored.export_rows().items()) == list(cold.export_rows().items())
+        assert restored.proactive_writebacks == cold.proactive_writebacks
         # The snapshot's rows are still the very tuples it held.
         assert snapshot == pristine
         assert all(snapshot[key] is pristine[key] for key in pristine)
