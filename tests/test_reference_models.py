@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.controller.queues import RequestQueue, row_key
+from repro.controller.queues import RequestQueue, pack_row_key, row_key
 from repro.dram.commands import Address, ReqKind, Request
+from repro.dram.geometry import FULL_MASK
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +92,16 @@ queue_programs = st.lists(
         st.sampled_from(["append", "remove_oldest", "remove_row_oldest"]),
         st.integers(min_value=0, max_value=3),  # row
         st.integers(min_value=0, max_value=1),  # rank
+        st.integers(min_value=0, max_value=1),  # bank
+        st.integers(min_value=1, max_value=FULL_MASK),  # dirty mask
     ),
     min_size=1,
     max_size=120,
 )
+
+ROW_KEYS = [
+    (rank, bank, row) for rank in (0, 1) for bank in (0, 1) for row in range(4)
+]
 
 
 @given(queue_programs)
@@ -102,20 +109,23 @@ queue_programs = st.lists(
 def test_queue_matches_list_model(program):
     real = RequestQueue(256)
     ref = []  # list of Request, arrival order
-    for op, row, rank in program:
+    for op, row, rank, bank, mask in program:
         if op == "append":
             req = Request(
-                kind=ReqKind.READ,
-                addr=Address(channel=0, rank=rank, bank=0, row=row, column=0),
+                kind=ReqKind.WRITE,
+                addr=Address(channel=0, rank=rank, bank=bank, row=row, column=0),
                 arrive_cycle=0,
+                dirty_mask=mask,
             )
+            # What the admitting controller sets under a mask scheme.
+            req._needed = req.dirty_mask
             real.append(req)
             ref.append(req)
         elif op == "remove_oldest" and ref:
             victim = ref.pop(0)
             real.remove(victim)
         elif op == "remove_row_oldest":
-            key = (rank, 0, row)
+            key = (rank, bank, row)
             candidates = [r for r in ref if row_key(r) == key]
             assert real.oldest_for_row(key) is (
                 candidates[0] if candidates else None
@@ -126,14 +136,22 @@ def test_queue_matches_list_model(program):
         # Invariants after every op.
         assert len(real) == len(ref)
         assert real.oldest() is (ref[0] if ref else None)
+        for k in (1, 5):
+            assert list(real.iter_oldest(k)) == ref[:k]
         for rk in (0, 1):
             expected = sum(1 for r in ref if r.addr.rank == rk)
             assert real.pending_for_rank(rk) == expected
-    for row in range(4):
-        for rank in range(2):
-            key = (rank, 0, row)
-            expected = [r for r in ref if row_key(r) == key]
-            assert real.requests_for_row(key) == expected
+        # Section 5.2.1: an ACT's PRA mask is the OR of the queued
+        # same-row writes' masks.
+        for key in ROW_KEYS:
+            merged = 0
+            for r in ref:
+                if row_key(r) == key:
+                    merged |= r._needed
+            assert real.merged_needed(pack_row_key(key)) == merged
+    for key in ROW_KEYS:
+        expected = [r for r in ref if row_key(r) == key]
+        assert real.requests_for_row(key) == expected
 
 
 # ----------------------------------------------------------------------
