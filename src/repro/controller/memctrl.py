@@ -20,7 +20,7 @@ The controller is stepped by the system simulator; ``step`` issues at
 most one *scheduling decision* and returns a *hint*: the next cycle at
 which calling again could make progress (used for event skip-ahead).
 
-Two structural optimizations define this controller's hot path:
+Three structural optimizations define this controller's hot path:
 
 **Array-backed timing state.**  All per-(rank, bank) and per-rank
 timing state lives in the channel's :class:`repro.dram.soa.TimingCore`
@@ -44,12 +44,25 @@ the streak is *atomic*: it is a deliberate scheduling-policy change
 relative to per-command arbitration (other banks' ACT/PRE no longer
 interleave between the hits), applied identically by the event engine
 and the ``strict_polling`` oracle, which share this code.
+
+**Live-only queues and per-rank column floors.**  The request queues
+hold live requests only (:mod:`repro.controller.queues`), so the
+oldest-first scan, the open-bank probes, the mask merge and the streak
+builder never step over served requests; ``enqueue`` stores each
+request's channel-local rank, bank, row, bank index and bank bit in
+``Request`` slots.  A column candidate's earliest cycle is
+``max(col_ready[g], floor[rank])``, where the floor (command slot,
+turnaround, gate and data-bus fit) is taken once per rank per step.
+Neither moves a command or a step: the step schedule is part of the
+model, since power-down entry and exit happen at whatever cycle a step
+runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from repro.controller.policies import ROW_HIT_CAP, RowPolicy
@@ -111,6 +124,8 @@ class ChannelController:
         self.hi_mark = drain_high_watermark
         self.lo_mark = drain_low_watermark
         self.scan_depth = scan_depth
+        #: Requests pass 2 visits per step (a depth below 1 visits one).
+        self._scan = max(1, scan_depth)
         #: "frfcfs" (paper baseline: ready row hits first) or "fcfs"
         #: (pure oldest-first; ablation of the hit-first pass).
         self.scheduler = scheduler
@@ -170,6 +185,12 @@ class ChannelController:
             for r in range(channel.core.num_ranks)
             for b in range(self._num_banks)
         ]
+        #: Per rank: open-bank bit -> global bank index ``g``, so the
+        #: step's bank walk indexes instead of calling ``bit_length``.
+        self._gmaps = [
+            {1 << b: r * self._num_banks + b for b in range(self._num_banks)}
+            for r in range(channel.core.num_ranks)
+        ]
         #: Per-rank bitmask of open banks whose row is known useless
         #: (no live request in either queue can use it, or the row-hit
         #: cap is exhausted).  Useless is *sticky* between arrivals:
@@ -208,7 +229,7 @@ class ChannelController:
             core.open_bits, core.col_ready, core.reserved,
             core.next_act_ok, core.next_col_ok, core.next_read_ok,
             core.next_write_ok, self._keybase, self._useless,
-            self._idle_close_at, self._num_banks, self._trp,
+            self._idle_close_at, self._gmaps, self._trp,
             self._tcas, self._tcwl, self._trtrs, self.row_hit_cap,
             self._close_idle, self._auto_pre, self.stats,
             core.pd, core.next_refresh,
@@ -217,23 +238,27 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Queue interface (used by the CPU/cache side)
     # ------------------------------------------------------------------
-    def can_accept(self, req: Request) -> bool:
-        queue = self.read_q if req.is_read else self.write_q
-        return not queue.is_full
-
     def enqueue(self, req: Request) -> bool:
         """Admit a request; returns False when the queue is full."""
         queue = self.read_q if req.is_read else self.write_q
-        if queue.is_full:
+        if queue._count >= queue.capacity:
             return False
         req._missed = False
         req._false = False
         # Reads always carry a full dirty mask, so this collapses to
         # FULL_MASK for them either way.
         req._needed = req.dirty_mask if self._write_needs_mask else FULL_MASK
+        # Channel-local coordinates, so the scheduler reads one slot
+        # instead of an ``addr`` chain.
+        addr = req.addr
+        rank = req._rank = addr.rank
+        bank = req._bank = addr.bank
+        req._row = addr.row
+        g = req._g = rank * self._num_banks + bank
+        req._bit = 1 << g
         queue.append(req)
         # A new arrival can make this bank's open row useful again.
-        self._useless[req.addr.rank] &= ~(1 << req.addr.bank)
+        self._useless[rank] &= ~(1 << bank)
         return True
 
     def submit(self, req: Request) -> None:
@@ -253,10 +278,6 @@ class ChannelController:
     def _observe(self, record: CommandRecord) -> None:
         if self.protocol_checker is not None:
             self.protocol_checker.observe(record)
-
-    def _needed_mask(self, req: Request) -> int:
-        """MAT-group coverage the request needs from an open row."""
-        return req._needed
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -293,7 +314,7 @@ class ChannelController:
         (open_row_a, open_mask_a, act_ready_a, pre_ready_a, accesses_a,
          autopre_a, gate_a, open_bits_a, col_ready_a, reserved_a,
          next_act_ok_a, next_col_ok_a, next_read_ok_a, next_write_ok_a,
-         keybase, useless, idle_close_at, nb, trp, tcas, tcwl, trtrs,
+         keybase, useless, idle_close_at, gmaps, trp, tcas, tcwl, trtrs,
          hit_cap, close_idle, auto_pre, stats, pd_a,
          next_refresh_a) = self._hot
         # One scheduling pass got past the command-bus gate (phase
@@ -310,17 +331,23 @@ class ChannelController:
             stats.drain_entries += 1
 
         serve_writes = self.draining or (not read_q._count and writes_pending)
-        primary = write_q if serve_writes else read_q
+        if serve_writes:
+            primary, other = write_q, read_q
+        else:
+            primary, other = read_q, write_q
         primary_by_row = primary._by_row
 
         # --- Housekeeping + refresh + pass 1 candidate (one pass) ---
         # The FR-FCFS hit scan rides the same open-bank walk as
-        # housekeeping so each bank's ``_by_row`` bucket is fetched at
+        # housekeeping so each bank's primary-queue bucket is fetched at
         # most once per step.
         pass1 = hit_cap and self._frfcfs
+        # Whether open banks need their buckets probed at all (not under
+        # restricted close-page, whose rows serve one access each).
+        probe = pass1 or close_idle
         best = None
-        best_rank = best_bank = best_g = 0
-        for rank_idx, rank in enumerate(channel.ranks):
+        ranks = channel.ranks
+        for rank_idx, rank in enumerate(ranks):
             refresh_due = cycle >= next_refresh_a[rank_idx]
             if refresh_due:
                 refresh_pending |= 1 << rank_idx
@@ -335,7 +362,7 @@ class ChannelController:
                         hint = gate
                     continue
             bits = open_bits_a[rank_idx]
-            gbase = rank_idx * nb
+            gmap = gmaps[rank_idx]
             if close_idle and not refresh_due:
                 # Known-useless open banks: frozen pre_ready, nothing to
                 # probe.  Skip them all until the cached earliest-close
@@ -349,7 +376,7 @@ class ChannelController:
                         while ubits:
                             low = ubits & -ubits
                             ubits ^= low
-                            g = gbase + low.bit_length() - 1
+                            g = gmap[low]
                             pr = pre_ready_a[g]
                             if cycle >= pr:
                                 # Background state only changes when the
@@ -381,8 +408,7 @@ class ChannelController:
             while bits:
                 low = bits & -bits
                 bits ^= low
-                bank_idx = low.bit_length() - 1
-                g = gbase + bank_idx
+                g = gmap[low]
                 # Auto-precharge (restricted policy) is command-free.
                 if auto_pre and autopre_a[g]:
                     if cycle >= pre_ready_a[g]:
@@ -397,7 +423,8 @@ class ChannelController:
                         autopre_a[g] = False
                         stats.precharges += 1
                         if not no_checker:
-                            self._observe_pre(cycle, rank_idx, bank_idx, implicit=True)
+                            self._observe_pre(
+                                cycle, rank_idx, low.bit_length() - 1, implicit=True)
                     else:
                         if pre_ready_a[g] < hint:
                             hint = pre_ready_a[g]
@@ -415,91 +442,66 @@ class ChannelController:
                             act_ready_a[g] = act
                         stats.precharges += 1
                         if not no_checker:
-                            self._observe_pre(cycle, rank_idx, bank_idx)
+                            self._observe_pre(cycle, rank_idx, low.bit_length() - 1)
                         channel.cmd_bus_free = cycle + 1
                         return (True, cycle + 1)
                     if pre_ready_a[g] < hint:
                         hint = pre_ready_a[g]
                     continue
-                capped = hit_cap and accesses_a[g] >= hit_cap
-                dq = None  # primary-queue bucket, if fetched below
-                if close_idle:
-                    # Banks already known useless were stripped from the
-                    # walk above, so this bank needs a fresh probe.
-                    useful = False
-                    if not capped:
-                        key = keybase[g] | open_row_a[g]
-                        rdq = read_q._by_row.get(key)
-                        if rdq is not None:
-                            while rdq and rdq[0].served:
-                                rdq.popleft()
-                            if not rdq:
-                                del read_q._by_row[key]
-                        if rdq:
-                            useful = True
-                            if primary is read_q:
-                                dq = rdq
-                        else:
-                            wdq = write_q._by_row.get(key)
-                            if wdq is not None:
-                                while wdq and wdq[0].served:
-                                    wdq.popleft()
-                                if not wdq:
-                                    del write_q._by_row[key]
-                            if wdq:
-                                useful = True
-                                if primary is write_q:
-                                    dq = wdq
-                    if not useful:
-                        if cycle >= pre_ready_a[g]:
-                            if not (open_bits_a[rank_idx] & ~low):
-                                rank.accrue_background(cycle)
-                            open_bits_a[rank_idx] &= ~low
-                            open_row_a[g] = -1
-                            open_mask_a[g] = FULL_MASK
-                            act = cycle + trp
-                            if act > act_ready_a[g]:
-                                act_ready_a[g] = act
-                            stats.precharges += 1
-                            if not no_checker:
-                                self._observe_pre(cycle, rank_idx, bank_idx, implicit=True)
-                            continue
-                        # Exact wake for the close-idle opportunity: the
-                        # row is useless, it just cannot be closed
-                        # before tRAS/tWR/tRTP expire.  Record it in the
-                        # useless set and its pre_ready in the per-rank
-                        # earliest-close cache.
-                        useless[rank_idx] |= 1 << bank_idx
-                        pr = pre_ready_a[g]
-                        if pr < idle_close_at[rank_idx]:
-                            idle_close_at[rank_idx] = pr
-                        if pr < hint:
-                            hint = pr
+                # Banks already known useless were stripped from the walk
+                # above, so this bank needs a fresh probe.  Under
+                # close-idle its row stays useful while either queue
+                # holds a request for it and the row-hit cap allows one.
+                if hit_cap and accesses_a[g] >= hit_cap:
+                    dq = None
+                elif probe:
+                    key = keybase[g] | open_row_a[g]
+                    dq = primary_by_row.get(key)
+                    if dq is None and close_idle and key in other._by_row:
+                        continue  # only the other queue can use the row
+                else:
+                    continue
+                if dq is None:
+                    if not close_idle:
                         continue
+                    if cycle >= pre_ready_a[g]:
+                        if not (open_bits_a[rank_idx] & ~low):
+                            rank.accrue_background(cycle)
+                        open_bits_a[rank_idx] &= ~low
+                        open_row_a[g] = -1
+                        open_mask_a[g] = FULL_MASK
+                        act = cycle + trp
+                        if act > act_ready_a[g]:
+                            act_ready_a[g] = act
+                        stats.precharges += 1
+                        if not no_checker:
+                            self._observe_pre(
+                                cycle, rank_idx, low.bit_length() - 1, implicit=True)
+                        continue
+                    # Exact wake for the close-idle opportunity: the row
+                    # is useless, it just cannot be closed before
+                    # tRAS/tWR/tRTP expire.  Record it in the useless set
+                    # and its pre_ready in the per-rank earliest-close
+                    # cache.
+                    useless[rank_idx] |= low
+                    pr = pre_ready_a[g]
+                    if pr < idle_close_at[rank_idx]:
+                        idle_close_at[rank_idx] = pr
+                    if pr < hint:
+                        hint = pr
+                    continue
                 # Pass 1: oldest ready row-buffer hit (FR-FCFS).
-                if pass1 and not capped:
-                    if dq is None:
-                        key = keybase[g] | open_row_a[g]
-                        dq = primary_by_row.get(key)
-                        if dq is not None:
-                            while dq and dq[0].served:
-                                dq.popleft()
-                            if not dq:
-                                del primary_by_row[key]
-                    if dq:
-                        cand = dq[0]
-                        if not (cand._needed & ~open_mask_a[g]) and (
-                            best is None
-                            or cand.arrive_cycle < best.arrive_cycle
-                            or (
-                                cand.arrive_cycle == best.arrive_cycle
-                                and cand.req_id < best.req_id
-                            )
-                        ):
-                            best = cand
-                            best_rank = rank_idx
-                            best_bank = bank_idx
-                            best_g = g
+                if pass1:
+                    cand = dq[0]
+                    if not (cand._needed & ~open_mask_a[g]) and (
+                        best is None
+                        or cand.arrive_cycle < best.arrive_cycle
+                        or (
+                            cand.arrive_cycle == best.arrive_cycle
+                            and cand.req_id < best.req_id
+                        )
+                    ):
+                        best = cand
             if open_bits_a[rank_idx]:
                 continue
             if refresh_due:
@@ -520,95 +522,75 @@ class ChannelController:
                 rank.enter_power_down(cycle)
                 stats.power_down_entries += 1
 
-        # The data bus is only reserved by column issue, which ends the
-        # step - so one read per step is safe.
-        free = channel.data_bus_free
-        last = channel.last_burst_rank
+        # A column candidate's earliest cycle is max(col_ready[g],
+        # floor[rank]).  The floor is what every candidate of one rank
+        # shares this step: the command slot (tCCD), the turnaround of
+        # the step's request kind, the rank gate, ``cycle`` itself and
+        # the data-bus fit (tRTRS after another rank's burst).  It is
+        # taken once per rank, on first use, and nothing the step does
+        # before returning moves its inputs: only column issue, which
+        # ends the step, reserves the data bus, and a power-down exit
+        # (which raises the gate) comes before any floor of its rank,
+        # as a powered-down rank has no open bank.  Bus occupancy never
+        # shrinks, so the bus-aware hint is never late.
+        floors = [-1] * len(ranks)
+        if primary is read_q:
+            dd = tcas
+            turn_a = next_read_ok_a
+        else:
+            dd = tcwl
+            turn_a = next_write_ok_a
 
         # --- Pass 1 column attempt for the best ready hit ---
-        skip_req = None
-        skip_hint = 0
         if best is not None:
-            ri = best_rank
-            # Rank/bank column-readiness pre-check, including data-bus
-            # fitting: the full attempt only matters once both the
-            # command slot and the burst slot are legal.  Bus occupancy
-            # never shrinks, so the bus-aware hint is never late.
-            t = next_col_ok_a[ri]
-            o = next_read_ok_a[ri] if best.is_read else next_write_ok_a[ri]
-            if o > t:
-                t = o
-            cr = col_ready_a[best_g]
-            if cr > t:
-                t = cr
-            if gate_a[ri] > t:
-                t = gate_a[ri]
-            if t < cycle:
-                t = cycle
-            dd = tcas if best.is_read else tcwl
-            bs = t + dd
-            if bs < free:
-                bs = free
+            ri = best._rank
+            f = next_col_ok_a[ri]
+            if turn_a[ri] > f:
+                f = turn_a[ri]
+            if gate_a[ri] > f:
+                f = gate_a[ri]
+            if cycle > f:
+                f = cycle
+            last = channel.last_burst_rank
+            bus = channel.data_bus_free - dd
             if last != ri and last != -1:
-                alt = free + trtrs
-                if alt > bs:
-                    bs = alt
-            if bs > t + dd:
-                t = bs - dd
+                bus += trtrs
+            if bus > f:
+                f = bus
+            floors[ri] = f
+            t = col_ready_a[best._g]
+            if f > t:
+                t = f
             if t > cycle:
-                h = t
+                if t < hint:
+                    hint = t
             else:
-                issued, h = self._try_column(cycle, best, best_rank, best_bank)
-                if issued:
-                    return (True, cycle + 1)
-            if h < hint:
-                hint = h
-            # Pass 2 would retry the identical attempt for this
-            # request; replay the outcome instead of recomputing it.
-            skip_req = best
-            skip_hint = h
+                self._try_column(cycle, best)
+                return (True, cycle + 1)
 
         # --- Pass 2: oldest-first over the primary queue ---
         # Inlined into step() so both passes share one set of local
         # bindings; this scan is the hottest loop in the simulator.
         banks_seen = 0  # bitmask over (rank, bank) pairs
-        ranks = channel.ranks
         allows_hits = self._allows_hits
-        scan_left = self.scan_depth
-        # Direct FIFO scan (hot path): equivalent to iter_oldest() but
-        # without generator overhead.
-        fifo = primary._fifo
-        while fifo and fifo[0].served:
-            fifo.popleft()
-        for req in fifo:
-            if req.served:
-                continue
-            addr = req.addr
-            rank_idx = addr.rank
+        # The ``scan_depth`` oldest live requests (at least one), each
+        # visited once: every path below either returns or moves on.
+        for req in islice(primary._fifo, self._scan):
+            rank_idx = req._rank
             if refresh_pending and refresh_pending >> rank_idx & 1:
-                if scan_left <= 1:
-                    break
-                scan_left -= 1
                 continue
-            bank_idx = addr.bank
-            g = rank_idx * nb + bank_idx
-            bank_bit = 1 << g
+            bank_bit = req._bit
             if banks_seen & bank_bit:
                 # An older request to this bank already failed.
-                if scan_left <= 1:
-                    break
-                scan_left -= 1
                 continue
             banks_seen |= bank_bit
-            rank = ranks[rank_idx]
             if pd_a[rank_idx]:
+                rank = ranks[rank_idx]
                 rank.exit_power_down(cycle)
                 if rank.pd_exit_ready < hint:
                     hint = rank.pd_exit_ready
-                if scan_left <= 1:
-                    break
-                scan_left -= 1
                 continue
+            g = req._g
             open_row = open_row_a[g]
             if open_row < 0:
                 # Cheap ACT pre-check before the (mask-merging) full
@@ -621,10 +603,10 @@ class ChannelController:
                 if t > cycle:
                     h = t
                 else:
-                    issued, h = self._try_activate(cycle, req, rank_idx, bank_idx)
+                    issued, h = self._try_activate(cycle, req)
                     if issued:
                         return (True, cycle + 1)
-            elif open_row == addr.row and not (req._needed & ~open_mask_a[g]):
+            elif open_row == req._row and not (req._needed & ~open_mask_a[g]):
                 # Restricted close-page permits exactly one column access
                 # per activation: the one the ACT was issued for.
                 may_access = (
@@ -633,43 +615,30 @@ class ChannelController:
                     else (accesses_a[g] == 0 and reserved_a[g] == req.req_id)
                 )
                 if may_access:
-                    if req is skip_req:
-                        # Pass 1 already made this exact attempt (same
-                        # request, same cycle, no state change since);
-                        # replay its failure instead of recomputing.
-                        h = skip_hint
-                    else:
-                        t = next_col_ok_a[rank_idx]
-                        o = (
-                            next_read_ok_a[rank_idx]
-                            if req.is_read
-                            else next_write_ok_a[rank_idx]
-                        )
-                        if o > t:
-                            t = o
-                        cr = col_ready_a[g]
-                        if cr > t:
-                            t = cr
-                        if gate_a[rank_idx] > t:
-                            t = gate_a[rank_idx]
-                        if t < cycle:
-                            t = cycle
-                        dd = tcas if req.is_read else tcwl
-                        bs = t + dd
-                        if bs < free:
-                            bs = free
+                    f = floors[rank_idx]
+                    if f < 0:
+                        f = next_col_ok_a[rank_idx]
+                        if turn_a[rank_idx] > f:
+                            f = turn_a[rank_idx]
+                        if gate_a[rank_idx] > f:
+                            f = gate_a[rank_idx]
+                        if cycle > f:
+                            f = cycle
+                        last = channel.last_burst_rank
+                        bus = channel.data_bus_free - dd
                         if last != rank_idx and last != -1:
-                            alt = free + trtrs
-                            if alt > bs:
-                                bs = alt
-                        if bs > t + dd:
-                            t = bs - dd
-                        if t > cycle:
-                            h = t
-                        else:
-                            issued, h = self._try_column(cycle, req, rank_idx, bank_idx)
-                            if issued:
-                                return (True, cycle + 1)
+                            bus += trtrs
+                        if bus > f:
+                            f = bus
+                        floors[rank_idx] = f
+                    t = col_ready_a[g]
+                    if f > t:
+                        t = f
+                    if t > cycle:
+                        h = t
+                    else:
+                        self._try_column(cycle, req)
+                        return (True, cycle + 1)
                 else:
                     # Row exhausted for this request: explicit PRE.
                     gate = gate_a[rank_idx]
@@ -679,9 +648,10 @@ class ChannelController:
                     elif cycle < pr:
                         h = pr
                     else:
+                        bank_idx = req._bank
                         bank_low = 1 << bank_idx
                         if not (open_bits_a[rank_idx] & ~bank_low):
-                            rank.accrue_background(cycle)
+                            ranks[rank_idx].accrue_background(cycle)
                         open_bits_a[rank_idx] &= ~bank_low
                         open_row_a[g] = -1
                         open_mask_a[g] = FULL_MASK
@@ -695,13 +665,15 @@ class ChannelController:
                         channel.cmd_bus_free = cycle + 1
                         return (True, cycle + 1)
             else:
-                if open_row == addr.row and not req._false:
+                if open_row == req._row and not req._false:
                     req._false = True
                     stats.false_hit_reactivations += 1
-                if self._row_still_useful(rank_idx, bank_idx, g, primary):
-                    if scan_left <= 1:
-                        break
-                    scan_left -= 1
+                if (
+                    pass1
+                    and not useless[rank_idx] >> req._bank & 1
+                    and accesses_a[g] < hit_cap
+                    and self._row_still_useful(g, primary)
+                ):
                     continue  # let pending hits to the open row drain first
                 # Conflicting row: explicit PRE.
                 gate = gate_a[rank_idx]
@@ -711,9 +683,10 @@ class ChannelController:
                 elif cycle < pr:
                     h = pr
                 else:
+                    bank_idx = req._bank
                     bank_low = 1 << bank_idx
                     if not (open_bits_a[rank_idx] & ~bank_low):
-                        rank.accrue_background(cycle)
+                        ranks[rank_idx].accrue_background(cycle)
                     open_bits_a[rank_idx] &= ~bank_low
                     open_row_a[g] = -1
                     open_mask_a[g] = FULL_MASK
@@ -728,9 +701,6 @@ class ChannelController:
                     return (True, cycle + 1)
             if h < hint:
                 hint = h
-            if scan_left <= 1:
-                break
-            scan_left -= 1
 
         # Idle: wake for the next refresh deadline.
         for nr in next_refresh_a:
@@ -797,44 +767,25 @@ class ChannelController:
         return limit
 
     # ------------------------------------------------------------------
-    def _row_still_useful(
-        self, rank_idx: int, bank_idx: int, g: int, primary: RequestQueue
-    ) -> bool:
-        """True if the open row has coverable requests in ``primary``.
+    def _row_still_useful(self, g: int, primary: RequestQueue) -> bool:
+        """True if the open row of bank ``g`` has a coverable request in
+        ``primary``.
 
         Only the queue currently being served may keep a row open:
         otherwise a read conflicting with a row that only queued writes
         could use would wait for writes that are themselves waiting for
-        the read queue to empty (priority livelock).
+        the read queue to empty (priority livelock).  The caller has
+        already ruled out what makes any row useless: the fcfs ablation
+        and restricted close-page (no row hits), a known-useless bank
+        and an exhausted row-hit cap.
         """
-        if not self._allows_hits:
-            return False
-        if not self._frfcfs:
-            # Strict order: the oldest request always wins the bank.
-            return False
-        if self._useless[rank_idx] >> bank_idx & 1:
-            # Known-useless (empty buckets in both queues, or capped):
-            # skip the bucket walk entirely.
-            return False
         core = self._core
-        if core.accesses[g] >= self.row_hit_cap:
-            return False
-        packed = self._keybase[g] | core.open_row[g]
-        agg = primary._row_agg.get(packed)
-        if agg is None:
-            # No live request for the row (aggregates drop at live==0,
-            # so this also covers buckets full of served stragglers).
+        bucket = primary._by_row.get(self._keybase[g] | core.open_row[g])
+        if bucket is None:
             return False
         closed_groups = ~core.open_mask[g]
-        if not (agg[0] & closed_groups):
-            # The aggregate OR never understates the live union, so a
-            # fully-covered OR proves every live member is coverable.
-            return True
-        dq = primary._by_row.get(packed)
-        if not dq:
-            return False
-        for cand in dq:
-            if not cand.served and not (cand._needed & closed_groups):
+        for cand in bucket:
+            if not (cand._needed & closed_groups):
                 return True
         return False
 
@@ -846,10 +797,9 @@ class ChannelController:
         scheme = self.scheme
         if req.is_write and scheme.write_uses_mask:
             # Queued writes carry ``_needed == dirty_mask`` under mask
-            # schemes, so the queue's per-row OR aggregate *is* the
-            # Section 5.2.1 merge — O(1) when fresh instead of a bucket
-            # walk per ACT.  ``req`` is still queued here, but OR its
-            # own mask anyway so the plan never depends on that.
+            # schemes, so the OR over the row's bucket *is* the Section
+            # 5.2.1 merge.  ``req`` is still queued here, but OR its own
+            # mask anyway so the plan never depends on that.
             merged = req.dirty_mask | self.write_q.merged_needed(req._rowkey)
             fraction = (
                 mask_ops.popcount(merged) / WORDS_PER_LINE
@@ -860,11 +810,11 @@ class ChannelController:
             return (FULL_MASK, scheme.write_fraction, False)
         return (FULL_MASK, scheme.read_fraction, False)
 
-    def _try_activate(
-        self, cycle: int, req: Request, rank_idx: int, bank_idx: int
-    ) -> Tuple[bool, int]:
+    def _try_activate(self, cycle: int, req: Request) -> Tuple[bool, int]:
         core = self._core
-        g = rank_idx * self._num_banks + bank_idx
+        rank_idx = req._rank
+        bank_idx = req._bank
+        g = req._g
         rank = self.channel.ranks[rank_idx]
         relax = self._relax
         if req.is_read:
@@ -877,19 +827,10 @@ class ChannelController:
             # 3/8 in the tRRD/tFAW budget (conservative for peak power).
             granularity = max(1, math.ceil(fraction * 8 - 1e-9))
             weight = granularity / 8.0 if relax else 1.0
-        t = cycle
-        v = core.next_act_ok[rank_idx]
-        if v > t:
-            t = v
-        v = core.act_ready[g]
-        if v > t:
-            t = v
-        v = core.gate[rank_idx]
-        if v > t:
-            t = v
-        faw_t = rank.faw.next_allowed(t, weight)
-        if faw_t > t:
-            t = faw_t
+        # The caller has checked act_ready (tRC/tRP), next_act_ok (tRRD)
+        # and the rank gate against ``cycle``; the tFAW window depends
+        # on this activation's weight, so it is checked here.
+        t = rank.faw.next_allowed(cycle, weight)
         if t > cycle:
             return (False, t)
         if masked and self.scheme.mask_via_dm_pin:
@@ -908,7 +849,7 @@ class ChannelController:
             rank.accrue_background(cycle)
         act_mask = coverage if masked else FULL_MASK
         pays_mask_cycle = masked and self.scheme.masked_act_extra_cycle
-        row = req.addr.row
+        row = req._row
         core.open_bits[rank_idx] |= 1 << bank_idx
         core.open_row[g] = row
         core.open_mask[g] = act_mask
@@ -938,9 +879,7 @@ class ChannelController:
         self.channel.cmd_bus_free = cycle + (2 if pays_mask_cycle else 1)
         return (True, cycle + 1)
 
-    def _try_column(
-        self, cycle: int, req: Request, rank_idx: int, bank_idx: int
-    ) -> Tuple[bool, int]:
+    def _try_column(self, cycle: int, req: Request) -> None:
         """Issue the column command for ``req`` at ``cycle`` and extend
         it into a burst streak when more mask-compatible hits are queued.
 
@@ -956,7 +895,9 @@ class ChannelController:
         """
         channel = self.channel
         core = self._core
-        g = rank_idx * self._num_banks + bank_idx
+        rank_idx = req._rank
+        bank_idx = req._bank
+        g = req._g
         is_read = req.is_read
         if is_read:
             dd = self._tcas
@@ -972,8 +913,9 @@ class ChannelController:
         if self._streaks:
             budget = self.row_hit_cap - core.accesses[g] - 1
             if budget > 0:
-                dq = queue._by_row.get(self._keybase[g] | core.open_row[g])
-                if dq is not None and len(dq) > 1:
+                # ``req`` targets the open row, so this is its bucket.
+                dq = queue._by_row[req._rowkey]
+                if len(dq) > 1:
                     # A streak owns the command bus until its last
                     # command; never extend past any rank's refresh
                     # deadline so refresh service is not starved.
@@ -987,7 +929,7 @@ class ChannelController:
                     if budget > 0:
                         open_mask = core.open_mask[g]
                         for cand in dq:
-                            if cand.served or cand is req:
+                            if cand is req:
                                 continue
                             if cand._needed & ~open_mask:
                                 continue
@@ -1059,7 +1001,7 @@ class ChannelController:
                 accountant.on_write_burst(
                     driven_fraction=driven, other_ranks=other_ranks
                 )
-            return (True, cycle + 1)
+            return
 
         # --- Streak commit: per-request bookkeeping in issue order ---
         kind_stats = self.stats.reads if is_read else self.stats.writes
@@ -1109,7 +1051,6 @@ class ChannelController:
             accountant.on_write_burst(other_ranks=other_ranks, count=n)
         self.stats.streaks += 1
         self.stats.streak_commands += n
-        return (True, cycle + 1)
 
     # ------------------------------------------------------------------
     def flush_background(self, cycle: int) -> None:

@@ -9,22 +9,18 @@ on:
 * all queued writes to a row (to OR their PRA masks at activation,
   Section 5.2.1).
 
-Removal is lazy: served requests are flagged and skipped/popped when
-they reach the head of a deque, keeping every operation amortized O(1).
-
-Each row bucket also keeps a flat ``[needed_or, live, stale]``
-aggregate so the controller's two per-step probes — "what coverage
-would an ACT for this row need?" and "does the open row still have a
-coverable request?" — are O(1) while the aggregate is fresh.  Appends
-keep ``needed_or`` exact; removals only mark it stale (the OR may then
-*overstate* the live union, never understate it), and
-:meth:`RequestQueue.merged_needed` recomputes exactly on demand.
+Removal is eager: the FCFS order is an insertion-ordered dict of live
+requests keyed by the request object itself (``req_id`` is caller-
+settable, so it is not a safe key), and each row bucket is a list of
+live requests in arrival order, dropped when its last member leaves.
+Every structure therefore holds live requests only: the oldest-first
+scan, the row probes and the mask merge never step over served ones.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dram.commands import Request
 
@@ -48,21 +44,18 @@ def pack_row_key(key: RowKey) -> int:
 
 
 class RequestQueue:
-    """FCFS queue with a row index and lazy removal."""
+    """FCFS queue of live requests with a row index."""
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
         self.capacity = capacity
-        self._fifo: Deque[Request] = deque()
-        #: Row index keyed by the packed int form (``pack_row_key``).
-        self._by_row: Dict[int, Deque[Request]] = {}
-        #: Per-row ``[needed_or, live, stale]`` aggregate, same keys as
-        #: ``_by_row`` but dropped eagerly when the last live member
-        #: leaves — so ``get`` is also the live-emptiness test.  The OR
-        #: covers live members exactly while ``stale`` is 0 and is a
-        #: superset of them once removals set ``stale`` to 1.
-        self._row_agg: Dict[int, List[int]] = {}
+        #: Live requests in arrival order (dict keys; values unused).
+        self._fifo: Dict[Request, None] = {}
+        #: Row index keyed by the packed int form (``pack_row_key``):
+        #: live requests oldest first; a key exists only while its list
+        #: is non-empty, so ``get`` is also the emptiness test.
+        self._by_row: Dict[int, List[Request]] = {}
         self._per_rank: Dict[int, int] = {}
         self._count = 0
 
@@ -75,101 +68,60 @@ class RequestQueue:
 
     def append(self, req: Request) -> None:
         """Admit a request at the tail; raises OverflowError when full."""
-        if self.is_full:
+        if self._count >= self.capacity:
             raise OverflowError("queue full")
-        req.served = False
-        self._fifo.append(req)
-        key = req._rowkey
-        self._by_row.setdefault(key, deque()).append(req)
-        agg = self._row_agg.get(key)
-        if agg is None:
-            self._row_agg[key] = [req._needed, 1, 0]
+        self._fifo[req] = None
+        bucket = self._by_row.get(req._rowkey)
+        if bucket is None:
+            self._by_row[req._rowkey] = [req]
         else:
-            agg[0] |= req._needed
-            agg[1] += 1
-        self._per_rank[req.addr.rank] = self._per_rank.get(req.addr.rank, 0) + 1
+            bucket.append(req)
+        rank = req.addr.rank
+        self._per_rank[rank] = self._per_rank.get(rank, 0) + 1
         self._count += 1
 
     def remove(self, req: Request) -> None:
-        """Mark a request served; physically dropped lazily."""
-        if req.served:
-            raise KeyError(f"request {req.req_id} already removed")
-        req.served = True
+        """Drop a served request; KeyError if it is not queued."""
+        del self._fifo[req]
         self._count -= 1
-        agg = self._row_agg[req._rowkey]
-        if agg[1] == 1:
-            del self._row_agg[req._rowkey]
+        bucket = self._by_row[req._rowkey]
+        if len(bucket) == 1:
+            del self._by_row[req._rowkey]
         else:
-            agg[1] -= 1
-            agg[2] = 1
+            bucket.remove(req)
         rank = req.addr.rank
-        self._per_rank[rank] -= 1
-        if self._per_rank[rank] == 0:
+        left = self._per_rank[rank] - 1
+        if left:
+            self._per_rank[rank] = left
+        else:
             del self._per_rank[rank]
 
-    @staticmethod
-    def _compact(dq: Deque[Request]) -> None:
-        while dq and dq[0].served:
-            dq.popleft()
-
     def oldest(self) -> Optional[Request]:
-        self._compact(self._fifo)
-        return self._fifo[0] if self._fifo else None
+        return next(iter(self._fifo), None)
 
-    def iter_oldest(self, limit: int) -> Iterable[Request]:
+    def iter_oldest(self, limit: int) -> Iterator[Request]:
         """Up to ``limit`` live requests in FCFS order."""
-        self._compact(self._fifo)
-        found = 0
-        for req in self._fifo:
-            if req.served:
-                continue
-            yield req
-            found += 1
-            if found >= limit:
-                return
+        return islice(self._fifo, limit)
 
     def oldest_for_row(self, key: RowKey) -> Optional[Request]:
         """Oldest live request targeting the row, or None."""
-        packed = pack_row_key(key)
-        dq = self._by_row.get(packed)
-        if dq is None:
-            return None
-        self._compact(dq)
-        if not dq:
-            del self._by_row[packed]
-            return None
-        return dq[0]
+        bucket = self._by_row.get(pack_row_key(key))
+        return None if bucket is None else bucket[0]
 
     def has_row(self, key: RowKey) -> bool:
-        return self.oldest_for_row(key) is not None
+        return pack_row_key(key) in self._by_row
 
     def merged_needed(self, packed: int) -> int:
-        """Exact OR of ``_needed`` over live requests for a packed row.
-
-        O(1) while the aggregate is fresh; a stale aggregate (some
-        member removed since the last recompute) is rebuilt from the
-        bucket and becomes fresh again.  Returns 0 for empty rows.
-        """
-        agg = self._row_agg.get(packed)
-        if agg is None:
-            return 0
-        if agg[2]:
-            merged = 0
-            dq = self._by_row.get(packed)
-            if dq is not None:
-                for r in dq:
-                    if not r.served:
-                        merged |= r._needed
-            agg[0] = merged
-            agg[2] = 0
-        return agg[0]
+        """OR of ``_needed`` over the live requests of a packed row
+        (0 for an empty row): the Section 5.2.1 mask merge."""
+        merged = 0
+        for req in self._by_row.get(packed, ()):
+            merged |= req._needed
+        return merged
 
     def requests_for_row(self, key: RowKey) -> List[Request]:
         """All live requests targeting the row, oldest first."""
-        dq = self._by_row.get(pack_row_key(key))
-        if not dq:
-            return []
-        return [r for r in dq if not r.served]
+        return list(self._by_row.get(pack_row_key(key), ()))
 
     def pending_for_rank(self, rank: int) -> int:
         return self._per_rank.get(rank, 0)

@@ -89,14 +89,27 @@ class Request:
         "core_id",
         "req_id",
         "complete_cycle",
-        "served",
         "is_read",
         "is_write",
         "_missed",
         "_false",
         "_needed",
         "_rowkey",
+        "_rank",
+        "_bank",
+        "_row",
+        "_g",
+        "_bit",
     )
+
+    #: Channel-local coordinates, set by the admitting controller
+    #: (``ChannelController.enqueue``): rank, bank, row, bank index
+    #: ``g`` within the channel, and ``1 << g``.
+    _rank: int
+    _bank: int
+    _row: int
+    _g: int
+    _bit: int
 
     def __init__(
         self,
@@ -107,7 +120,6 @@ class Request:
         core_id: int = 0,
         req_id: Optional[int] = None,
         complete_cycle: Optional[int] = None,
-        served: bool = False,
     ) -> None:
         self.kind = kind
         self.addr = addr
@@ -116,9 +128,6 @@ class Request:
         self.req_id = next(_req_ids) if req_id is None else req_id
         #: Cycle at which the request finished (data returned / written).
         self.complete_cycle = complete_cycle
-        #: Maintained by the controller queues: True once the request has
-        #: been serviced and lazily removed.
-        self.served = served
         self.is_read = kind is ReqKind.READ
         self.is_write = kind is ReqKind.WRITE
         if self.is_read:

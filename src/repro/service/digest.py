@@ -52,11 +52,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _positive_int(value: Any, name: str) -> int:
+def _checked_int(value: Any, name: str, minimum: int = 1) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
+    if value < minimum:
+        raise ValueError(
+            f"{name} must be {'positive' if minimum == 1 else 'non-negative'}"
+        )
     return value
 
 
@@ -95,16 +98,17 @@ class SweepSpec:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        events = _positive_int(payload.get("events_per_core", 4000), "events_per_core")
+        events = _checked_int(payload.get("events_per_core", 4000), "events_per_core")
         seed = payload.get("seed", 1)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError("seed must be an integer")
         warmup = payload.get("warmup_events_per_core")
         if warmup is not None:
-            warmup = _positive_int(warmup, "warmup_events_per_core")
+            # 0 skips warmup, as it does for System and Sweep.
+            warmup = _checked_int(warmup, "warmup_events_per_core", minimum=0)
         llc = payload.get("llc_bytes")
         if llc is not None:
-            llc = _positive_int(llc, "llc_bytes")
+            llc = _checked_int(llc, "llc_bytes")
         raw_axes = payload.get("axes")
         if not isinstance(raw_axes, Mapping) or not raw_axes:
             raise ValueError("spec needs a non-empty 'axes' object")

@@ -1,4 +1,4 @@
-"""Request queues: FCFS order, row indexing, lazy removal, rank counts."""
+"""Request queues: FCFS order, row indexing, removal, rank counts."""
 
 import pytest
 
@@ -123,3 +123,8 @@ class TestIterOldest:
             q.append(r)
         q.remove(reqs[1])
         assert list(q.iter_oldest(10)) == [reqs[0], reqs[2], reqs[3]]
+
+    def test_zero_limit_yields_nothing(self):
+        q = RequestQueue(8)
+        q.append(make_req())
+        assert list(q.iter_oldest(0)) == []

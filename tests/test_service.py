@@ -106,6 +106,20 @@ class TestDigests:
         with pytest.raises(ValueError):
             SweepSpec.from_payload(payload)
 
+    def test_zero_warmup_round_trips(self):
+        """0 skips warmup, as it does for System and Sweep; None is the
+        per-workload default, so the two are different jobs."""
+        spec = SweepSpec.from_payload(dict(SPEC, warmup_events_per_core=0))
+        assert spec.warmup_events_per_core == 0
+        assert spec.canonical()["warmup_events_per_core"] == 0
+        again = SweepSpec.from_payload(spec.canonical())
+        assert again == spec
+        assert again.job_id() == spec.job_id()
+        assert spec.job_id() != SweepSpec.from_payload(SPEC).job_id()
+        for bad in (-1, True, 1.5, "0"):
+            with pytest.raises(ValueError):
+                SweepSpec.from_payload(dict(SPEC, warmup_events_per_core=bad))
+
     def test_grid_order_is_canonical_axis_order(self):
         spec = SweepSpec.from_payload(SPEC)
         points = spec.points()
