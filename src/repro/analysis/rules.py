@@ -4,7 +4,7 @@ Three rule families guard the invariants PRs 1-3 built the fast paths
 on (see DESIGN.md, "Correctness tooling"):
 
 **Determinism** — the fast-path/oracle duality (event engine vs
-polling, TimingCore vs Bank/Rank views, TraceBlocks vs generator,
+polling, TimingCore vs the protocol checker, TraceBlocks vs generator,
 snapshot restore vs cold warmup) is only testable because runs are
 bit-reproducible.  Anything that injects wall-clock time, the global
 RNG, or unordered iteration into sim code silently breaks that.
@@ -519,7 +519,7 @@ class _ModuleChecker(ast.NodeVisitor):
 def _resolve_twin(twin: str, repo_root: str) -> bool:
     """True if a dotted ``ORACLE_TWIN`` resolves to a module under src/.
 
-    The declaration may point at a module (``repro.dram.bank``) or an
+    The declaration may point at a module (``repro.dram.protocol``) or an
     attribute inside one (``repro.sim.system.System._run_polling``):
     components are stripped from the right until a file matches.
     """

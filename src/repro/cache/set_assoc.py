@@ -150,6 +150,22 @@ class Eviction:
         return self.dirty_mask != 0
 
 
+def num_sets(capacity_bytes: int, ways: int, line_bytes: int = LINE_BYTES) -> int:
+    """Set count of a ``ways``-way cache of ``capacity_bytes``.
+
+    The one cache-geometry rule: the capacity must be a whole, positive
+    number of ``ways * line_bytes`` sets, else ``ValueError``.
+    :class:`~repro.sim.config.CacheConfig` applies it when a config is
+    made, so a geometry no cache can be built with fails there.
+    """
+    if ways < 1 or capacity_bytes % (ways * line_bytes):
+        raise ValueError("capacity must be a multiple of ways * line size")
+    sets = capacity_bytes // (ways * line_bytes)
+    if sets < 1:
+        raise ValueError("cache must have at least one set")
+    return sets
+
+
 class SetAssociativeCache:
     """LRU set-associative cache over line addresses (array-backed)."""
 
@@ -170,13 +186,9 @@ class SetAssociativeCache:
         allocation would be pure garbage); the System constructor uses
         this when a warm snapshot is already in hand.
         """
-        if capacity_bytes % (ways * line_bytes):
-            raise ValueError("capacity must be a multiple of ways * line size")
         self.name = name
         self.ways = ways
-        self.num_sets = capacity_bytes // (ways * line_bytes)
-        if self.num_sets < 1:
-            raise ValueError("cache must have at least one set")
+        self.num_sets = num_sets(capacity_bytes, ways, line_bytes)
         slots = self.num_sets * ways
         #: Per-set ``tag -> slot`` directory.
         self._tags: List[Dict[int, int]] = (

@@ -22,13 +22,18 @@ which calling again could make progress (used for event skip-ahead).
 
 Three structural optimizations define this controller's hot path:
 
-**Array-backed timing state.**  All per-(rank, bank) and per-rank
-timing state lives in the channel's :class:`repro.dram.soa.TimingCore`
-flat integer arrays, indexed by ``g = rank * num_banks + bank``.  The
-scheduling passes bind those arrays as locals and read/write them
-directly; the ``Bank``/``Rank`` objects are views over the same arrays,
-so the object API (unit tests, reference models) and the scheduler can
-never disagree.
+**Array-backed timing state, one writer.**  All per-(rank, bank) and
+per-rank timing state lives in the channel's
+:class:`repro.dram.soa.TimingCore` flat integer arrays, indexed by
+``g = rank * num_banks + bank``.  The scheduling passes bind those
+arrays as locals and read them directly, and this controller is their
+only writer: each command's state change is written once, ACT in
+:meth:`ChannelController._try_activate`, RD/WR in
+:meth:`ChannelController._try_column`, PRE (explicit or implicit) in
+:meth:`ChannelController._precharge`, and REF and power-down entry and
+exit in :class:`repro.dram.rank.Rank`.  No second device model
+restates the rules; :class:`repro.dram.protocol.ProtocolChecker`
+re-derives them from the command stream and is the oracle.
 
 **Burst-streak scheduling.**  When a bank wins arbitration with N
 queued column hits to its open row (mask-compatible under PRA), the
@@ -229,10 +234,9 @@ class ChannelController:
             core.open_bits, core.col_ready, core.reserved,
             core.next_act_ok, core.next_col_ok, core.next_read_ok,
             core.next_write_ok, self._keybase, self._useless,
-            self._idle_close_at, self._gmaps, self._trp,
-            self._tcas, self._tcwl, self._trtrs, self.row_hit_cap,
-            self._close_idle, self._auto_pre, self.stats,
-            core.pd, core.next_refresh,
+            self._idle_close_at, self._gmaps, self._tcas, self._tcwl,
+            self._trtrs, self.row_hit_cap, self._close_idle,
+            self._auto_pre, self.stats, core.pd, core.next_refresh,
         )
 
     # ------------------------------------------------------------------
@@ -314,7 +318,7 @@ class ChannelController:
         (open_row_a, open_mask_a, act_ready_a, pre_ready_a, accesses_a,
          autopre_a, gate_a, open_bits_a, col_ready_a, reserved_a,
          next_act_ok_a, next_col_ok_a, next_read_ok_a, next_write_ok_a,
-         keybase, useless, idle_close_at, gmaps, trp, tcas, tcwl, trtrs,
+         keybase, useless, idle_close_at, gmaps, tcas, tcwl, trtrs,
          hit_cap, close_idle, auto_pre, stats, pd_a,
          next_refresh_a) = self._hot
         # One scheduling pass got past the command-bus gate (phase
@@ -379,25 +383,7 @@ class ChannelController:
                             g = gmap[low]
                             pr = pre_ready_a[g]
                             if cycle >= pr:
-                                # Background state only changes when the
-                                # rank's *last* open bank closes (or its
-                                # first opens); spans between transitions
-                                # accrue lazily at the next transition,
-                                # charged to the same - unchanged - state.
-                                if not (open_bits_a[rank_idx] & ~low):
-                                    rank.accrue_background(cycle)
-                                open_bits_a[rank_idx] &= ~low
-                                open_row_a[g] = -1
-                                open_mask_a[g] = FULL_MASK
-                                act = cycle + trp
-                                if act > act_ready_a[g]:
-                                    act_ready_a[g] = act
-                                stats.precharges += 1
-                                if not no_checker:
-                                    self._observe_pre(
-                                        cycle, rank_idx,
-                                        low.bit_length() - 1, implicit=True,
-                                    )
+                                self._precharge(cycle, rank_idx, g, low, True)
                             elif pr < new_min:
                                 new_min = pr
                         idle_close_at[rank_idx] = new_min
@@ -412,38 +398,14 @@ class ChannelController:
                 # Auto-precharge (restricted policy) is command-free.
                 if auto_pre and autopre_a[g]:
                     if cycle >= pre_ready_a[g]:
-                        if not (open_bits_a[rank_idx] & ~low):
-                            rank.accrue_background(cycle)
-                        open_bits_a[rank_idx] &= ~low
-                        open_row_a[g] = -1
-                        open_mask_a[g] = FULL_MASK
-                        act = cycle + trp
-                        if act > act_ready_a[g]:
-                            act_ready_a[g] = act
-                        autopre_a[g] = False
-                        stats.precharges += 1
-                        if not no_checker:
-                            self._observe_pre(
-                                cycle, rank_idx, low.bit_length() - 1, implicit=True)
-                    else:
-                        if pre_ready_a[g] < hint:
-                            hint = pre_ready_a[g]
+                        self._precharge(cycle, rank_idx, g, low, True)
+                    elif pre_ready_a[g] < hint:
+                        hint = pre_ready_a[g]
                     continue
                 if refresh_due:
                     # Force-close for refresh (consumes the command slot).
                     if cycle >= pre_ready_a[g]:
-                        if not (open_bits_a[rank_idx] & ~low):
-                            rank.accrue_background(cycle)
-                        open_bits_a[rank_idx] &= ~low
-                        open_row_a[g] = -1
-                        open_mask_a[g] = FULL_MASK
-                        act = cycle + trp
-                        if act > act_ready_a[g]:
-                            act_ready_a[g] = act
-                        stats.precharges += 1
-                        if not no_checker:
-                            self._observe_pre(cycle, rank_idx, low.bit_length() - 1)
-                        channel.cmd_bus_free = cycle + 1
+                        self._precharge(cycle, rank_idx, g, low, False)
                         return (True, cycle + 1)
                     if pre_ready_a[g] < hint:
                         hint = pre_ready_a[g]
@@ -465,18 +427,7 @@ class ChannelController:
                     if not close_idle:
                         continue
                     if cycle >= pre_ready_a[g]:
-                        if not (open_bits_a[rank_idx] & ~low):
-                            rank.accrue_background(cycle)
-                        open_bits_a[rank_idx] &= ~low
-                        open_row_a[g] = -1
-                        open_mask_a[g] = FULL_MASK
-                        act = cycle + trp
-                        if act > act_ready_a[g]:
-                            act_ready_a[g] = act
-                        stats.precharges += 1
-                        if not no_checker:
-                            self._observe_pre(
-                                cycle, rank_idx, low.bit_length() - 1, implicit=True)
+                        self._precharge(cycle, rank_idx, g, low, True)
                         continue
                     # Exact wake for the close-idle opportunity: the row
                     # is useless, it just cannot be closed before
@@ -648,21 +599,7 @@ class ChannelController:
                     elif cycle < pr:
                         h = pr
                     else:
-                        bank_idx = req._bank
-                        bank_low = 1 << bank_idx
-                        if not (open_bits_a[rank_idx] & ~bank_low):
-                            ranks[rank_idx].accrue_background(cycle)
-                        open_bits_a[rank_idx] &= ~bank_low
-                        open_row_a[g] = -1
-                        open_mask_a[g] = FULL_MASK
-                        act = cycle + trp
-                        if act > act_ready_a[g]:
-                            act_ready_a[g] = act
-                        autopre_a[g] = False
-                        stats.precharges += 1
-                        if not no_checker:
-                            self._observe_pre(cycle, rank_idx, bank_idx)
-                        channel.cmd_bus_free = cycle + 1
+                        self._precharge(cycle, rank_idx, g, 1 << req._bank, False)
                         return (True, cycle + 1)
             else:
                 if open_row == req._row and not req._false:
@@ -683,21 +620,7 @@ class ChannelController:
                 elif cycle < pr:
                     h = pr
                 else:
-                    bank_idx = req._bank
-                    bank_low = 1 << bank_idx
-                    if not (open_bits_a[rank_idx] & ~bank_low):
-                        ranks[rank_idx].accrue_background(cycle)
-                    open_bits_a[rank_idx] &= ~bank_low
-                    open_row_a[g] = -1
-                    open_mask_a[g] = FULL_MASK
-                    act = cycle + trp
-                    if act > act_ready_a[g]:
-                        act_ready_a[g] = act
-                    autopre_a[g] = False
-                    stats.precharges += 1
-                    if not no_checker:
-                        self._observe_pre(cycle, rank_idx, bank_idx)
-                    channel.cmd_bus_free = cycle + 1
+                    self._precharge(cycle, rank_idx, g, 1 << req._bank, False)
                     return (True, cycle + 1)
             if h < hint:
                 hint = h
@@ -708,13 +631,40 @@ class ChannelController:
                 hint = nr
         return (False, hint if hint > cycle else cycle + 1)
 
-    def _observe_pre(
-        self, cycle: int, rank_idx: int, bank_idx: int, implicit: bool = False
+    def _precharge(
+        self, cycle: int, rank_idx: int, g: int, bit: int, implicit: bool
     ) -> None:
+        """Close bank ``g`` (bank bit ``bit`` of rank ``rank_idx``) at
+        ``cycle``; its next ACT waits tRP.
+
+        Every precharge goes through here: the explicit PREs (row
+        conflict, exhausted row, force-close for refresh), which take
+        the command slot, and the command-free ``implicit`` ones
+        (auto-precharge, close-idle).  Callers have checked
+        ``pre_ready`` and, for an explicit PRE, the rank gate.
+        """
+        core = self._core
+        open_bits = core.open_bits
+        if not (open_bits[rank_idx] & ~bit):
+            # Background state only changes when the rank's *last* open
+            # bank closes (or its first opens); spans between
+            # transitions accrue lazily at the next transition, charged
+            # to the same - unchanged - state.
+            self.channel.ranks[rank_idx].accrue_background(cycle)
+        open_bits[rank_idx] &= ~bit
+        core.open_row[g] = -1
+        core.open_mask[g] = FULL_MASK
+        act = cycle + self._trp
+        if act > core.act_ready[g]:
+            core.act_ready[g] = act
+        core.autopre[g] = False
+        self.stats.precharges += 1
+        if not implicit:
+            self.channel.cmd_bus_free = cycle + 1
         if self.protocol_checker is not None:
             self.protocol_checker.observe(CommandRecord(
                 cycle=cycle, cmd=Cmd.PRE, rank=rank_idx,
-                bank=bank_idx, implicit=implicit))
+                bank=bit.bit_length() - 1, implicit=implicit))
 
     # ------------------------------------------------------------------
     def run_until(self, cycle: int, limit: int) -> int:

@@ -1,14 +1,11 @@
-"""DRAM commands and memory requests.
-
-``Command`` enumerates the device commands the controller can issue.
-``PRA_ACT`` is the paper's new command: a row activation accompanied by
-an 8-bit PRA mask (delivered over the address bus in the following
-cycle) that opens only the selected MAT groups of the row.
+"""Memory requests and decoded DRAM addresses.
 
 ``Request`` is the unit of work entering the memory controller: a 64 B
 cache-line read or write.  Write requests carry the fine-grained dirty
 mask (one bit per 8 B word) produced by the FGD cache hierarchy; the
-controller turns that mask into the PRA mask of the activation.
+controller turns that mask into the PRA mask of the activation.  The
+device commands the controller issues for it are
+:class:`repro.dram.protocol.Cmd` records.
 """
 
 from __future__ import annotations
@@ -19,17 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dram.geometry import FULL_MASK
-
-
-class Command(enum.Enum):
-    """Device-level DRAM commands."""
-
-    ACT = "ACT"
-    PRA_ACT = "PRA_ACT"
-    READ = "READ"
-    WRITE = "WRITE"
-    PRE = "PRE"
-    REFRESH = "REFRESH"
 
 
 class ReqKind(enum.Enum):

@@ -1,11 +1,15 @@
 """Independent DDR3 protocol checker (differential verification).
 
-The scheduler in :mod:`repro.controller.memctrl` enforces timing through
-the Bank/Rank ``can_*`` predicates.  This module re-implements the DDR3
-rules *independently*, from the command stream alone, so tests can
-attach a :class:`ProtocolChecker` to a controller and fail on any
-violation the scheduler lets through — classic differential testing,
-the same role DRAMSim2's internal checker plays for the original paper.
+The device state is the channel's :class:`~repro.dram.soa.TimingCore`,
+and the scheduler in :mod:`repro.controller.memctrl` is its only
+writer: it enforces timing by reading the core's readiness arrays
+before it issues, and changes them once per command.  This module
+re-implements the DDR3 rules *independently*, from the command stream
+alone, so tests (and ``REPRO_SANITIZE=1`` runs) can attach a
+:class:`ProtocolChecker` to a controller and fail on any violation the
+scheduler lets through — classic differential testing, the same role
+DRAMSim2's internal checker plays for the original paper.  It is the
+oracle of the one device model.
 
 Checked rules (per the JEDEC DDR3 core set + the paper's PRA extension):
 

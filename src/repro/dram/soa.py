@@ -1,31 +1,32 @@
 """Structure-of-arrays timing state shared by a channel's ranks/banks.
 
-The scheduler's hot loops (housekeeping walk, FR-FCFS passes, burst
-streak commits) read and write per-bank and per-rank timing state tens
-of times per issued command.  Scattering that state across ``Bank`` /
-``Rank`` objects costs an attribute load per touch; flattening it into
-plain integer lists indexed by ``g = rank_index * num_banks +
-bank_index`` turns readiness checks and wake-hint computation into flat
-array min/compare loops.
+The :class:`TimingCore` *is* the device state of one channel: open rows
+and their PRA masks, per-bank ACT/column/PRE readiness, and per-rank
+tRRD/tCCD/turnaround floors, command gate, power-down flag and refresh
+deadline, as plain integer lists indexed by ``g = rank_index *
+num_banks + bank_index`` (per-bank) or by rank.  The scheduler's hot
+loops (housekeeping walk, FR-FCFS passes, burst streak commits) read
+this state tens of times per issued command, and flat arrays turn
+readiness checks and wake-hint computation into flat min/compare
+loops.
 
-One :class:`TimingCore` is created per channel and adopted by that
-channel's :class:`~repro.controller.memctrl.ChannelController`, which
-binds the arrays as locals in its scheduling passes.  The ``Bank`` and
-``Rank`` classes remain the public API: they are thin views whose
-properties read and write these arrays, so unit tests, the protocol
-checker and the ``strict_polling`` oracle keep working unchanged.
+One :class:`TimingCore` is created per channel
+(:class:`~repro.dram.channel.Channel`) and adopted by that channel's
+:class:`~repro.controller.memctrl.ChannelController`, its only writer:
+the controller changes it for ACT, RD/WR and PRE in one place each,
+and through :class:`~repro.dram.rank.Rank` for refresh and power-down.
+:class:`~repro.dram.protocol.ProtocolChecker` re-derives the DDR3
+rules from the command stream alone and is the oracle.
 
 Encoding conventions:
 
-* ``open_row[g]`` is ``-1`` for a precharged bank (``Bank.open_row``
-  translates to/from ``None``),
-* ``autopre[g]`` / ``reserved[g]`` mirror ``Bank.pending_autopre`` /
-  ``Bank.reserved_req``,
+* ``open_row[g]`` is ``-1`` for a precharged bank,
+* ``autopre[g]`` is a pending auto-precharge (restricted close-page),
+  ``reserved[g]`` the request id an activation was issued for,
 * ``open_bits[r]`` is the rank's open-bank bitmask,
-* ``gate[r]`` caches ``max(pd_exit_ready, refresh_until)`` — the
-  earliest cycle any command may issue on the rank,
-* ``pd[r]`` is 1 while the rank sits in precharge power-down
-  (``Rank.powered_down`` translates to/from ``bool``),
+* ``gate[r]`` is the earliest cycle any command may issue on the rank
+  (the later of power-down exit and the end of a refresh),
+* ``pd[r]`` is 1 while the rank sits in precharge power-down,
 * ``next_refresh[r]`` is the rank's next refresh deadline.
 """
 
@@ -36,12 +37,13 @@ from typing import List, Optional
 from repro.dram.geometry import FULL_MASK
 
 # Oracle-parity declaration enforced by reprolint: this module is the
-# array-backed fast path; the Bank/Rank object views are the oracle.
-# The golden digests in tests/test_engine_identity.py pin its results.
+# array-backed device state; the independent protocol checker is the
+# oracle.  Its tests replay every command the controller issues through
+# the checker, and the golden digests pin the results.
 REPRO_FAST_PATH = True
-ORACLE_TWIN = ("repro.dram.bank", "repro.dram.rank")
+ORACLE_TWIN = ("repro.dram.protocol",)
 ORACLE_TESTS = (
-    "tests/test_engine_equivalence.py",
+    "tests/test_protocol.py",
     "tests/test_engine_identity.py",
 )
 
@@ -105,7 +107,7 @@ class TimingCore:
         self.next_read_ok: List[int] = [0] * num_ranks
         #: Earliest WRITE per rank (DM-pin write-buffer hold).
         self.next_write_ok: List[int] = [0] * num_ranks
-        #: max(pd_exit_ready, refresh_until) per rank.
+        #: Earliest command cycle per rank (power-down exit, refresh).
         self.gate: List[int] = [0] * num_ranks
         #: Bitmask of banks with an open row, per rank.
         self.open_bits: List[int] = [0] * num_ranks

@@ -89,17 +89,10 @@ class DerivedTiming(NamedTuple):
     """Precomputed timing sums used on the simulator's hottest paths.
 
     Deriving these once per :class:`TimingParams` instance (they are
-    frozen, so per-scheme/per-config lookups hit the cache) saves two
-    attribute loads and an add per column command in the bank state
-    machine and the controller's burst bookkeeping.
+    frozen, so per-scheme/per-config lookups hit the cache) keeps the
+    sums out of the controller's per-command bookkeeping.
     """
 
-    #: Command-to-burst-end span of a read (tCAS + tBURST).
-    read_burst: int
-    #: Command-to-burst-end span of a write (tCWL + tBURST).
-    write_burst: int
-    #: ACT-to-first-data latency on a closed bank (tRCD + tCAS).
-    act_to_data: int
     #: ACT-to-column delay of a masked (PRA) activation.
     trcd_masked: int
     #: Minimum spacing of back-to-back same-rank column commands whose
@@ -114,9 +107,6 @@ class DerivedTiming(NamedTuple):
 def derived_timing(timing: TimingParams) -> DerivedTiming:
     """Cached derived quantities for one (frozen, hashable) timing set."""
     return DerivedTiming(
-        read_burst=timing.tcas + timing.tburst,
-        write_burst=timing.tcwl + timing.tburst,
-        act_to_data=timing.trcd + timing.tcas,
         trcd_masked=timing.trcd + timing.pra_extra,
         col_spacing=max(timing.tccd, timing.tburst),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.cache.set_assoc import num_sets
 from repro.controller.policies import ROW_HIT_CAP, RowPolicy
 from repro.core.schemes import BASELINE, Scheme
 from repro.dram.geometry import SystemGeometry
@@ -43,6 +44,13 @@ class CacheConfig:
     #: profiles are LLC-level, so the big experiments run LLC-only.
     use_l1: bool = False
     dbi_max_writebacks: int = 16
+
+    def __post_init__(self) -> None:
+        # Reject a cache no run can build here, where the config is
+        # made, rather than when a (possibly remote) run starts.
+        num_sets(self.llc_bytes, self.llc_ways)
+        if self.use_l1:
+            num_sets(self.l1_bytes, self.l1_ways)
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,13 @@ class SystemConfig:
     #: ``REPRO_SANITIZE`` environment variable enables the same thing
     #: without touching configs.
     sanitize: bool = False
+
+    def __post_init__(self) -> None:
+        # A negative count would subtract chips from every rank.
+        if not isinstance(self.ecc_chips, int) or self.ecc_chips < 0:
+            raise ValueError(
+                f"ecc_chips must be a non-negative integer, got {self.ecc_chips!r}"
+            )
 
     @property
     def effective_interleaving(self) -> Interleaving:

@@ -143,7 +143,6 @@ class System:
                 config.timing,
                 num_ranks=geo.ranks_per_channel,
                 num_banks=geo.chip.banks,
-                relax_act_constraints=scheme.relax_act_constraints,
                 burst_cycles_multiplier=scheme.burst_multiplier,
             )
             for _ in range(geo.channels)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.commands import Address, Command, ReqKind, Request
+from repro.dram.commands import Address, ReqKind, Request
 from repro.dram.geometry import FULL_MASK
 
 
@@ -52,17 +52,3 @@ class TestRequest:
         a = Request(kind=ReqKind.READ, addr=addr(), arrive_cycle=0)
         b = Request(kind=ReqKind.READ, addr=addr(), arrive_cycle=0)
         assert a.req_id != b.req_id
-
-
-class TestCommandEnum:
-    def test_pra_act_exists(self):
-        # The paper adds one new command to the decoder.
-        assert Command.PRA_ACT.value == "PRA_ACT"
-        assert {c.name for c in Command} == {
-            "ACT",
-            "PRA_ACT",
-            "READ",
-            "WRITE",
-            "PRE",
-            "REFRESH",
-        }

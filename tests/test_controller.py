@@ -18,7 +18,6 @@ def make_controller(scheme=BASELINE, policy=RowPolicy.RELAXED_CLOSE, **kwargs):
     channel = Channel(
         T,
         num_ranks=2,
-        relax_act_constraints=scheme.relax_act_constraints,
         burst_cycles_multiplier=scheme.burst_multiplier,
     )
     acct = PowerAccountant(DDR3_1600_POWER, T, chips_per_rank=8)
@@ -136,8 +135,7 @@ class TestPRAActivation:
         while ctrl.stats.writes.served < 1 and cycle < 10_000:
             issued, hint = ctrl.step(cycle)
             cycle = cycle + 1 if issued else max(hint, cycle + 1)
-        bank = ctrl.channel.ranks[0].banks[0]
-        if bank.open_row == 5:  # row still open (no other pending work)
+        if ctrl.channel.core.open_row[0] == 5:  # row still open (no other pending work)
             w2 = req(kind=ReqKind.WRITE, row=5, col=1, mask=0b10, cycle=cycle)
             ctrl.enqueue(w2)
             drain(ctrl)
@@ -258,10 +256,10 @@ class TestPowerDown:
         for _ in range(50):
             issued, hint = ctrl.step(cycle)
             cycle = cycle + 1 if issued else max(hint, cycle + 1)
-            if all(r.powered_down for r in ctrl.channel.ranks):
+            if all(ctrl.channel.core.pd):
                 break
         assert ctrl.stats.power_down_entries >= 2
-        assert all(r.powered_down for r in ctrl.channel.ranks)
+        assert ctrl.channel.core.pd == [1, 1]
 
     def test_open_page_policy_never_powers_down(self):
         ctrl, _ = make_controller(policy=RowPolicy.OPEN_PAGE)
@@ -270,4 +268,4 @@ class TestPowerDown:
         ctrl.step(5000)
         assert ctrl.stats.power_down_entries == 0
         # Open-page also leaves the row open.
-        assert ctrl.channel.ranks[0].banks[0].is_open
+        assert ctrl.channel.core.open_row[0] >= 0

@@ -46,7 +46,6 @@ def build_controller(scheme, policy):
     channel = Channel(
         T,
         num_ranks=2,
-        relax_act_constraints=scheme.relax_act_constraints,
         burst_cycles_multiplier=scheme.burst_multiplier,
     )
     acct = PowerAccountant(DDR3_1600_POWER, T, chips_per_rank=8)

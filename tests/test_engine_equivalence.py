@@ -15,11 +15,11 @@ per-event generation plus replayed warmup.
 
 Both loops drive the same hot-path modules — the FR-FCFS controller
 (``repro.controller.memctrl``), the array-backed cache
-(``repro.cache.set_assoc``), the SoA timing core and the rank views —
-so these tests double as the oracle pin for those modules' fast paths
-(their ``ORACLE_TESTS`` declarations name this file).  Their results
-are also pinned to the bit by the golden digests in
-``tests/test_engine_identity.py``.
+(``repro.cache.set_assoc``), the SoA timing core and the ranks — so
+these tests double as the oracle pin for the controller's and the
+cache's fast paths (their ``ORACLE_TESTS`` declarations name this
+file).  Their results are also pinned to the bit by the golden digests
+in ``tests/test_engine_identity.py``.
 """
 
 import glob
@@ -264,54 +264,3 @@ def test_parallel_sweep_with_disk_snapshots_matches_serial(tmp_path):
     sweep.snapshot_dir = str(tmp_path / "snaps")
     with SimPool(workers=2) as pool:
         assert sweep.run(pool=pool) == serial
-
-
-def test_timing_core_arrays_mirror_bank_rank_views():
-    """The SoA fast path and the Bank/Rank object oracle are one state.
-
-    ``repro.dram.soa.TimingCore`` declares the Bank/Rank views as its
-    oracle twin (``ORACLE_TWIN``); driving state changes through the
-    object API must be observable, bit for bit, in the flat arrays the
-    scheduler reads — and vice versa.
-    """
-    from repro.dram.channel import Channel
-    from repro.dram.geometry import FULL_MASK
-    from repro.dram.soa import TimingCore
-    from repro.dram.timing import DDR3_1600
-
-    channel = Channel(DDR3_1600, num_ranks=2, num_banks=8)
-    core = channel.core
-    assert isinstance(core, TimingCore)
-    rank = channel.ranks[1]
-    bank = rank.banks[3]
-    g = 1 * core.num_banks + 3
-
-    # Object-API activation lands in the arrays.
-    bank.activate(100, row=42, mask=0x0F)
-    assert core.open_row[g] == 42
-    assert core.open_mask[g] == 0x0F
-    assert core.last_act[g] == 100
-    assert core.open_bits[1] == 1 << 3
-    assert core.col_ready[g] == 100 + DDR3_1600.trcd + DDR3_1600.pra_extra
-    assert core.act_ready[g] == 100 + DDR3_1600.trc
-
-    # ... and the view properties read the very same cells back.
-    assert bank.open_row == 42
-    assert bank.open_mask == 0x0F
-    assert bank.col_ready == core.col_ready[g]
-
-    # Column + precharge round-trip keeps arrays and views coherent.
-    bank.read(bank.col_ready)
-    assert core.accesses[g] == 1
-    bank.precharge(bank.pre_ready)
-    assert core.open_row[g] == -1
-    assert core.open_mask[g] == FULL_MASK
-    assert core.open_bits[1] == 0
-    assert bank.open_row is None
-
-    # Array-side writes surface through the views (the scheduler's
-    # direction): no shadow copies anywhere.
-    core.next_act_ok[1] = 777
-    assert rank.next_act_ok == 777
-    core.open_row[g] = 9
-    assert bank.open_row == 9

@@ -4,10 +4,11 @@ The committed digests in ``tests/data/engine_digests.json`` pin every
 scheme's results to the bit: same counters, same energy, same
 protocol-checker command traces.  They are engine-independent — they
 name no execution path, only results — so any change to the event
-loop, the controller (``repro.controller.memctrl``), the timing core
-(``repro.dram.soa``), the rank views (``repro.dram.rank``) or the cache
-arrays (``repro.cache.set_assoc``) must reproduce every digest byte for
-byte.  ``REPRO_REGEN_DIGESTS=1`` rewrites them; a regeneration is a
+loop, the controller (``repro.controller.memctrl``, the only writer of
+the device state), the timing core that holds that state
+(``repro.dram.soa``), the ranks' refresh and power-down transitions
+(``repro.dram.rank``) or the cache arrays (``repro.cache.set_assoc``)
+must reproduce every digest byte for byte.  ``REPRO_REGEN_DIGESTS=1`` rewrites them; a regeneration is a
 deliberate change of results and needs a reason.
 
 Each digest hashes everything a run reports — the summary, raw

@@ -125,13 +125,38 @@ class TestDMPinMaskDelivery:
                               cache=CacheConfig(llc_bytes=256 * 1024))
         return simulate(config, wl("GUPS"), 1000, warmup_events_per_core=4000)
 
-    def test_dm_variant_has_no_extra_trcd(self):
-        from repro.core.schemes import PRA_DM
-        from repro.dram.bank import Bank
+    @staticmethod
+    def _activate_masked_write(scheme, t):
+        """Issue one masked (1/8) write's ACT at cycle ``t``."""
+        channel = Channel(T, num_ranks=2)
+        acct = PowerAccountant(DDR3_1600_POWER, T, chips_per_rank=8)
+        ctrl = ChannelController(channel, scheme, T, RowPolicy.RELAXED_CLOSE, acct)
+        ctrl.enqueue(Request(
+            kind=ReqKind.WRITE,
+            addr=Address(channel=0, rank=0, bank=0, row=1, column=0),
+            arrive_cycle=t,
+            dirty_mask=0b1,
+        ))
+        assert ctrl.step(t)[0]
+        assert ctrl.stats.writes.activations == 1
+        return channel
 
-        bank = Bank(timing=T)
-        bank.activate(0, row=1, mask=0b1, mask_transfer_cycle=False)
-        assert bank.can_column(T.trcd)  # no +1 cycle
+    def test_dm_variant_has_no_extra_trcd(self):
+        from repro.core.schemes import PRA, PRA_DM
+
+        t = 100
+        dm = self._activate_masked_write(PRA_DM, t)
+        # The mask rides the DM pin: no +1 tRCD, one command-bus cycle,
+        # and the rank's write buffer is held until the ACT completes.
+        assert dm.core.col_ready[0] == t + T.trcd
+        assert dm.core.next_write_ok[0] == t + T.trcd
+        assert dm.cmd_bus_free == t + 1
+
+        pra = self._activate_masked_write(PRA, t)
+        # Address-bus delivery (Fig. 7a): +1 tRCD and a second cycle.
+        assert pra.core.col_ready[0] == t + T.trcd + 1
+        assert pra.core.next_write_ok[0] == 0
+        assert pra.cmd_bus_free == t + 2
 
     def test_dm_variant_saves_power_like_pra(self):
         from repro.core.schemes import PRA, PRA_DM

@@ -1,5 +1,11 @@
 """Protocol checker: unit rules + differential verification of the
 scheduler (every command issued by full-system runs must be legal).
+
+The checker is the oracle of the one device model: the timing core
+(``repro.dram.soa``) that the controller writes for ACT, RD/WR and PRE
+and the ranks (``repro.dram.rank``) change for refresh and power-down.
+``TestDifferentialVerification`` replays every command the controller
+issues through it.
 """
 
 import pytest

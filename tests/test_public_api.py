@@ -33,7 +33,7 @@ TOP_LEVEL = [
 
 SUBPACKAGE_EXPORTS = {
     "repro.core": ["PRA_DM", "SDSComparator", "covers", "merge", "popcount"],
-    "repro.dram": ["AddressMapper", "Bank", "Channel", "DDR3_1600", "Rank"],
+    "repro.dram": ["AddressMapper", "Channel", "DDR3_1600", "Rank"],
     "repro.dram.protocol": ["CommandRecord", "ProtocolChecker", "ProtocolViolation"],
     "repro.controller": ["ChannelController", "RequestQueue", "ROW_HIT_CAP"],
     "repro.cache": ["CacheHierarchy", "DirtyBlockIndex", "SetAssociativeCache"],

@@ -145,7 +145,7 @@ def test_batch_modules_trip_rule_without_declarations(rel_path, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The simulation hot path (timing core, rank views, controller, cache
+# The simulation hot path (timing core, ranks, controller, cache
 # arrays) is registered too, and its oracle declarations stay live.
 # ----------------------------------------------------------------------
 HOT_MODULES = (

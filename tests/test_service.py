@@ -100,6 +100,9 @@ class TestDigests:
             {"axes": {"workload": ["GUPS"], "scheme": ["NotAScheme"]}},
             {"axes": {"workload": ["GUPS"]}, "events_per_core": 0},
             {"axes": {"workload": ["GUPS"]}, "frobnicate": 1},
+            # Not a whole number of 8-way, 64 B sets.
+            {"axes": {"workload": ["GUPS"]}, "llc_bytes": 1000},
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [-8]}},
         ],
     )
     def test_invalid_specs_fail_at_submit(self, payload):
