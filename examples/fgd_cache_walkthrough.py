@@ -40,8 +40,7 @@ def main() -> None:
     # Evict from L1 (two conflicting lines): dirty bits merge into L2.
     hierarchy.access(0, line + 2 * l1.num_sets)
     hierarchy.access(0, line + 4 * l1.num_sets)
-    l2_line = l2.lookup(line)
-    print(f"after L1 eviction, L2 line dirty mask = {PRAMask(l2_line.dirty_mask)}")
+    print(f"after L1 eviction, L2 line dirty mask = {PRAMask(l2.resident()[line])}")
 
     # Force the L2 eviction: the writeback carries the merged mask.
     writebacks = []

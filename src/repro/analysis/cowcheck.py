@@ -1,7 +1,7 @@
 """COW/aliasing-escape analysis over the shared dataflow layer.
 
 The warm-state snapshot machinery relies on *deliberate* aliasing:
-``SetAssociativeCache.restore_state`` rebinds per-set containers that
+``SetAssociativeCache.restore_state`` rebinds per-set tag dicts that
 are still shared with the snapshot until ``_own_set`` privatizes them,
 and ``DirtyBlockIndex.restore_rows`` installs immutable tuple aliases
 that ``mark_dirty``/``mark_clean``/``on_writeback`` thaw on first
@@ -14,8 +14,8 @@ This pass makes the invariant checkable.  A module opts in with an
 in-file protocol declaration::
 
     REPRO_COW_PROTOCOL = {
-        "shared_roots": ("_tags", "_free"),   # attrs holding COW containers
-        "privatizers": ("_own_set",),         # calls that unshare
+        "shared_roots": ("_tags",),      # attrs holding COW containers
+        "privatizers": ("_own_set",),    # calls that unshare
     }
 
 Modules listed in ``registry.COW_MODULES`` *must* declare a protocol

@@ -1,13 +1,16 @@
-"""Cache hierarchy substrate: FGD lines, set-associative caches, DBI."""
+"""Cache hierarchy substrate: set-associative caches with FGD dirty masks, DBI."""
 
 from repro.cache.dbi import DirtyBlockIndex
 from repro.cache.hierarchy import CacheHierarchy, MemoryTraffic
-from repro.cache.line import CacheLine, word_mask_for_store
-from repro.cache.set_assoc import CacheStats, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import (
+    CacheStats,
+    Eviction,
+    SetAssociativeCache,
+    word_mask_for_store,
+)
 
 __all__ = [
     "CacheHierarchy",
-    "CacheLine",
     "CacheStats",
     "DirtyBlockIndex",
     "Eviction",

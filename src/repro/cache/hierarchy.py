@@ -17,7 +17,10 @@ Two operating modes:
 
 The hierarchy is non-inclusive non-exclusive (NINE): L2 victims are not
 back-invalidated from L1s, which is sufficient for memory-traffic
-modelling.
+modelling.  Lines are never dropped except by a miss replacing them,
+and a run ends with its dirty lines still resident (no end-of-run
+flush is modelled); each level's
+:meth:`~repro.cache.set_assoc.SetAssociativeCache.resident` reads them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.dbi import DirtyBlockIndex
-from repro.cache.set_assoc import CacheStats, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import Eviction, SetAssociativeCache
 
 
 @dataclass(slots=True)
@@ -174,18 +177,6 @@ class CacheHierarchy:
                         clean_line(companion)
 
     # ------------------------------------------------------------------
-    def flush_dirty(self) -> List[Tuple[int, int]]:
-        """Drain every dirty LLC line (end-of-run writeback traffic)."""
-        drained = self.l2.drain_dirty()
-        if self.dbi is not None:
-            for line_addr, _ in drained:
-                self.dbi.mark_clean(line_addr)
-        return drained
-
-    @property
-    def llc_stats(self) -> CacheStats:
-        return self.l2.stats
-
     def dirty_word_fractions(self) -> dict:
         """Figure 3: distribution of dirty words in evicted LLC lines."""
         return self.l2.stats.dirty_word_fractions()

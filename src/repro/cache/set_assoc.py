@@ -1,103 +1,70 @@
 """Set-associative write-back, write-allocate cache with LRU replacement.
 
 Addresses are cache-line indices (byte address // 64); data is not
-stored, only tag state and FGD dirty masks, which is all the memory
+stored, only tag state and FGD dirty masks (Section 4.1.4: eight 8 B
+words per 64 B line, one dirty bit each), which is all the memory
 system needs.
 
-The backing store is array-based: instead of one ``CacheLine`` object
-per resident line plus a global ``itertools.count`` LRU clock, each
-set keeps a ``tag -> slot`` dict into three flat integer arrays
-(line address, dirty mask, LRU stamp) shared by all sets.  A hit is a
-dict probe plus two array writes — no object allocation anywhere on the
-hot path — and the whole cache state is a handful of picklable arrays
-plus the per-set dicts, which is what makes a warm-state snapshot
-(:mod:`repro.sim.snapshot`) cheap to restore: the flat arrays are
-copied and the per-set containers shared copy-on-write
+The cache has one model: each set keeps a ``tag -> slot`` dict into
+three flat integer arrays (line address, dirty mask, LRU stamp) shared
+by all sets.  Set ``s`` owns slots ``s*ways .. s*ways+ways-1`` and,
+since a line only leaves a set when a miss replaces it, fills them in
+order: a miss into a non-full set takes slot ``s*ways + len(tags)``.
+A hit is a dict probe plus two array writes — no object allocation
+anywhere on the hot path — and the whole cache state is a handful of
+picklable arrays plus the per-set dicts, which is what makes a
+warm-state snapshot (:mod:`repro.sim.snapshot`) cheap to restore: the
+flat arrays are copied and the per-set dicts shared copy-on-write
 (:meth:`SetAssociativeCache.restore_state`).  The flat arrays are
 ``array('q')`` rather than lists: a restore copies them with one
 ``memcpy`` instead of a pointer-copy-plus-incref per element, and the
 buffers are invisible to the cyclic GC — both of which matter when a
 sweep restores one snapshot for every point of a grid column.
-``lookup`` and the ``_sets`` compatibility property materialize
-:class:`~repro.cache.line.LineView` write-through views on demand for
-tests and introspection.
+:meth:`SetAssociativeCache.resident` is the one read-only query.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.line import LineView
-from repro.dram.geometry import LINE_BYTES
+from repro.dram.geometry import LINE_BYTES, WORDS_PER_LINE
 
-# Oracle-parity declaration enforced by reprolint: the flat tag/mask/
-# stamp arrays are the fast path; the LineView write-through views (and
-# the ``_sets`` compatibility property) are the object oracle.
+# Oracle-parity declaration enforced by reprolint: the slot arrays and
+# their copy-on-write restore are the fast path; a cold warmup (whose
+# end state WARM_STATE_DIGESTS pins) is the oracle a restore must
+# match, and NaiveLRUCache in tests/test_reference_models.py is the
+# independent list-based LRU reference.
 REPRO_FAST_PATH = True
-ORACLE_TWIN = ("repro.cache.line",)
+ORACLE_TWIN = "repro.sim.system.System._warm_caches"
 ORACLE_TESTS = (
+    "tests/test_reference_models.py",
     "tests/test_engine_identity.py",
     "tests/test_engine_equivalence.py",
 )
 # COW contract for the aliasing pass (repro.analysis.cowcheck): after
-# restore_state, per-set tag dicts and free lists are shared with the
-# snapshot until _own_set privatizes them; every in-place mutation of a
-# set's containers must be dominated by an _own_set guard.
+# restore_state, per-set tag dicts are shared with the snapshot until
+# _own_set privatizes them; every in-place mutation of a set's dict
+# must be dominated by an _own_set guard.
 REPRO_COW_PROTOCOL = {
-    "shared_roots": ("_tags", "_free"),
+    "shared_roots": ("_tags",),
     "privatizers": ("_own_set",),
 }
 
 
+@dataclass(slots=True)
 class CacheStats:
-    """Hit/miss/eviction counters plus the dirty-word histogram.
+    """Hit/miss/eviction counters plus the dirty-word histogram."""
 
-    A plain ``__slots__`` class with dataclass-style construction,
-    repr and equality.
-    """
-
-    __slots__ = (
-        "hits", "misses", "evictions", "dirty_evictions", "dirty_word_hist"
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    dirty_evictions: int = 0
+    #: Histogram of dirty-word counts of dirty evicted lines (Fig. 3).
+    dirty_word_hist: Dict[int, int] = field(
+        default_factory=lambda: {n: 0 for n in range(1, 9)}
     )
-
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        evictions: int = 0,
-        dirty_evictions: int = 0,
-        dirty_word_hist: Optional[Dict[int, int]] = None,
-    ) -> None:
-        self.hits = hits
-        self.misses = misses
-        self.evictions = evictions
-        self.dirty_evictions = dirty_evictions
-        #: Histogram of dirty-word counts of dirty evicted lines (Fig. 3).
-        self.dirty_word_hist: Dict[int, int] = (
-            {n: 0 for n in range(1, 9)}
-            if dirty_word_hist is None
-            else dirty_word_hist
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"evictions={self.evictions}, "
-            f"dirty_evictions={self.dirty_evictions}, "
-            f"dirty_word_hist={self.dirty_word_hist})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheStats):
-            return NotImplemented
-        return (
-            self.hits == other.hits
-            and self.misses == other.misses
-            and self.evictions == other.evictions
-            and self.dirty_evictions == other.dirty_evictions
-            and self.dirty_word_hist == other.dirty_word_hist
-        )
 
     @property
     def accesses(self) -> int:
@@ -117,32 +84,12 @@ class CacheStats:
         return {n: c / total for n, c in self.dirty_word_hist.items()}
 
 
+@dataclass(slots=True)
 class Eviction:
-    """A victim pushed out of (or cleaned in) a cache level.
+    """A victim pushed out of (or cleaned in) a cache level."""
 
-    Plain ``__slots__`` class: allocated on every eviction, so it
-    stays lean.
-    """
-
-    __slots__ = ("line_addr", "dirty_mask")
-
-    def __init__(self, line_addr: int, dirty_mask: int) -> None:
-        self.line_addr = line_addr
-        self.dirty_mask = dirty_mask
-
-    def __repr__(self) -> str:
-        return (
-            f"Eviction(line_addr={self.line_addr}, "
-            f"dirty_mask={self.dirty_mask})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Eviction):
-            return NotImplemented
-        return (
-            self.line_addr == other.line_addr
-            and self.dirty_mask == other.dirty_mask
-        )
+    line_addr: int
+    dirty_mask: int
 
     @property
     def dirty(self) -> bool:
@@ -166,6 +113,24 @@ def num_sets(capacity_bytes: int, ways: int, line_bytes: int = LINE_BYTES) -> in
     return sets
 
 
+def word_mask_for_store(offset_bytes: int, size_bytes: int) -> int:
+    """Dirty-word mask for a store of ``size_bytes`` at ``offset_bytes``.
+
+    Convenience for trace generators: computes which of the eight 8 B
+    word segments a store touches.
+    """
+    if size_bytes <= 0:
+        raise ValueError("store size must be positive")
+    if offset_bytes < 0 or offset_bytes + size_bytes > WORDS_PER_LINE * 8:
+        raise ValueError("store does not fit in a 64 B line")
+    first = offset_bytes // 8
+    last = (offset_bytes + size_bytes - 1) // 8
+    mask = 0
+    for word in range(first, last + 1):
+        mask |= 1 << word
+    return mask
+
+
 class SetAssociativeCache:
     """LRU set-associative cache over line addresses (array-backed)."""
 
@@ -180,11 +145,11 @@ class SetAssociativeCache:
         """Size the tag arrays for ``capacity_bytes`` / ``ways``.
 
         ``lazy_sets=True`` skips allocating the per-set tag dicts and
-        free stacks — the dominant construction cost on large caches.
+        slot arrays — the dominant construction cost on large caches.
         The caller then guarantees :meth:`restore_state` runs before
-        any access (it replaces both structures wholesale, so eager
-        allocation would be pure garbage); the System constructor uses
-        this when a warm snapshot is already in hand.
+        any access (it replaces them wholesale, so eager allocation
+        would be pure garbage); the System constructor uses this when a
+        warm snapshot is already in hand.
         """
         self.name = name
         self.ways = ways
@@ -199,56 +164,41 @@ class SetAssociativeCache:
         self._addr = array("q", zeros)
         self._mask = array("q", zeros)
         self._stamps = array("q", zeros)
-        #: Per-set stack of unoccupied slots.
-        self._free: List[List[int]] = (
-            []
-            if lazy_sets
-            else [
-                list(range((s + 1) * ways - 1, s * ways - 1, -1))
-                for s in range(self.num_sets)
-            ]
-        )
         #: Monotonic LRU clock (plain int: picklable, snapshot-friendly).
         self._stamp_counter = 0
         #: Copy-on-write restore bookkeeping: ``None`` while every set's
-        #: tag dict / free stack is privately owned (a cache built cold),
-        #: else, after :meth:`restore_state`, the indices privatized so
-        #: far — every other set still aliases the snapshot.
+        #: tag dict is privately owned (a cache built cold), else, after
+        #: :meth:`restore_state`, the indices privatized so far — every
+        #: other set still aliases the snapshot.
         self._cow_owned: Optional[set] = None
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    @property
-    def _sets(self) -> List[Dict[int, LineView]]:
-        """Compatibility view: per-set ``tag -> LineView`` dicts.
+    def resident(self) -> Dict[int, int]:
+        """Each resident line's dirty mask, keyed by line address.
 
-        Materialized on demand for tests and reference models; the
-        views write through to the state arrays, so mutating a view
-        mutates the cache.
+        Sets in index order, lines in residency (dict-insertion) order.
+        A fresh dict: reading it never touches LRU state or stats.
         """
-        return [
-            {tag: LineView(self, slot) for tag, slot in tags.items()}
+        addr, mask = self._addr, self._mask
+        return {
+            addr[slot]: mask[slot]
             for tags in self._tags
-        ]
-
-    def lookup(self, line_addr: int) -> Optional[LineView]:
-        """Probe without updating LRU or stats."""
-        slot = self._tags[line_addr % self.num_sets].get(line_addr // self.num_sets)
-        return None if slot is None else LineView(self, slot)
+            for slot in tags.values()
+        }
 
     def _own_set(self, set_idx: int) -> Dict[int, int]:
-        """Privatize one set before mutating its dict/free stack.
+        """Privatize one set's tag dict before mutating it.
 
-        After :meth:`restore_state` the per-set tag dicts and free
-        stacks still alias the snapshot; the first structural mutation
-        of a set copies just that set.  Reads never need ownership, and
-        the hit path only touches the (always private) flat arrays, so
-        the check sits on the miss/evict/invalidate paths only.
+        After :meth:`restore_state` the per-set tag dicts still alias
+        the snapshot; the first structural mutation of a set copies
+        just that set.  Reads never need ownership, and the hit path
+        only touches the (always private) flat arrays, so the check
+        sits on the miss/evict path only.
         """
         owned = self._cow_owned
         if owned is not None and set_idx not in owned:
             self._tags[set_idx] = dict(self._tags[set_idx])
-            self._free[set_idx] = list(self._free[set_idx])
             owned.add(set_idx)
         return self._tags[set_idx]
 
@@ -282,7 +232,7 @@ class SetAssociativeCache:
         if len(tags) >= self.ways:
             victim, slot = self._evict_slot(set_idx, tags)
         else:
-            slot = self._free[set_idx].pop()
+            slot = set_idx * self.ways + len(tags)
         tags[line_addr // self.num_sets] = slot
         self._addr[slot] = line_addr
         self._mask[slot] = write_mask
@@ -313,7 +263,11 @@ class SetAssociativeCache:
         return Eviction(line_addr=line_addr, dirty_mask=mask), slot
 
     def install(self, line_addr: int, dirty_mask: int = 0) -> Optional[Eviction]:
-        """Insert a line (e.g. absorbed from an upper level)."""
+        """Insert a line (e.g. absorbed from an upper level).
+
+        A resident line OR-merges ``dirty_mask`` into its FGD bits
+        (Fig. 8); either way the line becomes most recently used.
+        """
         set_idx = line_addr % self.num_sets
         tags = self._tags[set_idx]
         tag = line_addr // self.num_sets
@@ -329,7 +283,7 @@ class SetAssociativeCache:
         if len(tags) >= self.ways:
             victim, slot = self._evict_slot(set_idx, tags)
         else:
-            slot = self._free[set_idx].pop()
+            slot = set_idx * self.ways + len(tags)
         tags[tag] = slot
         self._addr[slot] = line_addr
         self._mask[slot] = dirty_mask
@@ -345,53 +299,19 @@ class SetAssociativeCache:
         self._mask[slot] = 0
         return mask
 
-    def invalidate(self, line_addr: int) -> Optional[Eviction]:
-        """Drop a line; returns it (with dirty state) if present."""
-        set_idx = line_addr % self.num_sets
-        if self._cow_owned is not None:
-            self._own_set(set_idx)
-        slot = self._tags[set_idx].pop(line_addr // self.num_sets, None)
-        if slot is None:
-            return None
-        self._free[set_idx].append(slot)
-        return Eviction(line_addr=self._addr[slot], dirty_mask=self._mask[slot])
-
-    def resident_lines(self) -> int:
-        """Number of lines currently resident across all sets."""
-        return sum(len(tags) for tags in self._tags)
-
-    # ------------------------------------------------------------------
-    def drain_dirty(self) -> List[Tuple[int, int]]:
-        """Clean every dirty line; returns ``(line_addr, old_mask)``.
-
-        Iterates sets in index order and lines in residency
-        (dict-insertion) order — the same order the object-backed
-        implementation produced — so end-of-run writeback traffic is
-        reproducible.
-        """
-        drained: List[Tuple[int, int]] = []
-        addr, mask = self._addr, self._mask
-        for tags in self._tags:
-            for slot in tags.values():
-                if mask[slot]:
-                    drained.append((addr[slot], mask[slot]))
-                    mask[slot] = 0
-        return drained
-
     # ------------------------------------------------------------------
     def export_state(self) -> tuple:
         """Snapshot the full tag/dirty/LRU state as picklable copies.
 
         The returned tuple is independent of the live cache (plain
-        dict/array/list copies), so it can sit in the warm-state
-        snapshot cache while Systems restored from it keep mutating.
+        dict/array copies), so it can sit in the warm-state snapshot
+        cache while Systems restored from it keep mutating.
         """
         return (
             [dict(tags) for tags in self._tags],
             self._addr[:],
             self._mask[:],
             self._stamps[:],
-            [list(free) for free in self._free],
             self._stamp_counter,
         )
 
@@ -399,20 +319,18 @@ class SetAssociativeCache:
         """Restore, copy-on-write, a state captured by :meth:`export_state`.
 
         The flat arrays are copied (one ``memcpy`` each), but the
-        per-set tag dicts and free stacks *alias* the snapshot and are
-        privatized one set at a time on first mutation
-        (:meth:`_own_set`), so a restore copies only the sets the run
-        goes on to write.  The snapshot is only ever read while shared,
-        and dict-insertion order travels with the dicts, so a restored
-        cache evolves bit-identically to the one that was snapshotted
-        (end-of-run drains iterate the tag dicts); a cold warmup is the
-        oracle.
+        per-set tag dicts *alias* the snapshot and are privatized one
+        set at a time on first mutation (:meth:`_own_set`), so a
+        restore copies only the sets the run goes on to write.  The
+        snapshot is only ever read while shared, and dict-insertion
+        order travels with the dicts, so a restored cache evolves
+        bit-identically to the one that was snapshotted; a cold warmup
+        is the oracle.
         """
-        tags, addr, mask, stamps, free, counter = state
+        tags, addr, mask, stamps, counter = state
         if len(tags) != self.num_sets or len(addr) != self.num_sets * self.ways:
             raise ValueError("snapshot geometry does not match this cache")
         self._tags = list(tags)
-        self._free = list(free)
         self._cow_owned = set()
         self._addr = addr[:]
         self._mask = mask[:]

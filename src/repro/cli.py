@@ -596,6 +596,8 @@ def _export_rows(rows: "List[dict]", out: str) -> None:
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a sweep spec over HTTP; optionally wait and export rows."""
+    from repro.service.client import ServiceError
+
     axes: dict = {"scheme": args.schemes, "workload": args.workloads}
     if args.policies is not None:
         axes["policy"] = args.policies
@@ -609,7 +611,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "axes": axes,
     }
     client = _service_client(args)
-    status = client.submit(spec)  # type: ignore[attr-defined]
+    try:
+        status = client.submit(spec)  # type: ignore[attr-defined]
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"job {status['job_id']}: {status['state']} "
           f"({status['total']} points, {status['cached']} cached, "
           f"{status['coalesced']} coalesced, {status['computed']} computing)")

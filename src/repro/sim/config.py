@@ -95,8 +95,9 @@ class SystemConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
-        # A negative count would subtract chips from every rank.
-        if not isinstance(self.ecc_chips, int) or self.ecc_chips < 0:
+        # A negative count would subtract chips from every rank; type(),
+        # not isinstance(), because a bool is an int but no chip count.
+        if type(self.ecc_chips) is not int or self.ecc_chips < 0:
             raise ValueError(
                 f"ecc_chips must be a non-negative integer, got {self.ecc_chips!r}"
             )

@@ -17,9 +17,9 @@ copy-on-write:
   share a single snapshot;
 * **payload** — :class:`WarmSnapshot` holds the array-backed caches'
   exported state (tag dicts + flat int arrays), plus the DBI registry.
-  A restore copies the flat arrays and shares the per-set tag dicts,
-  free stacks and DBI row tuples with the snapshot until the restored
-  System first writes each one (:func:`restore_warm_state`).  It is
+  A restore copies the flat arrays and shares the per-set tag dicts
+  and DBI row tuples with the snapshot until the restored System first
+  writes each one (:func:`restore_warm_state`).  It is
   bit-identical to re-running warmup, which stays the oracle, because
   dict insertion order travels with the shared dicts;
 * **layers** — an in-process LRU (:data:`SNAPSHOTS`) serves repeated
@@ -29,9 +29,9 @@ copy-on-write:
   across process boundaries.  Disk writes are atomic (temp file +
   rename), so racing workers at worst both compute the same snapshot.
   Each file is a short header, the sha256 of the pickled payload, then
-  the payload; a file that fails the check (bit rot, truncation, a
-  header-less file of an older layout) is never unpickled and counts
-  as a miss under :attr:`SnapshotCache.corrupt`.
+  the payload; a file that fails the check (bit rot, truncation, the
+  header of an older payload layout, or none) is never unpickled and
+  counts as a miss under :attr:`SnapshotCache.corrupt`.
 
 Trace position needs no snapshotting on the fast path: the precompiled
 trace blocks (:mod:`repro.workloads.synthetic`) are indexable, so the
@@ -55,13 +55,19 @@ if TYPE_CHECKING:
 #: Exported DBI registry: row key -> sorted dirty line tuple.
 DbiRows = Optional[Dict[Hashable, Tuple[int, ...]]]
 
-#: Snapshot format marker; bump to invalidate stale disk snapshots
-#: whenever the cache state layout or warmup semantics change.
+#: Warm-state marker, hashed into every warm fingerprint and so into
+#: every service point digest: bump it only when warmup semantics
+#: change (one fingerprint would warm to a different state).  A new
+#: payload layout alone bumps :data:`_DISK_MAGIC` instead.
 #: v2: snapshots may carry a capture-time state digest (sanitizer).
 _FORMAT = "warm-v2"
 
 #: First bytes of an on-disk snapshot; the payload's raw sha256 follows.
-_DISK_MAGIC = b"repro-warmsnap sha256\n"
+#: Bump it whenever the pickled payload's layout changes (e.g. the
+#: fields of a cache export), so an older file is a counted miss rather
+#: than a payload that passes its digest check and then fails to
+#: restore.  v2: a cache export no longer carries per-set free stacks.
+_DISK_MAGIC = b"repro-warmsnap-v2 sha256\n"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 # Oracle-parity declaration enforced by reprolint: restoring a warm
@@ -225,9 +231,9 @@ def capture_warm_state(
 def restore_warm_state(hierarchy: "CacheHierarchy", snapshot: WarmSnapshot) -> None:
     """Restore a snapshot, copy-on-write, into a freshly built hierarchy.
 
-    The flat cache arrays are copied; per-set tag dicts, free stacks
-    and DBI rows stay shared with the snapshot until the restored
-    System first mutates each one, so every System restoring one
+    The flat cache arrays are copied; per-set tag dicts and DBI rows
+    stay shared with the snapshot until the restored System first
+    mutates each one, so every System restoring one
     snapshot pays the per-set copies only for the sets it touches.
     The snapshot is only read while shared, so it stays pristine in
     the cache, and the restored System evolves exactly as a cold

@@ -15,7 +15,8 @@ Axes:
 * ``scheme`` — scheme name (see :data:`repro.core.schemes.ALL_SCHEMES`),
 * ``workload`` — any of the 14 evaluation workloads,
 * ``policy`` — ``relaxed`` / ``restricted`` / ``open``,
-* ``ecc_chips`` — 0 or 1.
+* ``ecc_chips`` — extra ECC chips per rank, a non-negative ``int``
+  (0, or 1 for the paper's x72 DIMM).
 
 Each grid point yields one flattened result row (the ``summary`` of
 the run plus identification columns).
@@ -86,7 +87,7 @@ def _apply_point(base_config: SystemConfig, point: Dict) -> SystemConfig:
     if "policy" in point:
         config = config.with_policy(POLICIES[point["policy"]])
     if "ecc_chips" in point:
-        config = replace(config, ecc_chips=int(point["ecc_chips"]))
+        config = replace(config, ecc_chips=point["ecc_chips"])
     return config
 
 

@@ -1,44 +1,10 @@
-"""Cache substrate: FGD lines, set-associative LRU cache, eviction stats."""
+"""Cache substrate: FGD store masks, set-associative LRU cache, eviction stats."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.line import CacheLine, word_mask_for_store
-from repro.cache.set_assoc import SetAssociativeCache
-
-
-class TestCacheLine:
-    def test_starts_clean(self):
-        line = CacheLine(line_addr=1)
-        assert not line.dirty
-        assert line.dirty_words == 0
-
-    def test_store_sets_word_bits(self):
-        line = CacheLine(line_addr=1)
-        line.mark_written(0b00000101)
-        assert line.dirty
-        assert line.dirty_words == 2
-
-    def test_absorb_or_merges(self):
-        # L1 eviction ORs its dirty bits into L2 (Figure 8).
-        line = CacheLine(line_addr=1, dirty_mask=0b1)
-        line.absorb(0b10000000)
-        assert line.dirty_mask == 0b10000001
-
-    def test_clean_returns_old_mask(self):
-        line = CacheLine(line_addr=1, dirty_mask=0b1010)
-        assert line.clean() == 0b1010
-        assert not line.dirty
-
-    def test_invalid_masks_rejected(self):
-        line = CacheLine(line_addr=1)
-        with pytest.raises(ValueError):
-            line.mark_written(0)
-        with pytest.raises(ValueError):
-            line.mark_written(0x100)
-        with pytest.raises(ValueError):
-            CacheLine(line_addr=1, dirty_mask=-1)
+from repro.cache.set_assoc import SetAssociativeCache, word_mask_for_store
 
 
 class TestWordMaskForStore:
@@ -104,34 +70,37 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4)
         cache.access(7, write_mask=0b1)
         cache.access(7, write_mask=0b10)
-        line = cache.lookup(7)
-        assert line.dirty_mask == 0b11
+        assert cache.resident() == {7: 0b11}
 
     def test_install_with_dirty_mask(self):
         cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4)
         cache.install(5, dirty_mask=0b101)
-        assert cache.lookup(5).dirty_mask == 0b101
+        assert cache.resident() == {5: 0b101}
 
     def test_install_merges_existing(self):
         cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4)
         cache.access(5, write_mask=0b1)
         cache.install(5, dirty_mask=0b10)
-        assert cache.lookup(5).dirty_mask == 0b11
+        assert cache.resident() == {5: 0b11}
 
     def test_clean_line(self):
         cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4)
         cache.access(5, write_mask=0b111)
         assert cache.clean_line(5) == 0b111
-        assert not cache.lookup(5).dirty
+        assert cache.resident() == {5: 0}  # clean but still resident
         assert cache.clean_line(404) == 0
+        assert cache.resident() == {5: 0}
 
-    def test_invalidate(self):
-        cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=4)
-        cache.access(5, write_mask=0b1)
-        evicted = cache.invalidate(5)
-        assert evicted.dirty_mask == 0b1
-        assert cache.lookup(5) is None
-        assert cache.invalidate(5) is None
+    def test_resident_orders_sets_then_residency(self):
+        cache = SetAssociativeCache(capacity_bytes=4 * 64, ways=2)  # 2 sets
+        for addr, mask in ((3, 0b1), (1, 0), (2, 0b10), (0, 0)):
+            cache.access(addr, write_mask=mask)
+        cache.access(3)  # a hit refreshes LRU, not residency order
+        stats = (cache.stats.hits, cache.stats.misses)
+        assert list(cache.resident().items()) == [
+            (2, 0b10), (0, 0), (3, 0b1), (1, 0)
+        ]
+        assert (cache.stats.hits, cache.stats.misses) == stats
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -151,9 +120,10 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(capacity_bytes=8 * 64, ways=2)
         for addr in addrs:
             cache.access(addr)
-        assert cache.resident_lines() <= 8
+        resident = len(cache.resident())
+        assert resident <= 8
         # Conservation: every miss either filled a free way or evicted.
-        assert cache.stats.misses == cache.stats.evictions + cache.resident_lines()
+        assert cache.stats.misses == cache.stats.evictions + resident
 
     @given(
         st.lists(
@@ -177,7 +147,7 @@ class TestSetAssociativeCache:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(("access", "install", "invalidate", "restore")),
+                st.sampled_from(("access", "install", "restore")),
                 st.integers(min_value=0, max_value=40),
                 st.integers(min_value=0, max_value=255),
             ),
@@ -188,22 +158,25 @@ class TestSetAssociativeCache:
     @settings(max_examples=60, deadline=None)
     def test_victim_is_least_recently_stamped(self, ops):
         """Every victim is the resident line of its set with the smallest
-        ``lru_stamp``, through hits, installs, invalidations (which leave
-        holes in a set) and copy-on-write restores."""
+        LRU stamp, through hits, installs and copy-on-write restores, and
+        set ``s`` always holds exactly slots ``s*ways .. s*ways+len-1``."""
         cache = SetAssociativeCache(capacity_bytes=16 * 64, ways=4)  # 4 sets
         for op, addr, mask in ops:
-            if op == "invalidate":
-                cache.invalidate(addr)
-                continue
             if op == "restore":
                 cache.restore_state(cache.export_state())
                 continue
-            resident = cache._sets[addr % cache.num_sets]
+            tags = cache._tags[addr % cache.num_sets]
             expected = None
-            if addr // cache.num_sets not in resident and len(resident) == cache.ways:
-                expected = min(resident.values(), key=lambda v: v.lru_stamp).line_addr
+            if addr // cache.num_sets not in tags and len(tags) == cache.ways:
+                slot = min(tags.values(), key=cache._stamps.__getitem__)
+                expected = cache._addr[slot]
             if op == "access":
                 _, victim = cache.access(addr, write_mask=mask)
             else:
                 victim = cache.install(addr, dirty_mask=mask)
             assert (None if victim is None else victim.line_addr) == expected
+            for set_idx, set_tags in enumerate(cache._tags):
+                base = set_idx * cache.ways
+                assert sorted(set_tags.values()) == list(
+                    range(base, base + len(set_tags))
+                )

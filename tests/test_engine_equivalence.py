@@ -34,7 +34,7 @@ from repro.core.schemes import BASELINE, DBI_PRA, PRA, SDS
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.pool import SimPool
 from repro.sim.runner import ExperimentRunner
-from repro.sim.snapshot import _DISK_MAGIC, SNAPSHOTS
+from repro.sim.snapshot import _DISK_MAGIC, SNAPSHOTS, WarmSnapshot
 from repro.sim.sweep import Sweep
 from repro.sim.system import System
 from repro.workloads.mixes import workload
@@ -221,6 +221,24 @@ def _damage(blob, how, snapshot):
         return blob[: len(blob) // 2]
     if how == "header-less":  # the layout of older releases
         return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+    if how == "old-layout":
+        # The previous header over a payload with a valid digest whose
+        # LLC export has six fields: the per-set free stacks sat between
+        # the stamps and the stamp counter.
+        tags, addr, mask, stamps, counter = snapshot.l2
+        ways = len(addr) // len(tags)
+        free = [
+            list(range((s + 1) * ways - 1, s * ways + len(t) - 1, -1))
+            for s, t in enumerate(tags)
+        ]
+        old = WarmSnapshot(
+            (tags, addr, mask, stamps, free, counter),
+            snapshot.l1s, snapshot.dbi_rows, snapshot.digest,
+        )
+        payload = pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL)
+        return (
+            b"repro-warmsnap sha256\n" + hashlib.sha256(payload).digest() + payload
+        )
     # "foreign": a well-formed file whose payload is not a snapshot.
     payload = pickle.dumps({"not": "a snapshot"})
     return _DISK_MAGIC + hashlib.sha256(payload).digest() + payload
@@ -228,7 +246,10 @@ def _damage(blob, how, snapshot):
 
 @pytest.mark.parametrize(
     "how",
-    ["magic-bit", "digest-bit", "payload-bit", "truncated", "header-less", "foreign"],
+    [
+        "magic-bit", "digest-bit", "payload-bit", "truncated", "header-less",
+        "old-layout", "foreign",
+    ],
 )
 def test_damaged_disk_snapshot_is_a_counted_miss(tmp_path, how):
     """A damaged snapshot file is never restored: the System misses,

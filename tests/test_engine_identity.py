@@ -244,16 +244,22 @@ def _warm_state_json(hierarchy):
 
     JSON rather than pickle bytes, so the pin does not depend on the
     pickle protocol: each set's tag -> slot items in dict order, the
-    addr/mask/stamp arrays, the free stacks and the stamp counter.
+    addr/mask/stamp arrays, each set's unoccupied slots highest first
+    (the layout the pinned literals were taken with; set ``s`` fills
+    slots from ``s*ways`` up) and the stamp counter.
     """
-    tags, addr, mask, stamps, free, counter = hierarchy.l2.export_state()
+    tags, addr, mask, stamps, counter = hierarchy.l2.export_state()
+    ways = hierarchy.l2.ways
     rows = hierarchy.dbi.export_rows() if hierarchy.dbi is not None else {}
     return json.dumps({
         "tags": [list(t.items()) for t in tags],
         "addr": addr.tolist(),
         "mask": mask.tolist(),
         "stamps": stamps.tolist(),
-        "free": free,
+        "free": [
+            list(range((s + 1) * ways - 1, s * ways + len(t) - 1, -1))
+            for s, t in enumerate(tags)
+        ],
         "counter": counter,
         "dbi": [[list(key), list(lines)] for key, lines in sorted(rows.items())],
     }, separators=(",", ":"))
@@ -289,11 +295,10 @@ def test_restore_shares_snapshot_until_written():
     l2 = system.hierarchy.l2
     assert isinstance(l2._cow_owned, set)
     assert len(l2._cow_owned) <= l2.stats.misses
-    tags, _addr, _mask, _stamps, free, _counter = snapshot.l2
+    tags, _addr, _mask, _stamps, _counter = snapshot.l2
     for set_idx in range(l2.num_sets):
         if set_idx not in l2._cow_owned:
             assert l2._tags[set_idx] is tags[set_idx]
-            assert l2._free[set_idx] is free[set_idx]
     rows = system.hierarchy.dbi._rows
     shared = [key for key, lines in rows.items() if isinstance(lines, tuple)]
     assert shared

@@ -58,11 +58,12 @@ class TestTwoLevelMode:
         # Fig. 8: L1 victim's dirty bits are OR-ed into the L2 line.
         h = self._hierarchy()
         h.access(0, 0, write_mask=0b1)     # L1+L2 fill; dirty in L1 only
-        assert h.l2.lookup(0) is not None
-        assert h.l2.lookup(0).dirty_mask == 0
+        assert h.l1s[0].resident() == {0: 0b1}
+        assert h.l2.resident() == {0: 0}
         h.access(0, 1)
         h.access(0, 2)                      # evicts line 0 from L1
-        assert h.l2.lookup(0).dirty_mask == 0b1
+        assert 0 not in h.l1s[0].resident()
+        assert h.l2.resident()[0] == 0b1
 
     def test_l1_hit_produces_no_l2_access(self):
         h = self._hierarchy()
@@ -81,18 +82,10 @@ class TestTwoLevelMode:
         h.access(0, 0, write_mask=0b10000000)
         h.access(0, 3)
         h.access(0, 4)                      # L1 evicts 0 again
-        assert h.l2.lookup(0).dirty_mask == 0b10000001
+        assert h.l2.resident()[0] == 0b10000001
 
 
 class TestFlushAndStats:
-    def test_flush_dirty(self):
-        h = CacheHierarchy(small_l2())
-        h.access(0, 0, write_mask=0b1)
-        h.access(0, 1, write_mask=0b11)
-        drained = dict(h.flush_dirty())
-        assert drained == {0: 0b1, 1: 0b11}
-        assert h.flush_dirty() == []
-
     def test_dirty_word_fractions(self):
         h = CacheHierarchy(small_l2(sets=1, ways=1))
         h.access(0, 0, write_mask=0b1)
@@ -117,7 +110,7 @@ class TestDBIIntegration:
         wb = dict(traffic.writebacks)
         assert wb[0] == 0b1
         assert wb[1] == 0b10  # proactively drained companion
-        assert not l2.lookup(1).dirty  # cleaned but resident
+        assert l2.resident()[1] == 0  # cleaned but resident
         assert dbi.proactive_writebacks == 1
 
     def test_dbi_index_cleared_on_clean_eviction(self):

@@ -14,6 +14,8 @@ import asyncio
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -26,6 +28,8 @@ from repro.service.scheduler import PoolScheduler
 from repro.service.server import ServiceServer
 from repro.service.store import ResultStore
 from repro.sim.sweep import Sweep
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Small four-point grid (2 schemes x 2 workloads) used end-to-end.
 EVENTS = 80
@@ -103,6 +107,10 @@ class TestDigests:
             # Not a whole number of 8-way, 64 B sets.
             {"axes": {"workload": ["GUPS"]}, "llc_bytes": 1000},
             {"axes": {"workload": ["GUPS"], "ecc_chips": [-8]}},
+            # Distinct by repr, but neither 0.5 nor "0" nor True is a
+            # chip count: no coercion may fold them into ecc_chips=0.
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [0, 0.5, "0"]}},
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [True]}},
         ],
     )
     def test_invalid_specs_fail_at_submit(self, payload):
@@ -445,6 +453,22 @@ class TestHTTPService:
             with pytest.raises(ServiceError) as excinfo:
                 client.result("not-a-digest")
             assert excinfo.value.status == 400
+
+    def test_cli_submit_reports_a_rejected_spec(self, tmp_path):
+        """``repro submit`` reports a spec the service rejects (400) as
+        one ``error:`` line and a non-zero exit, not a traceback."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        with running_service(tmp_path) as client:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "submit",
+                 "--port", str(client.port), "--workloads", "GUPS",
+                 "--llc-bytes", "1000"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        assert result.returncode != 0
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 # ----------------------------------------------------------------------
