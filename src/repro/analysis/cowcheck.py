@@ -4,8 +4,9 @@ The warm-state snapshot machinery relies on *deliberate* aliasing:
 ``SetAssociativeCache.restore_state`` rebinds per-set tag dicts that
 are still shared with the snapshot until ``_own_set`` privatizes them,
 and ``DirtyBlockIndex.restore_rows`` installs immutable tuple aliases
-that ``mark_dirty``/``mark_clean``/``on_writeback`` thaw on first
-write.  The invariant that
+that ``mark_dirty``/``on_writeback`` thaw on first write (as does
+``SetAssociativeCache.replay``, the warmup loop, through the same
+``_own_set`` guard as ``access``).  The invariant that
 keeps snapshots reusable is "never mutate a possibly-shared value in
 place without first privatizing it" — previously enforced only by code
 review.

@@ -11,9 +11,10 @@ pressure (the proactive burst arrives with heterogeneous masks).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Set, Tuple, Union
+from typing import Callable, Dict, List, Set, Tuple, Union
 
-RowOf = Callable[[int], Hashable]
+#: Line address -> an int naming its DRAM row.
+RowOf = Callable[[int], int]
 
 #: One row's dirty lines: a private mutable set, or — after a
 #: copy-on-write restore — the snapshot's shared immutable tuple,
@@ -35,11 +36,18 @@ REPRO_COW_PROTOCOL = {
 class DirtyBlockIndex:
     """Row-organized registry of dirty line addresses.
 
-    ``row_of`` maps a cache-line address to its DRAM-row identity (the
-    address-mapper's ``line_row_key``).  ``max_writebacks`` bounds how
-    many companion lines one trigger may drain (the paper drains the
-    whole row; a bound keeps pathological rows from flooding the write
-    queue).
+    ``row_of`` maps a cache-line address to an int naming its DRAM row
+    (the address mapper's ``line_row_id``).  ``max_writebacks`` bounds
+    how many companion lines one trigger may drain (the paper drains
+    the whole row; a bound keeps pathological rows from flooding the
+    write queue).
+
+    The registry holds exactly the LLC's dirty resident lines: a store
+    marks its line, and a line leaves only when it is written back, as
+    the trigger or as a drained companion that the caller cleans.  A
+    clean victim is therefore never registered, and evicting one needs
+    no call here (``tests/test_dbi.py`` checks this on random
+    hierarchies; the sanitizer checks it after every run).
     """
 
     def __init__(self, row_of: RowOf, max_writebacks: int = 16) -> None:
@@ -47,7 +55,7 @@ class DirtyBlockIndex:
             raise ValueError("max_writebacks must be >= 1")
         self.row_of = row_of
         self.max_writebacks = max_writebacks
-        self._rows: Dict[Hashable, RowLines] = {}
+        self._rows: Dict[int, RowLines] = {}
         self.proactive_writebacks = 0
         self.triggers = 0
 
@@ -67,35 +75,20 @@ class DirtyBlockIndex:
             self._rows[key] = lines
         lines.add(line_addr)
 
-    def mark_clean(self, line_addr: int) -> None:
-        """Drop a line from the dirty registry (no-op if absent)."""
-        key = self.row_of(line_addr)
-        lines = self._rows.get(key)
-        if lines is None:
-            return
-        if isinstance(lines, tuple):
-            if line_addr not in lines:
-                return
-            lines = set(lines)
-            self._rows[key] = lines
-        lines.discard(line_addr)
-        if not lines:
-            del self._rows[key]
-
     def is_dirty(self, line_addr: int) -> bool:
         lines = self._rows.get(self.row_of(line_addr))
         return bool(lines) and line_addr in lines
 
-    def export_rows(self) -> Dict[Hashable, Tuple[int, ...]]:
+    def export_rows(self) -> Dict[int, Tuple[int, ...]]:
         """Snapshot the dirty registry as picklable sorted tuples."""
         return {key: tuple(sorted(lines)) for key, lines in self._rows.items()}
 
-    def restore_rows(self, rows: Dict[Hashable, Tuple[int, ...]]) -> None:
+    def restore_rows(self, rows: Dict[int, Tuple[int, ...]]) -> None:
         """Restore, copy-on-write, a registry captured by :meth:`export_rows`.
 
         Copies only the top-level dict and keeps the snapshot's per-row
         tuples shared; a row is privatized to a set on its first
-        ``mark_dirty``/``mark_clean``/``on_writeback``.  Every reader is
+        ``mark_dirty``/``on_writeback``.  Every reader is
         order-insensitive, so the registry behaves as one replayed by
         ``mark_dirty`` (the cold oracle).
         """

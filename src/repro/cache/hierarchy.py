@@ -21,6 +21,11 @@ modelling.  Lines are never dropped except by a miss replacing them,
 and a run ends with its dirty lines still resident (no end-of-run
 flush is modelled); each level's
 :meth:`~repro.cache.set_assoc.SetAssociativeCache.resident` reads them.
+
+With a DBI, every line that turns or stays dirty in the LLC is marked,
+and every dirty LLC victim drains its row's dirty companions, which
+stay resident but clean.  The registry therefore holds exactly the
+LLC's dirty lines, and a clean victim needs no DBI call.
 """
 
 from __future__ import annotations
@@ -118,8 +123,7 @@ class CacheHierarchy:
 
     def _handle_l2_victim(self, victim: Eviction, traffic: MemoryTraffic) -> None:
         if not victim.dirty:
-            if self.dbi is not None:
-                self.dbi.mark_clean(victim.line_addr)
+            # The DBI holds dirty LLC lines only: nothing to drop.
             return
         traffic.writebacks.append((victim.line_addr, victim.dirty_mask))
         if self.dbi is None:
@@ -145,36 +149,24 @@ class CacheHierarchy:
         discarding the traffic: cache and DBI state evolve identically
         (``fill_on_miss``/``no_fill`` only shape the returned traffic,
         never the state, so the flags are not needed here).  In
-        LLC-only mode the per-event :class:`MemoryTraffic` allocation
-        and method dispatch are inlined away — warmup replays ~4x the
-        LLC line count per :class:`~repro.sim.system.System`, which
-        made this the front end's hottest loop before the warm-state
-        snapshot cache amortized it.
+        LLC-only mode the whole block is one
+        :meth:`~repro.cache.set_assoc.SetAssociativeCache.replay` loop,
+        handed the DBI's ``mark_dirty`` and ``on_writeback`` to call in
+        :meth:`_access_l2`'s order: warmup replays ~4x the LLC line
+        count per cold fingerprint, the bulk of a cold set-up.
         """
         if self.l1s is not None:
             access = self.access
             for i in range(start, end):
                 access(core_id, addrs[i], write_mask=masks[i])
             return
-        l2_access = self.l2.access
         dbi = self.dbi
         if dbi is None:
-            for i in range(start, end):
-                l2_access(addrs[i], masks[i])
-            return
-        clean_line = self.l2.clean_line
-        for i in range(start, end):
-            addr = addrs[i]
-            mask = masks[i]
-            _, victim = l2_access(addr, mask)
-            if mask:
-                dbi.mark_dirty(addr)
-            if victim is not None:
-                if not victim.dirty_mask:
-                    dbi.mark_clean(victim.line_addr)
-                else:
-                    for companion in dbi.on_writeback(victim.line_addr):
-                        clean_line(companion)
+            self.l2.replay(addrs, masks, start, end)
+        else:
+            self.l2.replay(
+                addrs, masks, start, end, dbi.mark_dirty, dbi.on_writeback
+            )
 
     # ------------------------------------------------------------------
     def dirty_word_fractions(self) -> dict:

@@ -21,25 +21,32 @@ flat arrays are copied and the per-set dicts shared copy-on-write
 buffers are invisible to the cyclic GC — both of which matter when a
 sweep restores one snapshot for every point of a grid column.
 :meth:`SetAssociativeCache.resident` is the one read-only query.
+Cold warmup plays whole trace blocks through
+:meth:`SetAssociativeCache.replay`, one loop that binds the arrays once
+and leaves the state that :meth:`~SetAssociativeCache.access` per event
+would.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dram.geometry import LINE_BYTES, WORDS_PER_LINE
 
-# Oracle-parity declaration enforced by reprolint: the slot arrays and
-# their copy-on-write restore are the fast path; a cold warmup (whose
-# end state WARM_STATE_DIGESTS pins) is the oracle a restore must
-# match, and NaiveLRUCache in tests/test_reference_models.py is the
-# independent list-based LRU reference.
+# Oracle-parity declaration enforced by reprolint: the slot arrays,
+# their copy-on-write restore and the warmup ``replay`` loop are the
+# fast path; a cold warmup (whose end state WARM_STATE_DIGESTS pins) is
+# the oracle a restore must match, per-event ``access`` is the oracle
+# of ``replay`` (tests/test_cache_replay.py), and NaiveLRUCache in
+# tests/test_reference_models.py is the independent list-based LRU
+# reference.
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.system.System._warm_caches"
 ORACLE_TESTS = (
     "tests/test_reference_models.py",
+    "tests/test_cache_replay.py",
     "tests/test_engine_identity.py",
     "tests/test_engine_equivalence.py",
 )
@@ -289,6 +296,82 @@ class SetAssociativeCache:
         self._mask[slot] = dirty_mask
         self._stamps[slot] = stamp
         return victim
+
+    def replay(
+        self,
+        addrs: Sequence[int],
+        masks: Sequence[int],
+        start: int,
+        end: int,
+        mark: Optional[Callable[[int], None]] = None,
+        drain: Optional[Callable[[int], List[int]]] = None,
+    ) -> None:
+        """Play ``addrs[start:end]`` through the cache without timing.
+
+        Leaves the cache and its stats exactly as :meth:`access` per
+        event would, with the arrays bound once and no
+        :class:`Eviction` built.  ``mark`` is called with each stored
+        line after its access, then ``drain`` with each dirty victim's
+        address; the lines ``drain`` returns are cleaned in place —
+        :class:`~repro.cache.hierarchy.CacheHierarchy`'s LLC-only order
+        for the DBI's ``mark_dirty`` and ``on_writeback``.
+        """
+        num_sets, ways = self.num_sets, self.ways
+        tags_of = self._tags
+        addr_of, mask_of, stamps = self._addr, self._mask, self._stamps
+        stats = self.stats
+        hist = stats.dirty_word_hist
+        stamp = self._stamp_counter
+        hits = evictions = dirty_evictions = 0
+        for i in range(start, end):
+            line = addrs[i]
+            store = masks[i]
+            set_idx = line % num_sets
+            tag = line // num_sets
+            tags = tags_of[set_idx]
+            slot = tags.get(tag)
+            stamp += 1
+            if slot is not None:
+                hits += 1
+                stamps[slot] = stamp
+                if store:
+                    mask_of[slot] |= store
+                    if mark is not None:
+                        mark(line)
+                continue
+            if self._cow_owned is not None:
+                tags = self._own_set(set_idx)
+            victim_mask = 0
+            if len(tags) >= ways:
+                # _evict_slot inlined: the argmin of the set's stamps.
+                base = set_idx * ways
+                window = stamps[base:base + ways]
+                slot = base + window.index(min(window))
+                victim = addr_of[slot]
+                del tags[victim // num_sets]
+                evictions += 1
+                victim_mask = mask_of[slot]
+                if victim_mask:
+                    dirty_evictions += 1
+                    hist[bin(victim_mask).count("1")] += 1
+            else:
+                slot = set_idx * ways + len(tags)
+            tags[tag] = slot
+            addr_of[slot] = line
+            mask_of[slot] = store
+            stamps[slot] = stamp
+            if store and mark is not None:
+                mark(line)
+            if victim_mask and drain is not None:
+                for companion in drain(victim):
+                    slot = tags_of[companion % num_sets].get(companion // num_sets)
+                    if slot is not None:
+                        mask_of[slot] = 0
+        self._stamp_counter = stamp
+        stats.hits += hits
+        stats.misses += len(range(start, end)) - hits
+        stats.evictions += evictions
+        stats.dirty_evictions += dirty_evictions
 
     def clean_line(self, line_addr: int) -> int:
         """Clear a resident line's dirty bits; returns the old mask."""

@@ -72,6 +72,13 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
         object.__setattr__(self, "_rows", geo.chip.rows)
         object.__setattr__(self, "_cols", geo.lines_per_row)
         object.__setattr__(self, "_capacity", geo.capacity_bytes // LINE_BYTES)
+        # line_row_id's constants: under line interleaving the low
+        # (channel, bank, rank) digits, then the column digit, sit
+        # below the row.
+        lanes = geo.channels * geo.chip.banks * geo.ranks_per_channel
+        object.__setattr__(self, "_row_interleaved", self.interleaving is Interleaving.ROW)
+        object.__setattr__(self, "_row_lanes", lanes)
+        object.__setattr__(self, "_row_span", lanes * geo.lines_per_row)
 
     @property
     def line_capacity(self) -> int:
@@ -131,34 +138,28 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
         """Hashable identity of the DRAM row an address falls in."""
         return (addr.channel, addr.rank, addr.bank, addr.row)
 
-    def line_row_key(self, line_index: int) -> tuple:
-        """``row_key(decode_line(line_index))`` without building an Address.
+    def line_row_id(self, line_index: int) -> int:
+        """An int naming the DRAM row ``line_index`` falls in.
 
-        The DBI keys its registry by this on every dirty mark, clean
-        and writeback, which makes it the warmup replay's hottest
-        mapping call; it skips the column digit and the
-        :class:`Address` allocation, and returns the identical tuple
-        (``tests/test_mapping.py`` holds the two to equality).
+        Two lines get the same id iff they get the same
+        ``row_key(decode_line(line))``: the id is the in-capacity line
+        index with its column digit removed.  The XOR bank hash only
+        permutes banks within one (channel, rank, row), so it cannot
+        merge or split rows and the id ignores it.  The DBI keys its
+        registry by this on every dirty mark and writeback, which makes
+        it the warmup replay's hottest mapping call: one division under
+        row interleaving, two under line interleaving, and no
+        :class:`Address` or tuple built (``tests/test_mapping.py``
+        holds it to ``row_key``).
         """
         if line_index < 0:
             raise ValueError("line index must be non-negative")
         v = line_index % self._capacity
-        if self.interleaving is Interleaving.ROW:
+        if self._row_interleaved:
             # offset | column | channel | bank | rank | row
-            v //= self._cols
-            v, channel = divmod(v, self._channels)
-            v, bank = divmod(v, self._banks)
-            v, rank = divmod(v, self._ranks)
-        else:
-            # offset | channel | bank | rank | column | row
-            v, channel = divmod(v, self._channels)
-            v, bank = divmod(v, self._banks)
-            v, rank = divmod(v, self._ranks)
-            v //= self._cols
-        row = v % self._rows
-        if self.xor_bank_hash:
-            bank ^= row % self._banks
-        return (channel, rank, bank, row)
+            return v // self._cols
+        # offset | channel | bank | rank | column | row
+        return v // self._row_span * self._row_lanes + v % self._row_lanes
 
 
 def word_index_to_mat_group(word: int) -> int:

@@ -18,7 +18,8 @@ otherwise unmodified simulation:
   (:func:`check_finalize`): the power accountant's event counters must
   agree exactly with the controllers' served/activation/refresh
   counters (energy conservation — every burst and ACT accounted once),
-  per-category energies must be finite and non-negative, and the
+  per-category energies must be finite and non-negative, a DBI must
+  register exactly the LLC's dirty resident lines, and the
   timing-core arrays must be self-consistent (valid PRA masks,
   ``open_bits`` mirroring ``open_row``).
 
@@ -136,6 +137,20 @@ def check_finalize(system: "System", merged: "ControllerStats") -> None:
             math.isfinite(pj) and pj >= 0.0,
             f"energy category {category!r} is {pj!r} (must be finite "
             f"and non-negative)",
+        )
+
+    # DBI registry: exactly the LLC's dirty resident lines, so a clean
+    # victim never needs dropping from it.
+    hierarchy = system.hierarchy
+    if hierarchy.dbi is not None:
+        registered = sorted(
+            line for lines in hierarchy.dbi.export_rows().values() for line in lines
+        )
+        dirty = sorted(line for line, mask in hierarchy.l2.resident().items() if mask)
+        _require(
+            registered == dirty,
+            f"DBI registers {len(registered)} lines but the LLC holds "
+            f"{len(dirty)} dirty lines",
         )
 
     # Timing-core self-consistency: masks in range, open_bits exact.

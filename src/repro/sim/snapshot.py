@@ -45,15 +45,15 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.cache.hierarchy import CacheHierarchy
     from repro.sim.config import SystemConfig
     from repro.workloads.mixes import Workload
 
-#: Exported DBI registry: row key -> sorted dirty line tuple.
-DbiRows = Optional[Dict[Hashable, Tuple[int, ...]]]
+#: Exported DBI registry: row id -> sorted dirty line tuple.
+DbiRows = Optional[Dict[int, Tuple[int, ...]]]
 
 #: Warm-state marker, hashed into every warm fingerprint and so into
 #: every service point digest: bump it only when warmup semantics
@@ -67,7 +67,9 @@ _FORMAT = "warm-v2"
 #: fields of a cache export), so an older file is a counted miss rather
 #: than a payload that passes its digest check and then fails to
 #: restore.  v2: a cache export no longer carries per-set free stacks.
-_DISK_MAGIC = b"repro-warmsnap-v2 sha256\n"
+#: v3: DBI rows are keyed by ``AddressMapper.line_row_id`` ints, not
+#: ``(channel, rank, bank, row)`` tuples.
+_DISK_MAGIC = b"repro-warmsnap-v3 sha256\n"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 # Oracle-parity declaration enforced by reprolint: restoring a warm

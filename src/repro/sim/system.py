@@ -211,7 +211,7 @@ class System:
             # a closure would make a reference cycle, leaving every DBI
             # System and its LLC to the cyclic collector.
             dbi = DirtyBlockIndex(
-                row_of=self.mapper.line_row_key,
+                row_of=self.mapper.line_row_id,
                 max_writebacks=cache_cfg.dbi_max_writebacks,
             )
         self.hierarchy = CacheHierarchy(l2, l1s=l1s, dbi=dbi)

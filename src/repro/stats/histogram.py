@@ -30,6 +30,9 @@ class LatencyHistogram:
         self.min_value: int = 0
         self.max_value: int = 0
         self._log_base = math.log(base)
+        #: Bucket of each latency seen so far: runs repeat a few hundred
+        #: distinct latencies, so each pays :meth:`_bucket` once.
+        self._bucket_of: Dict[int, int] = {}
 
     def _bucket(self, value: int) -> int:
         if value <= 1:
@@ -49,12 +52,16 @@ class LatencyHistogram:
             raise ValueError("latency samples must be non-negative")
         if self.samples == 0:
             self.min_value = self.max_value = value
-        else:
-            self.min_value = min(self.min_value, value)
-            self.max_value = max(self.max_value, value)
+        elif value < self.min_value:
+            self.min_value = value
+        elif value > self.max_value:
+            self.max_value = value
         self.samples += 1
         self.total += value
-        self._counts[self._bucket(value)] += 1
+        idx = self._bucket_of.get(value)
+        if idx is None:
+            idx = self._bucket_of[value] = self._bucket(value)
+        self._counts[idx] += 1
 
     def record_many(self, values: Iterable[int]) -> None:
         """Add a batch of non-negative samples.
@@ -82,9 +89,12 @@ class LatencyHistogram:
         self.samples += len(vals)
         self.total += sum(vals)
         counts = self._counts
-        bucket = self._bucket
+        bucket_of = self._bucket_of
         for value in vals:
-            counts[bucket(value)] += 1
+            idx = bucket_of.get(value)
+            if idx is None:
+                idx = bucket_of[value] = self._bucket(value)
+            counts[idx] += 1
 
     def extend(self, values: Iterable[int]) -> None:
         self.record_many(values)

@@ -9,7 +9,10 @@ followed, a couple of instructions later, by a store to the same line
 update-heavy kernels hit DRAM with a 1:1 read/write mix).
 
 Everything is driven by a seeded ``random.Random``, so traces are
-reproducible.
+reproducible.  The helpers draw from it directly, with ``random()`` and
+``getrandbits()`` in exactly the calls CPython's ``randrange``,
+``random.sample`` and ``expovariate`` would make, without their Python
+frames: the numbers, and so the traces, are the ones those calls give.
 
 Two consumption paths exist:
 
@@ -48,6 +51,10 @@ ORACLE_TESTS = ("tests/test_trace_blocks.py",)
 #: Line-address stride between per-core memory regions (1 GB).
 REGION_LINES = 1 << 24
 
+#: ``(8 - i).bit_length()``: the bits ``randrange(8 - i)`` draws for the
+#: i-th word of a dirty mask.
+_WORD_DRAW_BITS = tuple((8 - i).bit_length() for i in range(8))
+
 
 class _Stream:
     """Sequential-run address stream within a footprint."""
@@ -61,18 +68,27 @@ class _Stream:
         self.mean_run = mean_run
         self.pos = base
         self.run_left = 0
+        #: Bits of one jump draw (profiles guarantee footprint >= 1).
+        self._bits = footprint.bit_length()
 
     def next_line(self) -> int:
         if self.run_left > 0:
             self.run_left -= 1
             self.pos += 1
         else:
-            self.pos = self.base + self.rng.randrange(self.footprint)
+            rng = self.rng
+            # ``rng.randrange(footprint)`` drawn directly, as CPython's
+            # ``_randbelow`` draws it: ``getrandbits(footprint.bit_length())``
+            # until the value falls below the footprint.
+            offset = rng.getrandbits(self._bits)
+            while offset >= self.footprint:
+                offset = rng.getrandbits(self._bits)
+            self.pos = self.base + offset
             if self.mean_run > 1.0:
                 # Geometric run with the configured mean (>= 1).
                 p = 1.0 / self.mean_run
                 run = 1
-                while self.rng.random() > p:
+                while rng.random() > p:
                     run += 1
                 self.run_left = run - 1
             else:
@@ -139,13 +155,19 @@ class TraceGenerator:
             return 0xFF
         # ``rng.sample(range(8), words)`` drawn directly: for a
         # population of 8, sample's pool swap takes ``randrange(8 - i)``
-        # for the i-th pick.  Only the OR of the picks is kept, so the
-        # pool holds the bits' masks.
-        randrange = self.rng.randrange
+        # for the i-th pick, which CPython draws as
+        # ``getrandbits((8 - i).bit_length())`` until the value falls
+        # below ``8 - i``.  Only the OR of the picks is kept, so the pool
+        # holds the bits' masks.
+        getrandbits = self.rng.getrandbits
         pool = [1, 2, 4, 8, 16, 32, 64, 128]
         mask = 0
         for i in range(words):
-            j = randrange(8 - i)
+            n = 8 - i
+            bits = _WORD_DRAW_BITS[i]
+            j = getrandbits(bits)
+            while j >= n:
+                j = getrandbits(bits)
             mask |= pool[j]
             pool[j] = pool[7 - i]
         return mask

@@ -1,8 +1,15 @@
 """Dirty-Block Index: row-organized dirty tracking, DRAM-aware writeback."""
 
+from array import array
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.dbi import DirtyBlockIndex
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.set_assoc import SetAssociativeCache
+from repro.sim.snapshot import capture_warm_state, restore_warm_state
 
 #: Toy row function: 4 lines per "row".
 row_of = lambda line: line // 4  # noqa: E731
@@ -19,16 +26,6 @@ class TestTracking:
         assert dbi.is_dirty(5)
         assert not dbi.is_dirty(6)
         assert len(dbi) == 1
-
-    def test_mark_clean(self, dbi):
-        dbi.mark_dirty(5)
-        dbi.mark_clean(5)
-        assert not dbi.is_dirty(5)
-        assert len(dbi) == 0
-
-    def test_clean_unknown_is_noop(self, dbi):
-        dbi.mark_clean(42)
-        assert len(dbi) == 0
 
     def test_companions_same_row_only(self, dbi):
         dbi.mark_dirty(4)
@@ -106,3 +103,69 @@ class TestCopyOnWriteRestore:
         assert snapshot == pristine
         assert all(snapshot[key] is pristine[key] for key in pristine)
         assert all(type(lines) is tuple for lines in snapshot.values())
+
+
+# ----------------------------------------------------------------------
+# The registry holds exactly the LLC's dirty resident lines, so a clean
+# victim is never in it and evicting one needs no DBI call.
+# ----------------------------------------------------------------------
+_LINE = st.integers(min_value=0, max_value=23)
+_STORE = st.integers(min_value=1, max_value=0xFF)
+
+#: 24 lines over an 8-line LLC of 4 sets, in 8-line rows so that a
+#: miss's victim can share the stored line's row: dirty evictions with
+#: companions, companion drains and clean victims are all common.
+hierarchy_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("load"), _LINE),
+        st.tuples(st.just("store"), _LINE, _STORE),
+        # A warmup block: loads (mask 0) and stores through warm_block.
+        st.tuples(
+            st.just("block"),
+            st.lists(st.tuples(_LINE, st.integers(0, 0xFF)), max_size=12),
+        ),
+        # Capture the hierarchy and go on in one restored copy-on-write.
+        st.tuples(st.just("restore")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _hierarchy(use_l1, max_writebacks, lazy_sets=False):
+    l2 = SetAssociativeCache(4 * 2 * 64, ways=2, name="L2", lazy_sets=lazy_sets)
+    l1s = None
+    if use_l1:
+        l1s = [SetAssociativeCache(2 * 64, ways=2, name="L1-0", lazy_sets=lazy_sets)]
+    dbi = DirtyBlockIndex(row_of=lambda line: line // 8, max_writebacks=max_writebacks)
+    return CacheHierarchy(l2, l1s=l1s, dbi=dbi)
+
+
+@pytest.mark.parametrize("max_writebacks", [1, 16])
+@pytest.mark.parametrize("use_l1", [False, True], ids=["llc-only", "l1"])
+@given(program=hierarchy_programs)
+@settings(max_examples=60, deadline=None)
+def test_registry_is_the_llc_dirty_lines(use_l1, max_writebacks, program):
+    """After every load, store, warmup block and restore, the DBI's
+    lines are exactly the LLC's resident lines with a non-zero mask."""
+    hierarchy = _hierarchy(use_l1, max_writebacks)
+    for op in program:
+        if op[0] == "load":
+            hierarchy.access(0, op[1])
+        elif op[0] == "store":
+            hierarchy.access(0, op[1], write_mask=op[2])
+        elif op[0] == "block":
+            addrs = array("q", [line for line, _ in op[1]])
+            masks = array("B", [mask for _, mask in op[1]])
+            hierarchy.warm_block(0, addrs, masks, 0, len(addrs))
+        else:
+            snapshot = capture_warm_state(hierarchy)
+            hierarchy = _hierarchy(use_l1, max_writebacks, lazy_sets=True)
+            restore_warm_state(hierarchy, snapshot)
+        registered = sorted(
+            line for lines in hierarchy.dbi.export_rows().values() for line in lines
+        )
+        dirty = sorted(
+            line for line, mask in hierarchy.l2.resident().items() if mask
+        )
+        assert registered == dirty

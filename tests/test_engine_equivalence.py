@@ -204,7 +204,7 @@ def test_snapshot_disk_layer_round_trip(tmp_path):
     assert _fingerprint(restored_system.run()) == _fingerprint(cold)
 
 
-def _damage(blob, how, snapshot):
+def _damage(blob, how, snapshot, mapper):
     """A warm-snapshot file's bytes after one kind of damage."""
     magic, digest_end = len(_DISK_MAGIC), len(_DISK_MAGIC) + 32
 
@@ -239,6 +239,18 @@ def _damage(blob, how, snapshot):
         return (
             b"repro-warmsnap sha256\n" + hashlib.sha256(payload).digest() + payload
         )
+    if how == "v2-tuple-keys":
+        # The previous header over a payload with a valid digest whose
+        # DBI rows are keyed by (channel, rank, bank, row) tuples.
+        rows = {
+            mapper.row_key(mapper.decode_line(lines[0])): lines
+            for lines in snapshot.dbi_rows.values()
+        }
+        old = WarmSnapshot(snapshot.l2, snapshot.l1s, rows, snapshot.digest)
+        payload = pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL)
+        return (
+            b"repro-warmsnap-v2 sha256\n" + hashlib.sha256(payload).digest() + payload
+        )
     # "foreign": a well-formed file whose payload is not a snapshot.
     payload = pickle.dumps({"not": "a snapshot"})
     return _DISK_MAGIC + hashlib.sha256(payload).digest() + payload
@@ -248,25 +260,26 @@ def _damage(blob, how, snapshot):
     "how",
     [
         "magic-bit", "digest-bit", "payload-bit", "truncated", "header-less",
-        "old-layout", "foreign",
+        "old-layout", "v2-tuple-keys", "foreign",
     ],
 )
 def test_damaged_disk_snapshot_is_a_counted_miss(tmp_path, how):
     """A damaged snapshot file is never restored: the System misses,
     counts the corruption, warms cold, and overwrites the file."""
+    scheme = DBI_PRA if how == "v2-tuple-keys" else PRA
     disk = str(tmp_path / "snaps")
     SNAPSHOTS.clear()
-    cold = _build(PRA, "GUPS", 3, use_snapshots=False).run()
-    _build(PRA, "GUPS", 3, snapshot_dir=disk)  # writes the snapshot
+    cold = _build(scheme, "GUPS", 3, use_snapshots=False).run()
+    writer = _build(scheme, "GUPS", 3, snapshot_dir=disk)  # writes the snapshot
     (snapshot,) = SNAPSHOTS._mem.values()
     (path,) = glob.glob(os.path.join(disk, "*.warmsnap"))
     with open(path, "rb") as handle:
         blob = handle.read()
     with open(path, "wb") as handle:
-        handle.write(_damage(blob, how, snapshot))
+        handle.write(_damage(blob, how, snapshot, writer.mapper))
 
     SNAPSHOTS.clear()  # a fresh worker: only the disk layer remains
-    system = _build(PRA, "GUPS", 3, snapshot_dir=disk)
+    system = _build(scheme, "GUPS", 3, snapshot_dir=disk)
     assert not system.snapshot_restored
     assert (SNAPSHOTS.corrupt, SNAPSHOTS.misses, SNAPSHOTS.hits) == (1, 1, 0)
     assert _fingerprint(system.run()) == _fingerprint(cold)
@@ -274,7 +287,7 @@ def test_damaged_disk_snapshot_is_a_counted_miss(tmp_path, how):
     with open(path, "rb") as handle:
         assert handle.read() == blob  # the cold build rewrote the file
     SNAPSHOTS.clear()
-    assert _build(PRA, "GUPS", 3, snapshot_dir=disk).snapshot_restored
+    assert _build(scheme, "GUPS", 3, snapshot_dir=disk).snapshot_restored
     assert SNAPSHOTS.corrupt == 0
 
 

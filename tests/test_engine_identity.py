@@ -239,18 +239,25 @@ WARM_STATE_DIGESTS = {
 }
 
 
-def _warm_state_json(hierarchy):
+def _warm_state_json(system):
     """Canonical JSON of the LLC export and the DBI rows in key order.
 
     JSON rather than pickle bytes, so the pin does not depend on the
     pickle protocol: each set's tag -> slot items in dict order, the
     addr/mask/stamp arrays, each set's unoccupied slots highest first
     (the layout the pinned literals were taken with; set ``s`` fills
-    slots from ``s*ways`` up) and the stamp counter.
+    slots from ``s*ways`` up) and the stamp counter.  Each DBI row is
+    written under its ``(channel, rank, bank, row)`` key, the layout
+    the literals were taken with, whatever id the registry keys it by.
     """
+    hierarchy = system.hierarchy
     tags, addr, mask, stamps, counter = hierarchy.l2.export_state()
     ways = hierarchy.l2.ways
-    rows = hierarchy.dbi.export_rows() if hierarchy.dbi is not None else {}
+    rows = {}
+    if hierarchy.dbi is not None:
+        mapper = system.mapper
+        for lines in hierarchy.dbi.export_rows().values():
+            rows[mapper.row_key(mapper.decode_line(lines[0]))] = lines
     return json.dumps({
         "tags": [list(t.items()) for t in tags],
         "addr": addr.tolist(),
@@ -271,7 +278,7 @@ def test_cold_warm_state_golden(scheme, precompiled):
     system = _build(
         scheme, "MIX2", use_snapshots=False, precompiled_traces=precompiled
     )
-    blob = _warm_state_json(system.hierarchy).encode("utf-8")
+    blob = _warm_state_json(system).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == WARM_STATE_DIGESTS[scheme.name]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.geometry import SystemGeometry
+from repro.dram.geometry import ChipGeometry, SystemGeometry
 from repro.dram.mapping import (
     AddressMapper,
     Interleaving,
@@ -91,22 +91,48 @@ class TestInterleavingSemantics:
             addr.row,
         )
 
-    @given(st.integers(min_value=0, max_value=3 * ROW_MAPPER.line_capacity))
+    @pytest.mark.parametrize("interleaving", list(Interleaving), ids=lambda i: i.name)
+    @pytest.mark.parametrize("xor_bank_hash", [False, True], ids=["plain", "xor"])
+    def test_line_row_id_is_a_bijection_of_row_key(self, interleaving, xor_bank_hash):
+        """Two lines share a ``line_row_id`` iff they share
+        ``row_key(decode_line())``: checked on every line of a small
+        geometry three times over, so lines past capacity wrap the same
+        way, and on a negative line, which both reject."""
+        geometry = SystemGeometry(chip=ChipGeometry(banks=4, rows=4, columns=32))
+        mapper = AddressMapper(geometry, interleaving, xor_bank_hash=xor_bank_hash)
+        id_to_key, key_to_id = {}, {}
+        for line in range(3 * mapper.line_capacity):
+            row_id = mapper.line_row_id(line)
+            key = mapper.row_key(mapper.decode_line(line))
+            assert id_to_key.setdefault(row_id, key) == key
+            assert key_to_id.setdefault(key, row_id) == row_id
+        rows = geometry.channels * geometry.ranks_per_channel * geometry.banks * geometry.chip.rows
+        assert len(id_to_key) == rows
+        for bad in (mapper.decode_line, mapper.line_row_id):
+            with pytest.raises(ValueError):
+                bad(-1)
+
+    @given(
+        st.integers(min_value=0, max_value=3 * ROW_MAPPER.line_capacity),
+        st.integers(min_value=-256, max_value=256),
+        st.sampled_from([1, 32, ROW_MAPPER.line_capacity]),
+    )
     @settings(max_examples=200)
-    def test_line_row_key_matches_decoded_row_key(self, line):
-        """The DBI's Address-free row key equals row_key(decode_line())."""
+    def test_line_row_id_matches_row_key_at_full_size(self, line, steps, stride):
+        """The same on the paper's geometry, for pairs of lines that
+        often share a row: ``steps`` lines, rank-bank-channel lanes
+        (32) or whole capacities apart."""
+        other = max(0, line + steps * stride)
         for interleaving in Interleaving:
             for xor_bank_hash in (False, True):
                 mapper = AddressMapper(
                     SystemGeometry(), interleaving, xor_bank_hash=xor_bank_hash
                 )
-                assert mapper.line_row_key(line) == mapper.row_key(
-                    mapper.decode_line(line)
+                same_id = mapper.line_row_id(line) == mapper.line_row_id(other)
+                same_key = mapper.row_key(mapper.decode_line(line)) == mapper.row_key(
+                    mapper.decode_line(other)
                 )
-
-    def test_line_row_key_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ROW_MAPPER.line_row_key(-1)
+                assert same_id == same_key
 
     def test_wraps_capacity(self):
         cap = ROW_MAPPER.line_capacity

@@ -79,11 +79,16 @@ TARGETS = _read_table()
 @pytest.fixture(scope="module")
 def problems():
     repro_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {"PYTHONPATH": repro_root, "PATH": "/usr/bin:/bin"}
+    # A run that writes no bytecode cache must not get one from its
+    # child either.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     result = subprocess.run(
         [sys.executable, "-c", _RESOLVE, json.dumps([t for _, t in TARGETS])],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": repro_root, "PATH": "/usr/bin:/bin"},
+        env=env,
         check=True,
         timeout=120,
     )

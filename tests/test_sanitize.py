@@ -9,6 +9,7 @@ invariant is broken — a sanitizer that cannot fire is decoration.
 import pytest
 
 from repro.controller.stats import ControllerStats
+from repro.core.schemes import DBI_PRA
 from repro.dram.protocol import ProtocolChecker
 from repro.sim.config import CacheConfig, SimConfig, SystemConfig
 from repro.sim.sanitize import (
@@ -168,6 +169,16 @@ def test_corrupt_mask_fires():
     system.run()
     system.channels[0].core.open_mask[0] = 0
     with pytest.raises(SanitizerError, match="mask"):
+        check_finalize(system, _merged(system))
+
+
+def test_dbi_registry_mismatch_fires():
+    """A registered line the LLC no longer holds dirty is caught."""
+    system = _system(sanitize=True, scheme=DBI_PRA)
+    system.run()  # the finalize check passed on the real run
+    lines = next(iter(system.hierarchy.dbi.export_rows().values()))
+    system.hierarchy.l2.clean_line(lines[0])
+    with pytest.raises(SanitizerError, match="DBI registers"):
         check_finalize(system, _merged(system))
 
 

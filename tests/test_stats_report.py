@@ -71,6 +71,28 @@ class TestHistogramAccuracy:
             assert approx <= hi_ref * 1.4 + 3
             assert approx >= lo_ref / 1.4 - 3
 
+    @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                    max_size=200),
+           st.lists(st.integers(min_value=0, max_value=100_000), max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_buckets_match_bucket_function(self, repeats, spread):
+        """``record`` and ``record_many`` look each latency's bucket up
+        once; the counts, minimum and maximum stay those ``_bucket``
+        and ``min``/``max`` give."""
+        values = repeats + spread + repeats
+        expected = [0] * LatencyHistogram().max_buckets
+        for value in values:
+            expected[LatencyHistogram()._bucket(value)] += 1
+        one_by_one, batched = LatencyHistogram(), LatencyHistogram()
+        for value in values:
+            one_by_one.record(value)
+        batched.record_many(values[:7])
+        batched.record_many(values[7:])
+        for h in (one_by_one, batched):
+            assert h._counts == expected
+            assert (h.min_value, h.max_value) == (min(values), max(values))
+            assert (h.samples, h.total) == (len(values), sum(values))
+
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                     max_size=200))
     @settings(max_examples=60, deadline=None)

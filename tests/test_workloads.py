@@ -222,15 +222,20 @@ class TestCrossProcessDeterminism:
         )
         outputs = set()
         for hashseed in ("0", "12345"):
+            env = {
+                "PYTHONHASHSEED": hashseed,
+                "PYTHONPATH": repro_root,
+                "PATH": "/usr/bin:/bin",
+            }
+            # A run that writes no bytecode cache must not get one from
+            # its children either.
+            if "PYTHONDONTWRITEBYTECODE" in os.environ:
+                env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
             result = subprocess.run(
                 [sys.executable, "-c", script],
                 capture_output=True,
                 text=True,
-                env={
-                    "PYTHONHASHSEED": hashseed,
-                    "PYTHONPATH": repro_root,
-                    "PATH": "/usr/bin:/bin",
-                },
+                env=env,
                 check=True,
             )
             outputs.add(result.stdout.strip())
