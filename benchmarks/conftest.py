@@ -9,12 +9,9 @@ Run length defaults to a laptop-friendly size; set ``REPRO_EVENTS``
 
     REPRO_EVENTS=20000 pytest benchmarks/ --benchmark-only -s
 
-Set ``REPRO_POOL`` to a worker count to run every figure suite's
-simulations through one persistent :class:`repro.sim.pool.SimPool`:
-the warm workers keep snapshot and trace-block caches across all 21
-benchmark modules (results are bit-identical to in-process runs)::
-
-    REPRO_POOL=4 pytest benchmarks/ --benchmark-only -s
+The runner simulates in-process, one spec at a time; a grid that
+should fan out over worker processes is a :class:`repro.sim.sweep.Sweep`
+run on a :class:`repro.sim.pool.SimPool` (``repro bench --pool N``).
 
 Sessions that refresh ``BENCH_throughput.json`` (the meta-benchmarks
 in ``test_simulator_throughput.py`` / ``test_sweep_throughput.py``)
@@ -33,17 +30,12 @@ import pytest
 from bench_io import RESULTS_PATH as THROUGHPUT_PATH
 from bench_io import git_head
 from repro.sim.config import SystemConfig
-from repro.sim.pool import SimPool
 from repro.sim.runner import ExperimentRunner
-from repro.workloads.mixes import ALL_WORKLOADS, Workload
+from repro.workloads.mixes import Workload
 from repro.workloads.profiles import BENCHMARKS, profile
 
 #: Default memory instructions per core for benchmark runs.
 BENCH_EVENTS = int(os.environ.get("REPRO_EVENTS", "5000"))
-
-#: Persistent-pool worker count for the whole benchmark session
-#: (0 = serial in-process, the default).
-POOL_WORKERS = int(os.environ.get("REPRO_POOL", "0"))
 
 #: The paper's 14 multiprogrammed workloads, in presentation order.
 WORKLOAD_ORDER = list(BENCHMARKS) + [f"MIX{i}" for i in range(1, 7)]
@@ -94,21 +86,10 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(scope="session")
-def sim_pool():
-    """One warm worker pool shared by every benchmark module."""
-    if POOL_WORKERS < 1:
-        yield None
-        return
-    with SimPool(workers=POOL_WORKERS) as pool:
-        yield pool
-
-
-@pytest.fixture(scope="session")
-def runner(sim_pool) -> ExperimentRunner:
+def runner() -> ExperimentRunner:
     return ExperimentRunner(
         events_per_core=BENCH_EVENTS,
         base_config=SystemConfig(),
-        pool=sim_pool,
     )
 
 

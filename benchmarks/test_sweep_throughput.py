@@ -11,8 +11,8 @@ Not a paper figure — this measures the sweep *service* itself: a
 * on a persistent :class:`repro.sim.pool.SimPool` whose workers are
   already **warm** — snapshot and trace caches populated by an earlier
   batch, fingerprint-grouped scheduling keeping them hot — the steady
-  state of the benchmark conftest, ``repro bench`` and repeated
-  ``Sweep.run(pool=...)`` calls.
+  state of the sweep service's pools and of repeated
+  ``Sweep.run(pool=...)`` calls on one pool.
 
 Both arms (and the serial oracle) must produce row-for-row identical
 grids; the speedup and absolute points/sec land in the ``_sweep``

@@ -14,8 +14,9 @@ Commands
     of N worker processes (``--pool N``); ``--batch N`` adds the
     batch kernel.
 ``bench``
-    Drive a whole figure suite (scheme x workload grid) through one
-    persistent pool and print points/sec plus normalized summaries.
+    Run a whole figure suite (scheme x workload grid) as a sweep, on a
+    pool of N worker processes or serially, and print points/sec plus
+    normalized summaries.
 ``lint``
     Run the full static layer — reprolint (including the v2 dataflow
     passes) plus the strict typing gate — with ``--format json`` /
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run under cProfile, print top-25 by cumulative time")
 
     bench_p = sub.add_parser(
-        "bench", help="drive a whole figure suite through one warm pool"
+        "bench", help="run a whole figure suite's grid as a sweep"
     )
     bench_p.add_argument("--suite", choices=sorted(_BENCH_SUITES),
                          default="fig12",
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--policy", choices=sorted(POLICIES), default="relaxed")
     bench_p.add_argument("--seed", type=int, default=1)
     bench_p.add_argument("--pool", type=int, default=None, metavar="N",
-                         help="persistent pool workers (0 = serial in-process; "
+                         help="pool worker processes (0 = serial in-process; "
                          "default: min(2, available CPUs))")
     bench_p.add_argument("--sanitize", action="store_true",
                          help="enable the runtime sanitizer")
@@ -198,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "fingerprint groups across")
     serve_p.add_argument("--workers-per-pool", type=int, default=1,
                          metavar="W", help="worker processes per pool")
-    serve_p.add_argument("--max-inflight", type=int, default=2, metavar="N",
-                         help="tasks enqueued per worker before backpressure")
 
     def add_service_endpoint(p: argparse.ArgumentParser) -> None:
         p.add_argument("--host", default="127.0.0.1")
@@ -394,69 +393,60 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Drive one figure suite's full grid through a single warm pool."""
+    """Run one figure suite's scheme x workload grid as a :class:`Sweep`.
+
+    The grid runs on a :class:`repro.sim.pool.SimPool` of ``--pool``
+    workers, or serially in-process for ``--pool 0``; the table is
+    computed from the sweep's rows, so both print the same numbers.
+    """
+    import contextlib
     import time
 
-    from repro.sim.runner import ExperimentRunner, arithmetic_mean
+    from repro.sim.pool import SimPool
+    from repro.sim.runner import arithmetic_mean
 
     pool_workers = args.pool
     if pool_workers is None:
         pool_workers = min(2, _available_cpus())
-    else:
-        if pool_workers:
-            _check_worker_budget("--pool", pool_workers)
+    elif pool_workers:
+        _check_worker_budget("--pool", pool_workers)
 
     scheme_names, workload_names = _BENCH_SUITES[args.suite]
     if workload_names is None:
         workload_names = list(ALL_WORKLOADS)
-    schemes = [by_name(name) for name in scheme_names]
-    policy = POLICIES[args.policy]
-    specs = [
-        (wl_name, scheme, policy)
-        for wl_name in workload_names
-        for scheme in schemes
-    ]
+    sweep = Sweep(events_per_core=args.events, base_config=_base_config(args),
+                  seed=args.seed)
+    sweep.add_axis("scheme", scheme_names)
+    sweep.add_axis("workload", workload_names)
+    sweep.add_axis("policy", [args.policy])
 
-    pool = None
-    if pool_workers:
-        from repro.sim.pool import SimPool
-
-        pool = SimPool(workers=pool_workers)
-    try:
-        runner = ExperimentRunner(
-            events_per_core=args.events, seed=args.seed,
-            base_config=_base_config(args), pool=pool,
-        )
+    with contextlib.ExitStack() as stack:
+        pool = (stack.enter_context(SimPool(workers=pool_workers))
+                if pool_workers else None)
         start = time.perf_counter()  # reprolint: allow[determinism-wallclock]
-        results = runner.run_many(specs)
+        rows = sweep.run(pool=pool)
         elapsed = time.perf_counter() - start  # reprolint: allow[determinism-wallclock]
-    finally:
-        if pool is not None:
-            pool.close()
 
-    by_point = {
-        (spec[0], spec[1].name): result for spec, result in zip(specs, results)
-    }
+    by_point = {(row["workload"], row["scheme"]): row for row in rows}
     mode = f"pool({pool_workers})" if pool_workers else "serial"
-    print(f"{args.suite}: {len(specs)} points, {len(workload_names)} workloads "
-          f"x {len(schemes)} schemes ({policy.value}, "
+    print(f"{args.suite}: {len(rows)} points, {len(workload_names)} workloads "
+          f"x {len(scheme_names)} schemes ({POLICIES[args.policy].value}, "
           f"{args.events} events/core, {mode})")
     print(f"  wall time    {elapsed:8.2f} s")
-    print(f"  points/sec   {len(specs) / elapsed:8.2f}")
+    print(f"  points/sec   {len(rows) / elapsed:8.2f}")
     header = f"{'scheme':<14}{'power':>8}{'energy':>8}{'EDP':>8}"
     print(header)
     print("-" * len(header))
-    for scheme in schemes:
-        powers, energies, edps = [], [], []
-        for wl_name in workload_names:
-            result = by_point[(wl_name, scheme.name)]
-            base = by_point[(wl_name, "Baseline")]
-            powers.append(result.avg_power_mw / base.avg_power_mw)
-            energies.append(result.total_energy_mj / base.total_energy_mj)
-            edps.append(result.edp / base.edp)
-        print(f"{scheme.name:<14}{arithmetic_mean(powers):>8.3f}"
-              f"{arithmetic_mean(energies):>8.3f}"
-              f"{arithmetic_mean(edps):>8.3f}")
+    for scheme in scheme_names:
+        means = [
+            arithmetic_mean([
+                by_point[(wl_name, scheme)][column]
+                / by_point[(wl_name, "Baseline")][column]
+                for wl_name in workload_names
+            ])
+            for column in ("total_power_mw", "energy_mj", "edp")
+        ]
+        print(f"{scheme:<14}" + "".join(f"{mean:>8.3f}" for mean in means))
     return 0
 
 
@@ -566,7 +556,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 pools=args.pools,
                 workers_per_pool=args.workers_per_pool,
-                max_inflight=args.max_inflight,
                 port_file=args.port_file,
             )
         )

@@ -65,16 +65,8 @@ class Core:
         return event
 
     @property
-    def trace_done(self) -> bool:
-        return self._current is None
-
-    @property
     def done(self) -> bool:
         return self._current is None and not self._outstanding
-
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self._outstanding)
 
     def _blocked(self) -> bool:
         if len(self._outstanding) >= self.mlp:
@@ -142,10 +134,6 @@ class Core:
         self._ready_cpu = max(self._ready_cpu, cycle * self.ratio)
         if self._current is None and not self._outstanding:
             self.finish_cycle = cycle
-
-    def stall_until(self, cycle: int) -> None:
-        """External backpressure (e.g. full store path) delays the core."""
-        self._ready_cpu = max(self._ready_cpu, cycle * self.ratio)
 
     # ------------------------------------------------------------------
     def ipc(self, end_cycle: Optional[int] = None) -> float:

@@ -14,7 +14,7 @@ SPEC CPU2006 / Olden / GUPS / LinkedList regions; the generators in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from repro.dram.geometry import FULL_MASK
 
@@ -63,8 +63,3 @@ def materialize(events: Iterable[TraceEvent], limit: int) -> List[TraceEvent]:
 def total_instructions(events: Iterable[TraceEvent]) -> int:
     """Total instructions (gaps + accesses) a trace retires."""
     return sum(e.instructions for e in events)
-
-
-def as_iterator(trace: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
-    """Normalize any trace iterable into an iterator."""
-    return iter(trace)

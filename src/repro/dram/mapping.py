@@ -50,11 +50,6 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
 
     geometry: SystemGeometry = SystemGeometry()
     interleaving: Interleaving = Interleaving.ROW
-    #: XOR-permute the bank index with low row bits.  Spreads strided
-    #: streams that would otherwise camp on one bank (an extension,
-    #: not a paper configuration; self-inverse, so encode/decode stay
-    #: exact round trips).
-    xor_bank_hash: bool = False
 
     def __post_init__(self) -> None:
         geo = self.geometry
@@ -104,8 +99,6 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
             v, rank = divmod(v, self._ranks)
             v, column = divmod(v, self._cols)
             row = v % self._rows
-        if self.xor_bank_hash:
-            bank ^= row % self._banks
         return Address(channel=channel, rank=rank, bank=bank, row=row, column=column)
 
     def decode(self, byte_addr: int) -> Address:
@@ -115,11 +108,6 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
     def encode_line(self, addr: Address) -> int:
         """Inverse of :meth:`decode_line` (used by tests)."""
         geo = self.geometry
-        bank = addr.bank
-        if self.xor_bank_hash:
-            bank ^= addr.row % geo.chip.banks
-        addr = Address(channel=addr.channel, rank=addr.rank, bank=bank,
-                       row=addr.row, column=addr.column)
         if self.interleaving is Interleaving.ROW:
             v = addr.row
             v = v * geo.ranks_per_channel + addr.rank
@@ -143,9 +131,7 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
 
         Two lines get the same id iff they get the same
         ``row_key(decode_line(line))``: the id is the in-capacity line
-        index with its column digit removed.  The XOR bank hash only
-        permutes banks within one (channel, rank, row), so it cannot
-        merge or split rows and the id ignores it.  The DBI keys its
+        index with its column digit removed.  The DBI keys its
         registry by this on every dirty mark and writeback, which makes
         it the warmup replay's hottest mapping call: one division under
         row interleaving, two under line interleaving, and no

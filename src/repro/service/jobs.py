@@ -19,7 +19,9 @@ the same question, or a client resuming after the service was
 SIGKILLed and restarted — always lands on the one canonical job.  On
 startup the manager replays the journal: finished jobs come back
 queryable, unfinished jobs resume computing exactly the points whose
-results are not yet on disk.
+results are not yet on disk.  Replay appends nothing: each job's
+``job`` and ``done`` lines are written once, however often the
+service restarts.
 
 Per-job counters (``cached`` / ``coalesced`` / ``computed``) make the
 dedup behavior observable — the benchmarks and the kill/resume test
@@ -44,7 +46,7 @@ from typing import (
 )
 
 from repro.service.digest import SweepSpec
-from repro.service.journal import Journal
+from repro.service.journal import Journal, JournalState
 from repro.service.scheduler import PoolScheduler
 from repro.service.store import ResultStore
 
@@ -97,6 +99,8 @@ class _Job:
     coalesced: int = 0
     computed: int = 0
     error: Optional[str] = None
+    #: The journal already holds this job's ``done`` line.
+    done_journaled: bool = False
     done: "asyncio.Event" = field(default_factory=asyncio.Event)
     #: Append-only event log for SSE subscribers: each entry is one
     #: completed point ({"digest", "index"}) or the terminal marker.
@@ -131,7 +135,6 @@ class JobManager:
         root: str,
         pools: int = 2,
         workers_per_pool: int = 1,
-        max_inflight: int = 2,
     ) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
@@ -140,7 +143,6 @@ class JobManager:
         self.scheduler = PoolScheduler(
             pools=pools,
             workers_per_pool=workers_per_pool,
-            max_inflight=max_inflight,
             snapshot_dir=os.path.join(root, "snapshots"),
         )
         self._jobs: Dict[str, _Job] = {}
@@ -152,17 +154,17 @@ class JobManager:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Start the scheduler and resume unfinished journaled jobs."""
+        """Start the scheduler and re-register every journaled job."""
         if self._started:
             return
         self._started = True
         await self.scheduler.start()
         state = self.journal.replay()
         for spec_payload in state.jobs.values():
-            # Resubmitting through the normal path re-derives digests,
-            # serves journaled/stored points from cache, and schedules
-            # only what is genuinely missing — resume *is* dedup.
-            await self.submit(spec_payload)
+            # The submit triage serves stored points from cache and
+            # schedules only what is genuinely missing — resume *is*
+            # dedup.
+            await self._admit(SweepSpec.from_payload(spec_payload), state)
 
     async def close(self) -> None:
         """Cancel in-flight computations and shut the scheduler down."""
@@ -190,15 +192,33 @@ class JobManager:
             if isinstance(payload, SweepSpec)
             else SweepSpec.from_payload(payload)
         )
+        job = self._jobs.get(spec.job_id())
+        if job is None:
+            job = await self._admit(spec, None)
+        return job.status()
+
+    async def _admit(
+        self, spec: SweepSpec, replayed: Optional[JournalState]
+    ) -> _Job:
+        """Register a new job and triage its points.
+
+        A job replayed from the journal at start-up (``replayed`` is
+        the replayed state) already has its ``job`` line, and its
+        ``done`` line if it finished, so neither is written again.
+        """
         job_id = spec.job_id()
-        existing = self._jobs.get(job_id)
-        if existing is not None:
-            return existing.status()
         points = spec.points()
         digests = [spec.point_digest(point) for point in points]
-        job = _Job(job_id=job_id, spec=spec, digests=digests, pending=set(digests))
+        job = _Job(
+            job_id=job_id,
+            spec=spec,
+            digests=digests,
+            pending=set(digests),
+            done_journaled=replayed is not None and job_id in replayed.done_jobs,
+        )
         self._jobs[job_id] = job
-        self.journal.record_job(job_id, spec.canonical())
+        if replayed is None:
+            self.journal.record_job(job_id, spec.canonical())
         for index, (point, digest) in enumerate(zip(points, digests)):
             if self.store.has(digest):
                 job.cached += 1
@@ -214,7 +234,7 @@ class JobManager:
                 task.add_done_callback(self._tasks.discard)
         if not job.pending:
             await self._finish(job)
-        return job.status()
+        return job
 
     # ------------------------------------------------------------------
     async def _compute(
@@ -250,7 +270,8 @@ class JobManager:
         if job.done.is_set():
             return
         job.done.set()
-        if job.error is None:
+        if job.error is None and not job.done_journaled:
+            job.done_journaled = True
             self.journal.record_done(job.job_id)
         async with job.changed:
             job.events.append(

@@ -233,12 +233,10 @@ async def run_service(
     port: int = 0,
     pools: int = 2,
     workers_per_pool: int = 1,
-    max_inflight: int = 2,
     port_file: Optional[str] = None,
 ) -> None:
     """Build and run a service until cancelled (the CLI entry point)."""
-    manager = JobManager(root, pools=pools, workers_per_pool=workers_per_pool,
-                         max_inflight=max_inflight)
+    manager = JobManager(root, pools=pools, workers_per_pool=workers_per_pool)
     server = ServiceServer(manager, host=host, port=port, port_file=port_file)
     await server.start()
     try:

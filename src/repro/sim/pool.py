@@ -1,15 +1,16 @@
 """The process fan-out: a pool of long-lived sim workers.
 
-Every broad evaluation in this repo — the figure/sensitivity benchmark
-suites, ``Sweep.run`` grids, ``ExperimentRunner.run_many`` batches,
-the sweep service — fans simulations out over processes through
-:class:`SimPool`, and only through it; the one alternative is running
-serially in-process.  A fresh worker pays the full cold start:
-interpreter boot and package import (under the spawn start method),
-trace-block compilation per workload, and a cache warmup per warm
-fingerprint.  A pool opened for one sweep (``with SimPool(workers=N)
-as pool``) pays it once per worker and fingerprint, and a pool kept
-open pays it once for its lifetime.  The pool's properties:
+A grid reaches worker processes only through :class:`SimPool`, and
+only as a :class:`repro.sim.sweep.Sweep`: ``Sweep.run(pool=...)`` runs
+its points (or lane groups) on a pool the caller opens, and the sweep
+service runs the same ``_run_point`` task on its own pools.  The one
+alternative is running serially in-process.  A fresh worker pays the
+full cold start: interpreter boot and package import (under the spawn
+start method), trace-block compilation per workload, and a cache
+warmup per warm fingerprint.  A pool opened for one sweep (``with
+SimPool(workers=N) as pool``) pays it once per worker and fingerprint,
+and a pool kept open pays it once for its lifetime.  The pool's
+properties:
 
 * **warm workers** — each worker process owns the ordinary in-process
   caches (:data:`repro.sim.snapshot.SNAPSHOTS`, the compiled
@@ -28,14 +29,14 @@ open pays it once for its lifetime.  The pool's properties:
   index is available), so pooled output is row-for-row identical to a
   serial run no matter the worker count or completion order;
 * **chunked submission with backpressure** — at most
-  ``max_inflight`` tasks are enqueued per worker; further tasks are
-  fed as results return, so a million-point grid never materializes in
-  the task queues;
+  :data:`MAX_INFLIGHT` tasks are enqueued per worker; further tasks
+  are fed as results return, so a million-point grid never
+  materializes in the task queues;
 * **shared context per batch** — the per-batch invariants (base
   config, run length, seed, snapshot dir) cross the process boundary
   once per worker per batch, not once per task;
 * **clean shutdown and reuse** — one pool serves any number of
-  batches (the benchmark conftest passes one to all figure suites);
+  batches (the service keeps its pools for its lifetime);
   ``close()`` / the context manager tears the workers down, and a
   worker death surfaces as :class:`SimPoolBrokenError` naming the
   worker instead of a hang.  Each caller opens and closes its own
@@ -72,6 +73,10 @@ from typing import (
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.sweep._run_point"
 ORACLE_TESTS = ("tests/test_pool.py",)
+
+#: Tasks enqueued per worker before the parent waits for a result.
+#: Two keeps a worker busy while its next result crosses the pipe.
+MAX_INFLIGHT = 2
 
 #: A pool task function: ``fn(shared, payload) -> result``.  Must be a
 #: module-level callable (pickled by reference into the workers).
@@ -147,9 +152,9 @@ class SimPool:
     """Persistent pool of warm simulation workers.
 
     ``start_method`` selects the multiprocessing start method for the
-    workers (``None`` uses the platform default).  ``max_inflight``
-    bounds how many tasks sit in each worker's queue at once; the rest
-    are fed as results stream back (backpressure).
+    workers (``None`` uses the platform default).  At most
+    :data:`MAX_INFLIGHT` tasks sit in each worker's queue at once; the
+    rest are fed as results stream back (backpressure).
 
     ``max_restarts`` bounds self-healing: a worker that dies is
     replaced by a fresh process (its batch context re-shipped and its
@@ -164,18 +169,14 @@ class SimPool:
     def __init__(
         self,
         workers: int = 2,
-        max_inflight: int = 2,
         start_method: Optional[str] = None,
         max_restarts: int = 2,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be a positive integer")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be a positive integer")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         self.workers = workers
-        self.max_inflight = max_inflight
         self.max_restarts = max_restarts
         self._ctx = multiprocessing.get_context(start_method)
         self._task_qs: List["multiprocessing.Queue"] = []
@@ -327,7 +328,7 @@ class SimPool:
             if not plan[wid]:
                 continue
             self._task_qs[wid].put(("shared", batch_id, fn, shared))
-            while len(pending[wid]) < self.max_inflight and cursors[wid] < len(
+            while len(pending[wid]) < MAX_INFLIGHT and cursors[wid] < len(
                 plan[wid]
             ):
                 index = plan[wid][cursors[wid]]

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.schemes import BASELINE, PRA
+from repro.sim.runner import ExperimentRunner, arithmetic_mean
 
 
 class TestParser:
@@ -118,3 +121,34 @@ class TestSweepCommand:
     def test_sweep_requires_out(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep"])
+
+
+class TestBenchCommand:
+    """``repro bench`` runs its grid as a ``Sweep``; its table must
+    equal what :class:`ExperimentRunner`'s normalized metrics give for
+    the same points, serially and on a pool."""
+
+    ARGV = ["bench", "--suite", "quick", "--events", "300", "--seed", "3"]
+
+    @staticmethod
+    def _table(capsys, argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return lines[lines.index("-" * 38) + 1:]
+
+    def test_serial_table_matches_runner(self, capsys):
+        runner = ExperimentRunner(events_per_core=300, seed=3)
+        expected = []
+        for scheme in (BASELINE, PRA):
+            means = [
+                arithmetic_mean([metric(wl, scheme) for wl in ("GUPS", "MIX1")])
+                for metric in (runner.normalized_power, runner.normalized_energy,
+                               runner.normalized_edp)
+            ]
+            expected.append(f"{scheme.name:<14}" + "".join(f"{m:>8.3f}" for m in means))
+        assert self._table(capsys, self.ARGV + ["--pool", "0"]) == expected
+
+    def test_pooled_table_matches_serial(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        serial = self._table(capsys, self.ARGV + ["--pool", "0"])
+        assert self._table(capsys, self.ARGV + ["--pool", "2"]) == serial

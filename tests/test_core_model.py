@@ -104,12 +104,6 @@ class TestIPC:
         core = make_core([TraceEvent(gap=0, line_addr=0)])
         assert core.ipc(0) == 0.0
 
-    def test_stall_until(self):
-        core = make_core([TraceEvent(gap=0, line_addr=0)])
-        core.stall_until(25)
-        assert core.try_advance(10) is None
-        assert core.try_advance(25) is not None
-
 
 class TestTraceHelpers:
     def test_materialize_limits(self):

@@ -7,7 +7,7 @@ must agree *exactly* — same served counts, same runtime cycles, same
 energy — on every scheme/workload/seed.  Any divergence means a hint
 was later than a true ready cycle (a scheduling event was skipped).
 
-The pooled sweep/runner paths carry the same obligation: a
+The pooled sweep path carries the same obligation: a
 :class:`~repro.sim.pool.SimPool` must reproduce the serial rows bit
 for bit.  So does the front-end fast path: precompiled trace blocks
 and warm-state snapshot restore must yield results bit-identical to
@@ -29,11 +29,9 @@ import pickle
 
 import pytest
 
-from repro.controller.policies import RowPolicy
 from repro.core.schemes import BASELINE, DBI_PRA, PRA, SDS
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.pool import SimPool
-from repro.sim.runner import ExperimentRunner
 from repro.sim.snapshot import _DISK_MAGIC, SNAPSHOTS, WarmSnapshot
 from repro.sim.sweep import Sweep
 from repro.sim.system import System
@@ -118,27 +116,6 @@ def test_parallel_sweep_matches_serial():
     with SimPool(workers=2) as pool:
         parallel = _grid().run(pool=pool)
     assert parallel == serial
-
-
-def test_run_many_parallel_matches_serial_and_dedups():
-    specs = [
-        ("MIX1", PRA, RowPolicy.RELAXED_CLOSE),
-        ("MIX1", BASELINE, RowPolicy.RELAXED_CLOSE),
-        ("MIX1", PRA, RowPolicy.RELAXED_CLOSE),  # duplicate spec
-    ]
-    serial = ExperimentRunner(
-        events_per_core=300, warmup_events_per_core=1000
-    ).run_many(specs)
-    with SimPool(workers=2) as pool:
-        runner = ExperimentRunner(
-            events_per_core=300, warmup_events_per_core=1000, pool=pool
-        )
-        parallel = runner.run_many(specs)
-        # The duplicate resolved to the same cached object, simulated once.
-        assert pool.tasks_done == 2
-    assert [r.summary() for r in parallel] == [r.summary() for r in serial]
-    assert parallel[0] is parallel[2]
-    assert len(runner._results) == 2
 
 
 @pytest.mark.parametrize(

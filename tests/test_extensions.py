@@ -1,16 +1,12 @@
-"""Extensions beyond the paper's baseline: FCFS ablation, bank XOR hash."""
+"""Extensions beyond the paper's baseline: FCFS ablation, DM-pin mask delivery."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.controller.memctrl import ChannelController
 from repro.controller.policies import RowPolicy
 from repro.core.schemes import BASELINE
 from repro.dram.channel import Channel
 from repro.dram.commands import Address, ReqKind, Request
-from repro.dram.geometry import SystemGeometry
-from repro.dram.mapping import AddressMapper, Interleaving
 from repro.dram.timing import DDR3_1600
 from repro.power.accounting import PowerAccountant
 from repro.power.params import DDR3_1600_POWER
@@ -83,36 +79,6 @@ class TestFCFSScheduler:
         fcfs = run("fcfs")
         assert frfcfs.controller.total_hit_rate >= fcfs.controller.total_hit_rate
         assert frfcfs.runtime_cycles <= fcfs.runtime_cycles * 1.05
-
-
-class TestBankXORHash:
-    plain = AddressMapper(SystemGeometry(), Interleaving.ROW)
-    hashed = AddressMapper(SystemGeometry(), Interleaving.ROW, xor_bank_hash=True)
-
-    @given(st.integers(min_value=0, max_value=plain.line_capacity - 1))
-    @settings(max_examples=150)
-    def test_roundtrip_preserved(self, line):
-        addr = self.hashed.decode_line(line)
-        assert self.hashed.encode_line(addr) == line
-
-    def test_hash_changes_bank_not_row(self):
-        for line in range(0, 1 << 20, 12345):
-            a = self.plain.decode_line(line)
-            b = self.hashed.decode_line(line)
-            assert a.row == b.row
-            assert a.channel == b.channel
-            assert a.rank == b.rank
-            assert b.bank == a.bank ^ (a.row % 8)
-
-    def test_hash_spreads_row_strided_stream(self):
-        # A stride that lands every access in bank 0 of a new row under
-        # the plain map should touch many banks under the hash.
-        geo = SystemGeometry()
-        stride = geo.lines_per_row * geo.channels * geo.chip.banks * geo.ranks_per_channel
-        plain_banks = {self.plain.decode_line(i * stride).bank for i in range(16)}
-        hashed_banks = {self.hashed.decode_line(i * stride).bank for i in range(16)}
-        assert len(plain_banks) == 1
-        assert len(hashed_banks) == 8
 
 
 class TestDMPinMaskDelivery:

@@ -92,14 +92,13 @@ class TestInterleavingSemantics:
         )
 
     @pytest.mark.parametrize("interleaving", list(Interleaving), ids=lambda i: i.name)
-    @pytest.mark.parametrize("xor_bank_hash", [False, True], ids=["plain", "xor"])
-    def test_line_row_id_is_a_bijection_of_row_key(self, interleaving, xor_bank_hash):
+    def test_line_row_id_is_a_bijection_of_row_key(self, interleaving):
         """Two lines share a ``line_row_id`` iff they share
         ``row_key(decode_line())``: checked on every line of a small
         geometry three times over, so lines past capacity wrap the same
         way, and on a negative line, which both reject."""
         geometry = SystemGeometry(chip=ChipGeometry(banks=4, rows=4, columns=32))
-        mapper = AddressMapper(geometry, interleaving, xor_bank_hash=xor_bank_hash)
+        mapper = AddressMapper(geometry, interleaving)
         id_to_key, key_to_id = {}, {}
         for line in range(3 * mapper.line_capacity):
             row_id = mapper.line_row_id(line)
@@ -124,15 +123,12 @@ class TestInterleavingSemantics:
         (32) or whole capacities apart."""
         other = max(0, line + steps * stride)
         for interleaving in Interleaving:
-            for xor_bank_hash in (False, True):
-                mapper = AddressMapper(
-                    SystemGeometry(), interleaving, xor_bank_hash=xor_bank_hash
-                )
-                same_id = mapper.line_row_id(line) == mapper.line_row_id(other)
-                same_key = mapper.row_key(mapper.decode_line(line)) == mapper.row_key(
-                    mapper.decode_line(other)
-                )
-                assert same_id == same_key
+            mapper = AddressMapper(SystemGeometry(), interleaving)
+            same_id = mapper.line_row_id(line) == mapper.line_row_id(other)
+            same_key = mapper.row_key(mapper.decode_line(line)) == mapper.row_key(
+                mapper.decode_line(other)
+            )
+            assert same_id == same_key
 
     def test_wraps_capacity(self):
         cap = ROW_MAPPER.line_capacity

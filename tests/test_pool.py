@@ -20,11 +20,8 @@ from repro.sim.pool import (
     SimPoolError,
     SimPoolTaskError,
 )
-from repro.sim.runner import ExperimentRunner
 from repro.sim.snapshot import SNAPSHOTS
 from repro.sim.sweep import Sweep, _run_point
-from repro.controller.policies import RowPolicy
-from repro.core.schemes import BASELINE, DBI_PRA, PRA
 
 
 SMALL_CACHE = CacheConfig(llc_bytes=128 * 1024)
@@ -92,34 +89,6 @@ class TestOracleParity:
         assert pooled == serial
         assert again == serial  # disk-restored warm state, same rows
         assert os.listdir(snap)  # the round-trip actually hit the disk
-
-    def test_runner_pooled_identical_to_serial(self):
-        def drive(runner):
-            specs = [
-                ("GUPS", BASELINE, RowPolicy.RELAXED_CLOSE),
-                ("GUPS", PRA, RowPolicy.RELAXED_CLOSE),
-                ("MIX1", DBI_PRA, RowPolicy.RELAXED_CLOSE),
-            ]
-            results = runner.run_many(specs)
-            solo = runner.run("GUPS", PRA)
-            return [r.summary() for r in results] + [solo.summary()]
-
-        base = SystemConfig(cache=SMALL_CACHE)
-        serial = drive(
-            ExperimentRunner(
-                events_per_core=400, base_config=base, warmup_events_per_core=1200
-            )
-        )
-        with SimPool(workers=2) as pool:
-            pooled = drive(
-                ExperimentRunner(
-                    events_per_core=400,
-                    base_config=base,
-                    warmup_events_per_core=1200,
-                    pool=pool,
-                )
-            )
-        assert pooled == serial
 
     def test_pool_reused_across_sweeps(self):
         with SimPool(workers=2) as pool:
@@ -199,7 +168,7 @@ class TestWorkerRestart:
         payloads = list(range(6))
         # Every payload kills its worker once, so each 3-payload slot
         # needs 3 replacements before the batch drains.
-        with SimPool(workers=2, max_inflight=2, max_restarts=3) as pool:
+        with SimPool(workers=2, max_restarts=3) as pool:
             out = pool.map(_die_once, payloads, shared={"dir": str(tmp_path)})
             assert out == [p * 10 for p in payloads]
             assert pool.worker_restarts >= 1

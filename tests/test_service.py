@@ -309,6 +309,24 @@ class TestJobManager:
             assert manager.scheduler.computed == 0
             assert manager.rows(status.job_id) == rows_before
 
+    def test_restarts_leave_the_journal_unchanged(self, tmp_path):
+        """Replaying a finished job appends nothing: its ``job`` and
+        ``done`` lines are written once, however often it restarts."""
+        journal = tmp_path / "journal.jsonl"
+        with manager_loop(tmp_path) as (manager, loop):
+            status = loop.run_until_complete(manager.submit(SPEC))
+            loop.run_until_complete(manager.wait(status.job_id))
+            rows = manager.rows(status.job_id)
+        written = journal.read_bytes()
+        kinds = [json.loads(line)["kind"] for line in written.splitlines()]
+        assert kinds == ["job"] + ["point"] * 4 + ["done"]
+        for _ in range(2):
+            with manager_loop(tmp_path) as (manager, loop):
+                assert manager.status(status.job_id).state == "done"
+                assert manager.scheduler.computed == 0
+                assert manager.rows(status.job_id) == rows
+            assert journal.read_bytes() == written
+
     def test_overlapping_job_computes_only_novel_points(self, tmp_path):
         overlap = dict(
             SPEC,

@@ -144,10 +144,13 @@ def test_sigkill_mid_sweep_resumes_with_zero_recompute(tmp_path):
         # Merged rows (cache + resumed compute) == serial oracle.
         assert client.rows(job_id) == _serial_rows()
 
-        # The journal now records the job as done; a third replay
-        # would resume nothing.
+        # The journal now records the job as done, once; the restart
+        # appended no second job line.  A third start would register
+        # the job as done and append nothing (test_service.py's
+        # TestJobManager::test_restarts_leave_the_journal_unchanged).
         with open(os.path.join(str(root), "journal.jsonl")) as handle:
             entries = [json.loads(line) for line in handle if line.strip()]
-        assert {"kind": "done", "job_id": job_id} in entries
+        assert entries.count({"kind": "done", "job_id": job_id}) == 1
+        assert [e["kind"] for e in entries].count("job") == 1
     finally:
         _killpg(second)
