@@ -3,9 +3,10 @@
 This package encodes the *repo-specific* correctness rules that keep
 the simulator's fast-path/oracle duality trustworthy:
 
-* :mod:`repro.analysis.lint` — the AST-based linter
-  (``python -m repro.analysis.lint src/``).  Determinism rules,
-  oracle-parity rules and hot-path hygiene rules; see
+* :mod:`repro.analysis.lint` — the AST-based linter, run as
+  ``repro lint`` (``repro lint --no-typegate src/`` for the rules
+  alone, ``repro lint --list-rules`` for the catalogue).  Determinism
+  rules, oracle-parity rules and hot-path hygiene rules; see
   :mod:`repro.analysis.rules` for the rule catalogue.
 * :mod:`repro.analysis.registry` — which modules are registered fast
   paths (and must declare their oracle twins) and which modules are
@@ -19,6 +20,5 @@ The third correctness layer — the opt-in runtime sanitizer — lives in
 :mod:`repro.sim.sanitize` because it runs inside the simulator.
 
 Import the submodules directly (``from repro.analysis.rules import
-...``); this package intentionally re-exports nothing so that
-``python -m repro.analysis.lint`` does not double-import the driver.
+...``); this package intentionally re-exports nothing.
 """

@@ -11,8 +11,8 @@ Commands
     Run several schemes on one workload and print normalized results.
 ``sweep``
     Run a grid and export CSV/JSON, serially in-process or on a pool
-    of N worker processes (``--pool N``); ``--batch N`` adds the
-    batch kernel.
+    of N worker processes (``--pool N``, one task message per warm
+    fingerprint).
 ``bench``
     Run a whole figure suite (scheme x workload grid) as a sweep, on a
     pool of N worker processes or serially, and print points/sec plus
@@ -86,20 +86,6 @@ def _check_worker_budget(flag: str, requested: int) -> None:
         )
 
 
-def _batch_arg(value: str) -> "int | str":
-    """``--batch`` argument: a positive integer or the word ``auto``."""
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        lanes = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid --batch value {value!r}: expected a positive "
-            "integer or 'auto'"
-        ) from None
-    return lanes
-
-
 #: ``repro bench`` suites: scheme set per figure; every suite crosses
 #: its schemes with all 14 evaluation workloads except ``quick``.
 _BENCH_SUITES = {
@@ -156,12 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output path (.csv or .json)")
     sweep_p.add_argument("--pool", type=int, default=0, metavar="N",
                          help="run the grid on a pool of N worker processes "
-                         "(fingerprint-grouped scheduling)")
-    sweep_p.add_argument("--batch", type=_batch_arg, default=None, metavar="N",
-                         help="run grid points in lane groups of up to N "
-                         "(batch kernel); with --pool, each lane group "
-                         "ships to a worker as one task; 'auto' makes one "
-                         "group per pool worker, or one for the whole grid")
+                         "(one task message per warm-fingerprint group)")
     sweep_p.add_argument("--profile", action="store_true",
                          help="run under cProfile, print top-25 by cumulative time")
 
@@ -246,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files or trees to lint (default: src/ tests/)")
     lint_p.add_argument("--select", nargs="+", metavar="RULE",
                         help="only report these reprolint rule ids")
+    lint_p.add_argument("--list-rules", action="store_true",
+                        help="print the reprolint rule catalogue and exit")
     lint_p.add_argument("--format", choices=("text", "json", "github"),
                         default="text", dest="fmt",
                         help="finding output format: human text, a JSON "
@@ -377,16 +360,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep.add_axis("scheme", args.schemes)
     sweep.add_axis("workload", args.workloads)
     sweep.add_axis("policy", args.policies)
-    if isinstance(args.batch, int) and args.batch < 1:
-        raise ValueError("--batch must be a positive integer or 'auto'")
     if args.pool:
         _check_worker_budget("--pool", args.pool)
         from repro.sim.pool import SimPool
 
         with SimPool(workers=args.pool) as pool:
-            rows = sweep.run(pool=pool, batch=args.batch)
+            rows = sweep.run(pool=pool)
     else:
-        rows = sweep.run(batch=args.batch)
+        rows = sweep.run()
     _export_rows(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -451,15 +432,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _profiled(func: Callable[..., int], *args: object) -> int:
-    """Run ``func`` under cProfile; print the top 25 cumulative entries.
-
-    Batched sweeps (``sweep --batch ... --profile``) additionally get
-    the subsystem attribution table (:func:`_print_batch_attribution`):
-    the flat top-25 is dominated by whichever helper happens to be
-    hottest, while the table answers the question batching poses —
-    how much time went to building and restoring lanes versus running
-    their event loops and controller steps.
-    """
+    """Run ``func`` under cProfile; print the top 25 cumulative entries."""
     import cProfile
     import pstats
 
@@ -467,67 +440,9 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
     try:
         return profiler.runcall(func, *args)
     finally:
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(25)
-        ns = args[0] if args else None
-        if getattr(ns, "batch", None) is not None:
-            _print_batch_attribution(stats)
-
-
-#: ``--profile`` attribution buckets for batched sweeps: subsystem
-#: label -> suffixes of ``path`` or ``path:function`` whose *exclusive*
-#: time it collects (first matching bucket wins).
-_BATCH_PROFILE_BUCKETS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
-    (
-        "event loop",
-        ("repro/sim/system.py:_passes", "repro/sim/batch.py"),
-    ),
-    (
-        "controller steps",
-        ("repro/controller/memctrl.py", "repro/dram/channel.py"),
-    ),
-    (
-        "construction + restore",
-        (
-            "repro/cache/set_assoc.py",
-            "repro/cache/dbi.py",
-            "repro/sim/system.py",
-            "repro/sim/snapshot.py",
-        ),
-    ),
-)
-
-
-def _print_batch_attribution(stats: "object") -> None:
-    """Print the batched-sweep profile attribution table.
-
-    Buckets every profile entry's exclusive (tottime) samples by the
-    suffixes in :data:`_BATCH_PROFILE_BUCKETS`; entries matching no
-    bucket land in ``everything else``.  Exclusive time sums to the
-    whole profile, so the percentages partition 100%.
-    """
-    entries = getattr(stats, "stats", None)
-    if not entries:
-        return
-    totals = {name: 0.0 for name, _ in _BATCH_PROFILE_BUCKETS}
-    other = 0.0
-    grand = 0.0
-    for (filename, _, function), (_, _, tottime, _, _) in entries.items():
-        grand += tottime
-        path = filename.replace("\\", "/")
-        for name, suffixes in _BATCH_PROFILE_BUCKETS:
-            if path.endswith(suffixes) or f"{path}:{function}".endswith(suffixes):
-                totals[name] += tottime
-                break
-        else:
-            other += tottime
-    if not grand:
-        return
-    print("=== batched sweep attribution (exclusive time) ===")
-    for name, _ in _BATCH_PROFILE_BUCKETS:
-        seconds = totals[name]
-        print(f"  {name:<26}{seconds:8.3f} s  ({100 * seconds / grand:5.1f}%)")
-    print(f"  {'everything else':<26}{other:8.3f} s  ({100 * other / grand:5.1f}%)")
+        pstats.Stats(profiler, stream=sys.stdout).sort_stats(
+            "cumulative"
+        ).print_stats(25)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -673,8 +588,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     from repro.analysis import typegate
     from repro.analysis.lint import lint_paths
-    from repro.analysis.rules import RULE_IDS, find_repo_root
+    from repro.analysis.rules import ALL_RULES, RULE_IDS, find_repo_root
 
+    if args.list_rules:
+        for rule in ALL_RULES:
+            print(f"{rule.id:32s} [{rule.family}] {rule.summary}")
+        return 0
     if args.select:
         unknown = set(args.select) - RULE_IDS
         if unknown:

@@ -35,10 +35,6 @@ class KindStats:
     def false_hit_rate(self) -> float:
         return self.false_hits / self.served if self.served else 0.0
 
-    @property
-    def avg_latency(self) -> float:
-        return self.latency_sum / self.served if self.served else 0.0
-
     def record_service(self, was_hit: bool, was_false: bool, latency: int) -> None:
         """Account one served request and its latency sample."""
         self.served += 1

@@ -68,20 +68,12 @@ class Core:
     def done(self) -> bool:
         return self._current is None and not self._outstanding
 
-    def _blocked(self) -> bool:
-        if len(self._outstanding) >= self.mlp:
-            return True
-        if self._outstanding:
-            oldest_retired = next(iter(self._outstanding.values()))
-            if self.retired - oldest_retired >= self.rob:
-                return True
-        return False
-
     # ------------------------------------------------------------------
     def next_action_cycle(self, cycle: int) -> int:
         """Earliest memory cycle the core may issue its next access."""
-        # _blocked() is inlined here and in try_advance: the two are the
-        # event loop's hottest per-core calls.
+        # The blocking test (MLP slots full, or the oldest outstanding
+        # miss a full ROB behind) is written out here and in try_advance:
+        # the two are the event loop's hottest per-core calls.
         if self._current is None:
             return NEVER
         outstanding = self._outstanding

@@ -10,18 +10,19 @@ point a job needs goes through a three-way triage at submit time:
   job subscribes to the same completion instead of scheduling a
   duplicate (cross-job coalescing);
 * **novel** — scheduled on the warm-affinity scheduler; on completion
-  the row is written to the store *first*, then journaled, then every
-  subscribed job is notified.
+  the row is written to the store, then every subscribed job is
+  notified.
 
 Jobs are content-addressed too (:meth:`SweepSpec.job_id`), so
 re-submitting a spec — same client retrying, different client asking
 the same question, or a client resuming after the service was
 SIGKILLed and restarted — always lands on the one canonical job.  On
-startup the manager replays the journal: finished jobs come back
-queryable, unfinished jobs resume computing exactly the points whose
-results are not yet on disk.  Replay appends nothing: each job's
-``job`` and ``done`` lines are written once, however often the
-service restarts.
+startup the manager replays the journal's ``job`` and ``done`` lines:
+finished jobs come back queryable, unfinished jobs resume computing
+exactly the points whose results are not yet in the store (the store,
+not the journal, records finished points).  Replay appends nothing:
+each job's ``job`` and ``done`` lines are written once, however often
+the service restarts.
 
 Per-job counters (``cached`` / ``coalesced`` / ``computed``) make the
 dedup behavior observable — the benchmarks and the kill/resume test
@@ -244,7 +245,6 @@ class JobManager:
         try:
             row = await self.scheduler.submit(spec, point)
             self.store.put(digest, row)
-            self.journal.record_point(digest)
         except asyncio.CancelledError:
             self._inflight.pop(digest, None)
             raise

@@ -1,25 +1,28 @@
 """Append-only JSONL job journal: what was asked, what finished.
 
 The journal makes the service killable: every accepted job and every
-completed point appends one line, flushed immediately, so a service
+finished job appends one line, flushed immediately, so a service
 SIGKILLed mid-sweep can replay the file on startup and resume each
-incomplete job from exactly the points that remain.  Three line kinds:
+incomplete job.  Which points remain is not journaled: the result
+store is the record of finished points (a point's row is written
+there atomically), so a resumed job computes exactly the points whose
+result files are missing.  Two line kinds:
 
 * ``{"kind": "job", "job_id": ..., "spec": {...}}`` — a job was
   accepted (spec is the canonical form, so replay re-derives the same
   point digests);
-* ``{"kind": "point", "digest": ...}`` — a point's result row was
-  durably written to the store (the store write happens *first*, so a
-  journaled point always has its result file);
 * ``{"kind": "done", "job_id": ...}`` — every point of the job was
   complete at write time.
+
+Journals written before points were left to the store also hold
+``{"kind": "point", "digest": ...}`` lines; replay skips them, as it
+skips any kind it does not know.
 
 Lines carry no timestamps or host identity: replaying a journal is a
 pure function of its contents, and journals produced by identical
 request sequences are byte-identical (modulo OS write interleaving of
 concurrent jobs).  Truncated final lines (the SIGKILL case) are
-skipped on replay — the worst outcome is recomputing one point whose
-store write completed but whose journal line did not.
+skipped on replay.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, TextIO
+from typing import Any, Dict, Optional, Set, TextIO
 
 
 @dataclass
@@ -36,8 +39,6 @@ class JournalState:
 
     #: job_id -> canonical spec dict, in first-seen order.
     jobs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Digests of points whose results were durably stored.
-    completed: Set[str] = field(default_factory=set)
     #: Jobs that reached their "done" line.
     done_jobs: Set[str] = field(default_factory=set)
 
@@ -72,8 +73,6 @@ class Journal:
             kind = entry.get("kind")
             if kind == "job":
                 state.jobs[entry["job_id"]] = entry["spec"]
-            elif kind == "point":
-                state.completed.add(entry["digest"])
             elif kind == "done":
                 state.done_jobs.add(entry["job_id"])
         return state
@@ -87,9 +86,6 @@ class Journal:
 
     def record_job(self, job_id: str, spec: Dict[str, Any]) -> None:
         self._append({"kind": "job", "job_id": job_id, "spec": spec})
-
-    def record_point(self, digest: str) -> None:
-        self._append({"kind": "point", "digest": digest})
 
     def record_done(self, job_id: str) -> None:
         self._append({"kind": "done", "job_id": job_id})

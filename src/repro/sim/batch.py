@@ -3,10 +3,12 @@
 A sweep grid point is one (config, workload) simulation.  The scalar
 path builds a :class:`~repro.sim.system.System` per point and runs it
 to completion before touching the next point.  A :class:`BatchSystem`
-holds N points as *lanes* and does exactly the same, so in-process it
-adds nothing over a serial sweep; on a pool, a lane group ships as one
-task.  The module stays because the layered benchmark's span table
-names :class:`BatchSystem` and :meth:`_Lane.advance`.
+holds N points as *lanes* and does exactly the same, so it adds
+nothing over a serial sweep; it runs in-process only (a
+:class:`~repro.sim.pool.SimPool` ships one message per warm-fingerprint
+group of single points instead).  The module stays because the layered
+benchmark's span table names :class:`BatchSystem` and
+:meth:`_Lane.advance`.
 
 * **One System per lane, one lane at a time.**  Each lane is a plain
   :class:`~repro.sim.system.System`, so the scheduler hot path is the
@@ -26,9 +28,8 @@ bit-for-bit (``tests/test_batch.py`` pins this across schemes and
 mixed snapshot-restored/cold batches).
 
 Entry points: :class:`BatchSystem` directly, :func:`simulate_batch`
-for one-shot use, ``Sweep.run(batch=N)`` for grids, and
-:func:`_run_lane_group` as the :class:`~repro.sim.pool.SimPool` task
-body that ships whole lane groups to warm workers.
+for one-shot use, and ``Sweep.run(batch=N)`` for grids, which runs
+each lane group through :func:`_run_lane_group`.
 """
 
 from __future__ import annotations
@@ -157,13 +158,12 @@ def simulate_batch(
 
 
 def _run_lane_group(ctx: SweepContext, points: List[Dict]) -> List[Dict]:
-    """Sweep/pool task body: one whole lane group per task.
+    """Run one lane group of a batched ``Sweep.run``.
 
     ``ctx`` is the grid-wide :data:`~repro.sim.sweep.SweepContext`;
     ``points`` are the group's point dicts (config deltas).  Runs the
     group as one :class:`BatchSystem` and returns the flattened result
-    rows in group order.  Module-level so :class:`~repro.sim.pool
-    .SimPool` workers can unpickle it by reference.
+    rows in group order.
     """
     base_config, events, seed, warmup, snapshot_dir = ctx
     specs: List[LaneSpec] = [

@@ -116,8 +116,3 @@ class SystemConfig:
 
     def with_policy(self, policy: RowPolicy) -> "SystemConfig":
         return replace(self, policy=policy)
-
-
-#: Short alias: ``SimConfig(sanitize=True)`` reads naturally at call
-#: sites that only care about the run-mode switches.
-SimConfig = SystemConfig

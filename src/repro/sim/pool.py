@@ -2,39 +2,40 @@
 
 A grid reaches worker processes only through :class:`SimPool`, and
 only as a :class:`repro.sim.sweep.Sweep`: ``Sweep.run(pool=...)`` runs
-its points (or lane groups) on a pool the caller opens, and the sweep
-service runs the same ``_run_point`` task on its own pools.  The one
-alternative is running serially in-process.  A fresh worker pays the
-full cold start: interpreter boot and package import (under the spawn
-start method), trace-block compilation per workload, and a cache
-warmup per warm fingerprint.  A pool opened for one sweep (``with
-SimPool(workers=N) as pool``) pays it once per worker and fingerprint,
-and a pool kept open pays it once for its lifetime.  The pool's
-properties:
+its points on a pool the caller opens, and the sweep service runs the
+same ``_run_point`` task on its own pools.  The one alternative is
+running serially in-process.  A fresh worker pays the full cold start:
+interpreter boot and package import (under the spawn start method),
+trace-block compilation per workload, and a cache warmup per warm
+fingerprint.  A pool opened for one sweep (``with SimPool(workers=N)
+as pool``) pays it once per worker and fingerprint, and a pool kept
+open pays it once for its lifetime.  The pool's properties:
 
 * **warm workers** — each worker process owns the ordinary in-process
   caches (:data:`repro.sim.snapshot.SNAPSHOTS`, the compiled
   trace-block LRU) and keeps them across tasks, batches and sweeps, so
   only the first task of a (workload, seed, warmup, cache-geometry)
   fingerprint ever replays warmup;
-* **fingerprint-batched scheduling** — :meth:`SimPool.map` accepts one
+* **one message per group** — :meth:`SimPool.stream` accepts one
   group key per task (the sweep layer passes
-  :func:`repro.sim.sweep.point_fingerprint`); tasks of one group are
-  assigned to one worker back to back, so consecutive tasks hit the
-  worker's warm snapshot and block caches instead of spreading each
-  fingerprint over every worker;
-* **streaming, deterministic results** — workers stream results back
-  as they finish; the parent restores submission order at the merge
-  (:meth:`SimPool.stream` yields them in order as soon as the next
-  index is available), so pooled output is row-for-row identical to a
-  serial run no matter the worker count or completion order;
+  :func:`repro.sim.sweep.point_fingerprint`); tasks that share a key
+  form one group, which goes whole to one worker as one task message,
+  so every fingerprint warms one worker and a grid costs one message
+  per fingerprint rather than one per point.  Without keys each task
+  is its own group;
+* **streaming, deterministic results** — a worker runs a group's tasks
+  in order and sends each result back as it finishes; the parent
+  restores submission order at the merge (:meth:`SimPool.stream`
+  yields each result as soon as it and every earlier index are in), so
+  pooled output is row-for-row identical to a serial run no matter the
+  worker count or completion order;
 * **chunked submission with backpressure** — at most
-  :data:`MAX_INFLIGHT` tasks are enqueued per worker; further tasks
-  are fed as results return, so a million-point grid never
-  materializes in the task queues;
+  :data:`MAX_INFLIGHT` group messages are enqueued per worker; further
+  groups are fed as earlier ones finish, so a grid with a million
+  fingerprints never materializes in the task queues;
 * **shared context per batch** — the per-batch invariants (base
   config, run length, seed, snapshot dir) cross the process boundary
-  once per worker per batch, not once per task;
+  once per worker per batch, in a header message, not once per group;
 * **clean shutdown and reuse** — one pool serves any number of
   batches (the service keeps its pools for its lifetime);
   ``close()`` / the context manager tears the workers down, and a
@@ -74,8 +75,9 @@ REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.sweep._run_point"
 ORACLE_TESTS = ("tests/test_pool.py",)
 
-#: Tasks enqueued per worker before the parent waits for a result.
-#: Two keeps a worker busy while its next result crosses the pipe.
+#: Group messages enqueued per worker before the parent waits for one
+#: to finish.  Two keeps a worker busy while the last result of its
+#: current group crosses the pipe.
 MAX_INFLIGHT = 2
 
 #: A pool task function: ``fn(shared, payload) -> result``.  Must be a
@@ -107,13 +109,16 @@ def _worker_main(
     task_q: "multiprocessing.Queue",
     result_conn: "mp_connection.Connection",
 ) -> None:
-    """Worker loop: execute tasks until the ``None`` sentinel arrives.
+    """Worker loop: execute task groups until the ``None`` sentinel arrives.
 
     The process-wide caches (warm snapshots, compiled trace blocks)
     live in ordinary module globals, so simply *staying alive* between
     tasks is what makes the worker warm.  Batch headers carry the task
-    function and the batch-shared context once; task messages then
-    reference the batch by id.
+    function and the batch-shared context once; each group message
+    then references the batch by id and carries the group's
+    ``(index, payload)`` pairs, which run in order with one result
+    sent per task.  A failed task ends its group: the parent abandons
+    the batch on the first failure.
 
     Results go back over a **per-worker pipe**, sent synchronously from
     this thread.  A shared ``multiprocessing.Queue`` would ship them
@@ -136,15 +141,16 @@ def _worker_main(
         if kind == "forget":
             batches.pop(msg[1], None)
             continue
-        _, batch_id, index, payload = msg
+        _, batch_id, tasks = msg
         fn, shared = batches[batch_id]
-        try:
-            result = fn(shared, payload)
-        except BaseException:
-            result_conn.send(
-                (batch_id, worker_id, index, False, traceback.format_exc())
-            )
-        else:
+        for index, payload in tasks:
+            try:
+                result = fn(shared, payload)
+            except BaseException:
+                result_conn.send(
+                    (batch_id, worker_id, index, False, traceback.format_exc())
+                )
+                break
             result_conn.send((batch_id, worker_id, index, True, result))
 
 
@@ -153,12 +159,12 @@ class SimPool:
 
     ``start_method`` selects the multiprocessing start method for the
     workers (``None`` uses the platform default).  At most
-    :data:`MAX_INFLIGHT` tasks sit in each worker's queue at once; the
-    rest are fed as results stream back (backpressure).
+    :data:`MAX_INFLIGHT` group messages sit in each worker's queue at
+    once; the rest are fed as groups finish (backpressure).
 
     ``max_restarts`` bounds self-healing: a worker that dies is
     replaced by a fresh process (its batch context re-shipped and its
-    uncompleted tasks resubmitted) up to ``max_restarts`` times *per
+    unfinished tasks resubmitted) up to ``max_restarts`` times *per
     worker slot* before the pool declares itself broken with
     :class:`SimPoolBrokenError`.  A task that deterministically kills
     its worker therefore fails after a bounded number of retries
@@ -262,29 +268,19 @@ class SimPool:
         self,
         count: int,
         group_keys: Optional[Sequence[Hashable]],
-    ) -> List[List[int]]:
-        """Deterministic task-index plan, one ordered list per worker.
+    ) -> List[List[List[int]]]:
+        """Deterministic plan: per worker, its task groups in run order.
 
-        With group keys, indices sharing a key form one group; groups
-        go whole to the currently least-loaded worker (largest group
-        first, ties broken by first appearance), so every fingerprint
-        warms exactly one worker.  Each worker runs its groups in that
-        same order, largest first, each group's tasks back to back.
-        Without keys, indices are split into contiguous runs,
-        preserving grid locality.
+        Indices sharing a key form one group (without keys, each index
+        is its own group); groups go whole to the currently
+        least-loaded worker, largest group first, ties broken by first
+        appearance, so every fingerprint warms exactly one worker.
+        Each worker runs its groups in that same order, each group's
+        tasks in index order.
         """
-        if count == 0:
-            return [[] for _ in range(self.workers)]
         if group_keys is None:
-            per = -(-count // self.workers)  # ceil division
-            runs: List[List[int]] = [[] for _ in range(self.workers)]
-            for wid in range(self.workers):
-                start = wid * per
-                if start >= count:
-                    break
-                runs[wid] = list(range(start, min(start + per, count)))
-            return runs
-        if len(group_keys) != count:
+            group_keys = range(count)
+        elif len(group_keys) != count:
             raise ValueError("need exactly one group key per payload")
         groups: Dict[Hashable, List[int]] = {}
         for index, key in enumerate(group_keys):
@@ -292,11 +288,11 @@ class SimPool:
         ordered = sorted(
             groups.values(), key=lambda members: (-len(members), members[0])
         )
-        plan: List[List[int]] = [[] for _ in range(self.workers)]
+        plan: List[List[List[int]]] = [[] for _ in range(self.workers)]
         loads = [0] * self.workers
         for members in ordered:
             target = min(range(self.workers), key=lambda w: (loads[w], w))
-            plan[target].extend(members)
+            plan[target].append(members)
             loads[target] += len(members)
         return plan
 
@@ -317,25 +313,26 @@ class SimPool:
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         plan = self._assign(count, group_keys)
-        cursors = [0] * self.workers  # next plan position per worker
-        #: Submitted-but-uncompleted indices per worker, submission
-        #: order; ``len`` is the worker's inflight count, and it is the
-        #: exact resubmission list when the worker has to be replaced.
-        pending: List[List[int]] = [[] for _ in range(self.workers)]
-        done = [False] * count
-        outstanding = 0
-        for wid in range(self.workers):
-            if not plan[wid]:
-                continue
-            self._task_qs[wid].put(("shared", batch_id, fn, shared))
-            while len(pending[wid]) < MAX_INFLIGHT and cursors[wid] < len(
-                plan[wid]
-            ):
-                index = plan[wid][cursors[wid]]
-                self._task_qs[wid].put(("task", batch_id, index, payloads[index]))
+        cursors = [0] * self.workers  # next plan group per worker
+        #: Per worker, the groups it was sent, each cut down to its
+        #: unfinished indices, in submission order: ``len`` is the
+        #: worker's in-flight message count, and the lists are the
+        #: exact resubmission when the worker has to be replaced.
+        pending: List[List[List[int]]] = [[] for _ in range(self.workers)]
+
+        def feed(wid: int) -> None:
+            while len(pending[wid]) < MAX_INFLIGHT and cursors[wid] < len(plan[wid]):
+                group = plan[wid][cursors[wid]]
                 cursors[wid] += 1
-                pending[wid].append(index)
-                outstanding += 1
+                self._send_group(wid, batch_id, group, payloads)
+                pending[wid].append(list(group))
+
+        done = [False] * count
+        outstanding = count
+        for wid in range(self.workers):
+            if plan[wid]:
+                self._task_qs[wid].put(("shared", batch_id, fn, shared))
+                feed(wid)
         try:
             while outstanding:
                 ready = mp_connection.wait(list(self._result_readers), timeout=1.0)
@@ -362,23 +359,26 @@ class SimPool:
                         # identical; keep the first, drop this one.
                         continue
                     done[index] = True
-                    if index in pending[wid]:
-                        pending[wid].remove(index)
                     outstanding -= 1
                     self.tasks_done += 1
-                    if cursors[wid] < len(plan[wid]):
-                        nxt = plan[wid][cursors[wid]]
-                        self._task_qs[wid].put(("task", batch_id, nxt, payloads[nxt]))
-                        cursors[wid] += 1
-                        pending[wid].append(nxt)
-                        outstanding += 1
+                    # A worker finishes its groups, and each group's
+                    # tasks, in the order it was sent them.
+                    head = pending[wid][0]
+                    head.remove(index)
+                    if not head:
+                        pending[wid].pop(0)
+                        feed(wid)
                     if not ok:
                         raise SimPoolTaskError(index, result)
                     yield index, result
         except SimPoolError:
             # Broken pool or failed task: the batch cannot complete
             # deterministically; tear the workers down so callers
-            # cannot accidentally reuse half-poisoned queues.
+            # cannot accidentally reuse half-poisoned queues.  A worker
+            # still busy with its in-flight groups is stopped, not
+            # waited for.
+            for proc in self._procs:
+                proc.terminate()
             self.close()
             raise
         finally:
@@ -387,22 +387,30 @@ class SimPool:
                     if plan[wid]:
                         self._task_qs[wid].put(("forget", batch_id))
 
+    def _send_group(
+        self, wid: int, batch_id: int, group: List[int], payloads: Sequence[Any]
+    ) -> None:
+        """Enqueue one group of tasks on worker ``wid`` as one message."""
+        self._task_qs[wid].put(
+            ("group", batch_id, [(index, payloads[index]) for index in group])
+        )
+
     def _heal_dead_workers(
         self,
         batch_id: int,
         fn: TaskFn,
         shared: Any,
         payloads: Sequence[Any],
-        pending: List[List[int]],
+        pending: List[List[List[int]]],
     ) -> None:
         """Replace dead workers within budget, else raise.
 
         A replacement gets a *fresh* task queue (the dead process may
         have half-consumed the old one, so its state is ambiguous), the
         current batch's context header, and every task the dead worker
-        had been handed but never finished — in the original
-        submission order, so fingerprint runs stay contiguous and the
-        batch completes with the exact same result set.
+        had been handed but never finished: one message per group it
+        was sent, in the original submission order, so the batch
+        completes with the exact same result set.
         """
         for wid, proc in enumerate(self._procs):
             if proc.is_alive():
@@ -432,8 +440,8 @@ class SimPool:
             # task the dead worker completed-but-delivered races as a
             # duplicate; _execute drops duplicates by index.
             task_q.put(("shared", batch_id, fn, shared))
-            for index in pending[wid]:
-                task_q.put(("task", batch_id, index, payloads[index]))
+            for group in pending[wid]:
+                self._send_group(wid, batch_id, group, payloads)
 
     # ------------------------------------------------------------------
     def stream(
@@ -466,7 +474,4 @@ class SimPool:
         group_keys: Optional[Sequence[Hashable]] = None,
     ) -> List[Any]:
         """Run a batch and return all results in submission order."""
-        results: List[Any] = [None] * len(payloads)
-        for index, result in self._execute(fn, payloads, shared, group_keys):
-            results[index] = result
-        return results
+        return list(self.stream(fn, payloads, shared, group_keys))

@@ -253,6 +253,11 @@ def restore_warm_state(hierarchy: "CacheHierarchy", snapshot: WarmSnapshot) -> N
         hierarchy.dbi.restore_rows(snapshot.dbi_rows)
 
 
+#: Snapshots the in-process LRU holds before the least recently used
+#: one is dropped (read as ``SNAPSHOTS.capacity``).
+SNAPSHOT_CAPACITY = 8
+
+
 class SnapshotCache:
     """Two-layer snapshot store: in-process LRU plus optional disk.
 
@@ -264,11 +269,9 @@ class SnapshotCache:
     is also a miss, and the next store of its key overwrites it.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        """Bound the memory layer at ``capacity`` snapshots."""
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    capacity = SNAPSHOT_CAPACITY
+
+    def __init__(self) -> None:
         self._mem: "OrderedDict[tuple, WarmSnapshot]" = OrderedDict()
         self.hits = 0
         self.misses = 0

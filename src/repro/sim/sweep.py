@@ -28,16 +28,15 @@ Execution backends, all bit-identical row for row:
   passes in.  The grid-wide invariants (base config, run length,
   seed, snapshot dir) cross to each worker once per sweep, so each
   task payload is just its point dict (the config *delta*).  Points
-  are grouped by warm fingerprint (:func:`point_fingerprint`) so each
-  fingerprint warms exactly one worker, and a long-lived pool keeps
-  those caches across sweeps.  A one-off fan-out over fresh processes
-  is ``with SimPool(workers=N) as pool: sweep.run(pool=pool)``;
-* ``run(batch=N)`` — the batch kernel (:mod:`repro.sim.batch`):
-  points run in lane groups of up to N, one plain ``System`` after
-  another, which in-process is exactly a serial sweep; combines with
-  ``pool`` to ship whole lane groups per task.  ``batch="auto"`` makes
-  one lane group per pool worker, or one for the whole grid without a
-  pool (:func:`auto_batch_lanes`).
+  are grouped by warm fingerprint (:func:`point_fingerprint`): each
+  group ships to one worker as one task message, so each fingerprint
+  warms exactly one worker, and a long-lived pool keeps those caches
+  across sweeps.  A one-off fan-out over fresh processes is ``with
+  SimPool(workers=N) as pool: sweep.run(pool=pool)``;
+* ``run(batch=N)`` — in-process only, the batch kernel
+  (:mod:`repro.sim.batch`): points run in lane groups of up to N, one
+  plain ``System`` after another, which is exactly a serial sweep.
+  ``batch="auto"`` runs the whole grid as one lane group.
 
 Serially and in lane groups, points run in warm-fingerprint order
 (:func:`_fingerprint_order`), so each fingerprint warms once even when
@@ -157,20 +156,6 @@ def _fingerprint_order(ctx: SweepContext, tasks: List[Dict]) -> List[int]:
     return [index for members in groups.values() for index in members]
 
 
-def auto_batch_lanes(num_points: int, workers: int = 1) -> int:
-    """Lane count for ``batch="auto"``: one lane group per worker.
-
-    ``ceil(points / workers)``: the whole grid in-process, or one group
-    per pool worker so every worker gets one.  Lanes run one after
-    another, so a group's memory does not grow with its lane count.
-    """
-    if num_points < 1:
-        raise ValueError("auto batch sizing needs at least one grid point")
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
-    return -(-num_points // workers)  # ceil division
-
-
 class Sweep:
     """Cartesian-product sweep over named configuration axes."""
 
@@ -245,18 +230,16 @@ class Sweep:
         Without ``pool`` the points run serially in-process: the
         oracle every other backend must match.  ``pool`` runs them on
         the caller's :class:`repro.sim.pool.SimPool` instead (warm
-        workers, fingerprint-grouped scheduling); the caller owns the
-        pool and closes it.
+        workers, one task message per warm-fingerprint group); the
+        caller owns the pool and closes it.
 
-        ``batch=N`` selects the batch kernel (:mod:`repro.sim.batch`):
-        points are cut into lane groups of up to N and each group runs
-        as one :class:`~repro.sim.batch.BatchSystem`, lane after lane,
-        each lane a plain ``System``, so in-process it computes exactly
-        what the serial path does.  Combined with ``pool``, each lane
-        group ships whole to a warm worker, one task message per group.
-        ``batch="auto"`` picks ``ceil(points / workers)`` lanes, one
-        group per pool worker or the whole grid in-process
-        (:func:`auto_batch_lanes`).
+        ``batch=N`` selects the batch kernel (:mod:`repro.sim.batch`),
+        in-process only: points are cut into lane groups of up to N
+        and each group runs as one :class:`~repro.sim.batch.BatchSystem`,
+        lane after lane, each lane a plain ``System``, so it computes
+        exactly what the serial path does.  ``batch="auto"`` runs the
+        whole grid as one lane group.  ``batch`` with ``pool`` raises
+        ``ValueError``: a pool already ships one message per group.
 
         Serial and batched runs take the points in warm-fingerprint
         order (:func:`_fingerprint_order`).  Every point carries the
@@ -265,18 +248,21 @@ class Sweep:
         row-for-row identical to a serial one.
         """
         tasks = self._tasks()
-        if isinstance(batch, str):
-            if batch != "auto":
-                raise ValueError(
-                    f"batch={batch!r}: expected a positive integer or 'auto'"
-                )
-            workers = pool.workers if pool is not None else 1
-            batch = auto_batch_lanes(len(tasks), workers)
+        if batch is not None and pool is not None:
+            raise ValueError(
+                "batch runs in-process; a pool already ships one task "
+                "message per warm-fingerprint group"
+            )
+        if batch == "auto":
+            batch = len(tasks)
+        elif isinstance(batch, str):
+            raise ValueError(
+                f"batch={batch!r}: expected a positive integer or 'auto'"
+            )
         elif batch is not None and batch < 1:
             raise ValueError("batch must be a positive integer or 'auto'")
         ctx = self._context()
-        lanes = batch if batch is not None and len(tasks) > 1 else 1
-        if pool is not None and lanes == 1:
+        if pool is not None:
             self.rows = pool.map(
                 _run_point,
                 tasks,
@@ -285,19 +271,15 @@ class Sweep:
             )
             return self.rows
         order = _fingerprint_order(ctx, tasks)
-        if lanes > 1:
-            flat = self._run_batched([tasks[index] for index in order], ctx, lanes, pool)
+        if batch is not None and batch > 1:
+            flat = self._run_batched([tasks[index] for index in order], ctx, batch)
         else:
             flat = [_run_point(ctx, tasks[index]) for index in order]
         self.rows = [row for _, row in sorted(zip(order, flat), key=itemgetter(0))]
         return self.rows
 
     def _run_batched(
-        self,
-        points: List[Dict],
-        ctx: SweepContext,
-        batch: int,
-        pool: "Optional[SimPool]",
+        self, points: List[Dict], ctx: SweepContext, batch: int
     ) -> List[Dict]:
         """Run ``points`` through the batch kernel in lane groups.
 
@@ -311,20 +293,11 @@ class Sweep:
         # breaks the cycle.
         from repro.sim.batch import _run_lane_group
 
-        groups = [points[i : i + batch] for i in range(0, len(points), batch)]
-        if pool is not None:
-            # One key per group, even where groups start on the same
-            # fingerprint: the pool then spreads the groups over its
-            # workers instead of queueing them on one.
-            results = pool.map(
-                _run_lane_group,
-                groups,
-                shared=ctx,
-                group_keys=range(len(groups)),
-            )
-        else:
-            results = [_run_lane_group(ctx, group) for group in groups]
-        return [row for rows in results for row in rows]
+        return [
+            row
+            for start in range(0, len(points), batch)
+            for row in _run_lane_group(ctx, points[start : start + batch])
+        ]
 
     # ------------------------------------------------------------------
     def to_csv(self, path: str) -> None:

@@ -104,7 +104,6 @@ class TraceGenerator:
         profile: BenchmarkProfile,
         seed: int = 0,
         core_id: int = 0,
-        region_lines: int = REGION_LINES,
     ) -> None:
         self.profile = profile
         # zlib.crc32 instead of hash(): str hashing is randomized per
@@ -112,13 +111,13 @@ class TraceGenerator:
         # reproducibility of every experiment.
         name_hash = zlib.crc32(profile.name.encode())
         self.rng = random.Random((seed << 8) ^ name_hash)
-        base = core_id * region_lines
+        base = core_id * REGION_LINES
         self.loads = _Stream(self.rng, base, profile.footprint_lines, profile.read_run)
         self.stores = _Stream(
-            self.rng, base + region_lines // 2, profile.footprint_lines, profile.write_run
+            self.rng, base + REGION_LINES // 2, profile.footprint_lines, profile.write_run
         )
         self.rmw = _Stream(
-            self.rng, base + region_lines // 4, profile.footprint_lines, profile.rmw_run
+            self.rng, base + REGION_LINES // 4, profile.footprint_lines, profile.rmw_run
         )
         self._pending_store: Optional[TraceEvent] = None
         # Cumulative stream-choice thresholds.
@@ -234,12 +233,9 @@ class TraceBlocks:
         profile: BenchmarkProfile,
         seed: int = 0,
         core_id: int = 0,
-        region_lines: int = REGION_LINES,
     ) -> None:
         """Wrap a fresh reference generator; arrays start empty."""
-        self._gen = TraceGenerator(
-            profile, seed=seed, core_id=core_id, region_lines=region_lines
-        )
+        self._gen = TraceGenerator(profile, seed=seed, core_id=core_id)
         self.gaps = array("i")
         self.addrs = array("q")
         self.masks = array("B")
@@ -347,7 +343,7 @@ class TraceBlocks:
 
 
 #: In-process LRU of shared :class:`TraceBlocks`, keyed by
-#: (profile, seed, core_id, region_lines).
+#: (profile, seed, core_id).
 _BLOCK_CACHE: "OrderedDict[tuple, TraceBlocks]" = OrderedDict()
 _BLOCK_CACHE_CAPACITY = 64
 
@@ -356,9 +352,8 @@ def compiled_trace(
     profile: BenchmarkProfile,
     seed: int = 0,
     core_id: int = 0,
-    region_lines: int = REGION_LINES,
 ) -> TraceBlocks:
-    """Shared :class:`TraceBlocks` for (profile, seed, core, region).
+    """Shared :class:`TraceBlocks` for (profile, seed, core).
 
     Every scheme of a sweep re-simulates the same workload/seed pair;
     the block cache makes them all replay one materialization instead
@@ -366,12 +361,10 @@ def compiled_trace(
     finished grid point age out once :data:`_BLOCK_CACHE_CAPACITY`
     newer keys arrive).
     """
-    key = (profile, seed, core_id, region_lines)
+    key = (profile, seed, core_id)
     blocks = _BLOCK_CACHE.get(key)
     if blocks is None:
-        blocks = TraceBlocks(
-            profile, seed=seed, core_id=core_id, region_lines=region_lines
-        )
+        blocks = TraceBlocks(profile, seed=seed, core_id=core_id)
         _BLOCK_CACHE[key] = blocks
         while len(_BLOCK_CACHE) > _BLOCK_CACHE_CAPACITY:
             _BLOCK_CACHE.popitem(last=False)

@@ -6,20 +6,21 @@ to running that lane's (config, workload) through the scalar
 ``System.run`` on its own — values *and* structure, pinned here via
 ``to_dict()`` deep equality.  These tests cover batches mixing
 snapshot-restored and cold lanes, lanes running one after another,
-the ``Sweep.run(batch=N)`` integration layer (in-process and on a
-``SimPool``), the CLI worker-budget guard, and a hypothesis property
-test driving randomized lane counts/configs through the kernel.  It
-also covers the column ops of ``repro.dram.soa_batch``
-(``decay_timers`` / ``open_row_hits`` / ``refresh_due`` /
-``next_wake_min`` / ``power_down_resident``) over plain
-``TimingCore`` lists, plus ``batch="auto"`` lane sizing (one lane
-group per pool worker).
+the in-process ``Sweep.run(batch=N)`` integration layer (a pool does
+not take ``batch``, and the CLI has no ``--batch``), the CLI
+worker-budget guard, and a hypothesis property test driving
+randomized lane counts/configs through the kernel.  It also covers
+the column ops of ``repro.dram.soa_batch`` (``decay_timers`` /
+``open_row_hits`` / ``refresh_due`` / ``next_wake_min`` /
+``power_down_resident``) over plain ``TimingCore`` lists, plus
+``batch="auto"``, which runs the whole grid as one lane group.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch
 from repro import cli
 from repro.core.schemes import by_name
 from repro.dram.soa import TimingCore
@@ -34,7 +35,7 @@ from repro.sim.batch import BatchSystem, simulate_batch
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.pool import SimPool
 from repro.sim.snapshot import SNAPSHOTS
-from repro.sim.sweep import Sweep, auto_batch_lanes, point_fingerprint
+from repro.sim.sweep import Sweep
 from repro.sim.system import System
 from repro.workloads.mixes import workload as lookup_workload
 
@@ -158,12 +159,15 @@ class TestSweepIntegration:
         batched = _small_sweep().run(batch=4)
         assert batched == serial  # values AND grid ordering
 
-    def test_sweep_batched_on_pool_identical_to_serial(self):
-        SNAPSHOTS.clear()
-        serial = _small_sweep().run()
+    def test_batch_with_pool_rejected(self):
+        # batch runs in-process; a pool ships one message per
+        # warm-fingerprint group on its own.
         with SimPool(workers=1) as pool:
-            batched = _small_sweep().run(pool=pool, batch=3)
-        assert batched == serial
+            with pytest.raises(ValueError, match="in-process"):
+                _small_sweep().run(pool=pool, batch=4)
+            with pytest.raises(ValueError, match="in-process"):
+                _small_sweep().run(pool=pool, batch="auto")
+            assert pool.tasks_done == 0
 
     def test_batch_size_larger_than_grid(self):
         SNAPSHOTS.clear()
@@ -257,7 +261,7 @@ class TestCohortKernelOps:
 
 # ----------------------------------------------------------------------
 class TestAutoBatch:
-    """``batch="auto"``: one lane group per worker."""
+    """``batch="auto"``: the whole grid as one lane group, in-process."""
 
     def test_auto_matches_serial(self):
         SNAPSHOTS.clear()
@@ -265,82 +269,22 @@ class TestAutoBatch:
         SNAPSHOTS.clear()
         assert _small_sweep().run(batch="auto") == serial
 
-    def test_auto_on_pool_ships_one_group_per_worker(self):
-        # 8 points over 2 workers: two 4-lane groups, one task each,
-        # rather than the whole grid as one group on one worker.
-        SNAPSHOTS.clear()
-        serial = _small_sweep().run()
-        with SimPool(workers=2) as pool:
-            rows = _small_sweep().run(pool=pool, batch="auto")
-            assert pool.tasks_done == 2
-        assert rows == serial
+    def test_auto_runs_whole_grid_as_one_lane_group(self, monkeypatch):
+        groups = []
+        run_group = repro.sim.batch._run_lane_group
 
-    def test_auto_on_pool_spreads_one_fingerprint_over_workers(self, monkeypatch):
-        # Every lane group starts on the grid's one warm fingerprint;
-        # the pool still plans one group per worker.
-        plans = []
-        assign = SimPool._assign
+        def spy(ctx, points):
+            groups.append(len(points))
+            return run_group(ctx, points)
 
-        def spy_assign(self, count, group_keys):
-            plan = assign(self, count, group_keys)
-            plans.append(plan)
-            return plan
-
-        monkeypatch.setattr(SimPool, "_assign", spy_assign)
-        sweep = Sweep(
-            events_per_core=100,
-            base_config=SystemConfig(cache=SMALL_CACHE),
-            warmup_events_per_core=WARMUP,
-        )
-        sweep.add_axis("scheme", ["Baseline", "PRA", "SDS", "FGA"])
-        sweep.add_axis("workload", ["GUPS"])
-        ctx = sweep._context()
-        assert len({point_fingerprint(ctx, p) for p in sweep._tasks()}) == 1
-        with SimPool(workers=2) as pool:
-            sweep.run(pool=pool, batch="auto")
-        assert plans == [[[0], [1]]]
-
-    def test_unknown_memory_uses_grid_size(self):
-        # In-process: the whole grid as one lane group.
-        assert auto_batch_lanes(24) == 24
-        assert auto_batch_lanes(3) == 3
-        # One lane group per pool worker.
-        assert auto_batch_lanes(24, 2) == 12
-        assert auto_batch_lanes(25, 2) == 13
-        with pytest.raises(ValueError, match="at least one grid point"):
-            auto_batch_lanes(0)
-        with pytest.raises(ValueError, match="workers"):
-            auto_batch_lanes(24, 0)
+        monkeypatch.setattr(repro.sim.batch, "_run_lane_group", spy)
+        sweep = _small_sweep()
+        sweep.run(batch="auto")
+        assert groups == [len(sweep.rows)] == [8]
 
     def test_bad_batch_string_rejected(self):
         with pytest.raises(ValueError, match="'auto'"):
             _small_sweep().run(batch="turbo")
-
-    def test_cli_parses_auto_and_rejects_junk(self, capsys):
-        common = ["sweep", "--out", "grid.csv", "--batch"]
-        args = cli.build_parser().parse_args(common + ["auto"])
-        assert args.batch == "auto"
-        args = cli.build_parser().parse_args(common + ["6"])
-        assert args.batch == 6
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(common + ["fast"])
-        assert "--batch" in capsys.readouterr().err
-
-    def test_cli_auto_sweep_matches_plain(self, tmp_path, monkeypatch):
-        plain, auto = tmp_path / "plain.csv", tmp_path / "auto.csv"
-        pooled = tmp_path / "pooled.csv"
-        common = [
-            "sweep", "--schemes", "Baseline", "PRA", "--workloads", "GUPS",
-            "--events", "300",
-        ]
-        assert cli.main(common + ["--out", str(plain)]) == 0
-        assert cli.main(common + ["--batch", "auto", "--out", str(auto)]) == 0
-        assert auto.read_text() == plain.read_text()
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
-        assert cli.main(
-            common + ["--pool", "2", "--batch", "auto", "--out", str(pooled)]
-        ) == 0
-        assert pooled.read_text() == plain.read_text()
 
 
 # ----------------------------------------------------------------------
@@ -373,20 +317,13 @@ class TestWorkerBudgetGuard:
         cli._check_worker_budget("--pool", 4)  # no raise
 
     def test_invalid_batch_exits_nonzero(self, tmp_path, capsys):
+        # The CLI has no --batch: every value is an argparse usage error.
         out = str(tmp_path / "grid.csv")
-        rc = cli.main(["sweep", "--batch", "0", "--out", out])
-        assert rc == 2
-        assert "--batch" in capsys.readouterr().err
-
-    def test_cli_batched_sweep_matches_plain(self, tmp_path):
-        plain, batched = tmp_path / "plain.csv", tmp_path / "batched.csv"
-        common = [
-            "sweep", "--schemes", "Baseline", "PRA", "--workloads", "GUPS",
-            "--events", "300",
-        ]
-        assert cli.main(common + ["--out", str(plain)]) == 0
-        assert cli.main(common + ["--batch", "2", "--out", str(batched)]) == 0
-        assert batched.read_text() == plain.read_text()
+        for value in ("0", "2", "auto"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["sweep", "--batch", value, "--out", out])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,22 @@ class TestSweepCommand:
             build_parser().parse_args(["sweep"])
 
 
+class TestPooledSweepCommand:
+    def test_pooled_csv_matches_serial(self, tmp_path, monkeypatch):
+        """``repro sweep --pool 2`` writes the serial sweep's CSV byte
+        for byte: two warm fingerprints (DBI and not), one group
+        message each."""
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        argv = [
+            "sweep", "--schemes", "Baseline", "PRA", "DBI+PRA",
+            "--workloads", "GUPS", "--events", "300",
+        ]
+        assert main(argv + ["--out", str(serial)]) == 0
+        assert main(argv + ["--pool", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
+
 class TestBenchCommand:
     """``repro bench`` runs its grid as a ``Sweep``; its table must
     equal what :class:`ExperimentRunner`'s normalized metrics give for

@@ -4,12 +4,15 @@
 :class:`SimPool` must be bit-identical — values *and* row order — to
 mapping the same task function serially in-process (the oracle twin).
 These tests pin that across schemes (including DBI variants and the
-on-disk snapshot layer), plus the pool's failure and lifecycle
-contracts: a dead worker raises instead of hanging, task exceptions
-carry the remote traceback, and one pool serves many batches.
+on-disk snapshot layer), plus the pool's wire protocol (one task
+message per group, the unfinished tasks of a dead worker resent) and
+its failure and lifecycle contracts: a dead worker raises instead of
+hanging, task exceptions carry the remote traceback, and one pool
+serves many batches.
 """
 
 import os
+import time
 
 import pytest
 
@@ -21,7 +24,7 @@ from repro.sim.pool import (
     SimPoolTaskError,
 )
 from repro.sim.snapshot import SNAPSHOTS
-from repro.sim.sweep import Sweep, _run_point
+from repro.sim.sweep import Sweep, _run_point, point_fingerprint
 
 
 SMALL_CACHE = CacheConfig(llc_bytes=128 * 1024)
@@ -53,6 +56,13 @@ def _die(shared, payload):
     os._exit(3)
 
 
+def _sleep_or_boom(shared, payload):
+    if payload == "boom":
+        raise ValueError("boom")
+    time.sleep(payload)
+    return payload
+
+
 def _die_once(shared, payload):
     # Kill the hosting worker the first time each payload is seen
     # (marker file = cross-process memory), succeed on resubmission.
@@ -64,8 +74,37 @@ def _die_once(shared, payload):
     return payload * 10
 
 
+def _logged_die_once(shared, payload):
+    # _die_once that first appends the payload to a run log, so a test
+    # can see which tasks a replacement worker ran again.
+    with open(os.path.join(shared["dir"], "runs.log"), "a") as fh:
+        fh.write(f"{payload}\n")
+    return _die_once(shared, payload)
+
+
 def _echo(shared, payload):
     return (shared, payload)
+
+
+def _record_messages(pool):
+    """Wrap each worker queue's ``put``; returns the list it fills.
+
+    Only messages sent after this call are recorded; a replacement
+    worker's fresh queue is not wrapped.
+    """
+    sent = []
+    for task_q in pool._task_qs:
+        def put(msg, _put=task_q.put):
+            sent.append(msg)
+            _put(msg)
+
+        task_q.put = put
+    return sent
+
+
+def _task_messages(sent):
+    """The recorded messages that carry tasks (not headers or sentinels)."""
+    return [msg for msg in sent if msg is not None and msg[0] not in ("shared", "forget")]
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +135,34 @@ class TestOracleParity:
             second = _small_sweep().run(pool=pool)
             assert pool.tasks_done == len(first) + len(second)
         assert first == second
+
+
+# ----------------------------------------------------------------------
+class TestGroupMessages:
+    def test_pooled_sweep_sends_one_message_per_fingerprint_group(self):
+        sweep = _small_sweep()
+        serial = sweep.run()
+        ctx, tasks = sweep._context(), sweep._tasks()
+        groups = {}
+        for index, point in enumerate(tasks):
+            groups.setdefault(point_fingerprint(ctx, point), []).append(index)
+        assert len(groups) == 4 < len(tasks)  # {GUPS, MIX1} x {DBI, no DBI}
+        with SimPool(workers=2) as pool:
+            sent = _record_messages(pool)
+            pooled = _small_sweep().run(pool=pool)
+        messages = _task_messages(sent)
+        assert len(messages) == len(groups)
+        assert sorted([index for index, _ in msg[2]] for msg in messages) == sorted(
+            groups.values()
+        )
+        assert pooled == serial
+
+    def test_keyless_map_sends_one_message_per_task(self):
+        with SimPool(workers=2) as pool:
+            sent = _record_messages(pool)
+            out = pool.map(_square, list(range(5)), shared={"scale": 1})
+        assert len(_task_messages(sent)) == 5
+        assert out == [i * i for i in range(5)]
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +199,18 @@ class TestFailureModes:
         assert "payload" in excinfo.value.remote_traceback
         assert "ValueError" in excinfo.value.remote_traceback
         # A failed batch poisons determinism; the pool tears down.
+        assert pool.closed
+
+    def test_failed_task_does_not_wait_for_busy_workers(self):
+        # Worker 0 holds a 60 s group; worker 1's task fails at once.
+        # The failure tears the pool down without waiting for worker 0
+        # to reach the shutdown sentinel behind its group.
+        pool = SimPool(workers=2)
+        start = time.monotonic()  # reprolint: allow[determinism-wallclock]
+        with pytest.raises(SimPoolTaskError):
+            pool.map(_sleep_or_boom, [30, 30, "boom"], group_keys=["s", "s", "b"])
+        elapsed = time.monotonic() - start  # reprolint: allow[determinism-wallclock]
+        assert elapsed < 4.0
         assert pool.closed
 
     def test_worker_death_raises_instead_of_hanging(self):
@@ -173,6 +252,24 @@ class TestWorkerRestart:
             assert out == [p * 10 for p in payloads]
             assert pool.worker_restarts >= 1
 
+    def test_restart_mid_group_resends_only_unfinished_tasks(self, tmp_path):
+        # One key: all six tasks are one group on one worker, and every
+        # task kills its worker once.  Each replacement must resume at
+        # the task that killed its predecessor, so every payload runs
+        # exactly twice (once dying, once finishing), in order.
+        payloads = list(range(6))
+        with SimPool(workers=2, max_restarts=6) as pool:
+            stream = pool.stream(
+                _logged_die_once,
+                payloads,
+                shared={"dir": str(tmp_path)},
+                group_keys=["one"] * len(payloads),
+            )
+            assert list(stream) == [p * 10 for p in payloads]
+            assert pool.worker_restarts == 6
+        runs = (tmp_path / "runs.log").read_text().split()
+        assert runs == [str(p) for p in payloads for _ in range(2)]
+
     def test_poison_task_exhausts_restart_budget(self):
         pool = SimPool(workers=1, max_restarts=1)
         with pytest.raises(SimPoolBrokenError, match="restart budget"):
@@ -202,13 +299,17 @@ class TestAssignmentPlan:
         pool = SimPool.__new__(SimPool)  # plan logic only, no processes
         pool.workers = 3
         plan = pool._assign(6, ["a", "b", "a", "b", "a", "c"])
-        homes = {}
-        for wid, members in enumerate(plan):
-            for index in members:
-                homes[index] = wid
-        assert homes[0] == homes[2] == homes[4]  # all of group "a"
-        assert homes[1] == homes[3]  # all of group "b"
-        assert sorted(homes) == list(range(6))
+        # Per worker, its groups: "a" (largest) to worker 0, "b" to
+        # worker 1, "c" to worker 2.
+        assert plan == [[[0, 2, 4]], [[1, 3]], [[5]]]
+
+    def test_groups_go_to_the_least_loaded_worker(self):
+        pool = SimPool.__new__(SimPool)
+        pool.workers = 2
+        plan = pool._assign(7, ["a", "a", "a", "b", "b", "c", "d"])
+        # "a" (3) to worker 0, "b" (2) to 1, "c" to 1 (load 2 < 3), then
+        # "d" to the tie's lower worker, 0.
+        assert plan == [[[0, 1, 2], [6]], [[3, 4], [5]]]
 
     def test_plan_is_deterministic(self):
         pool = SimPool.__new__(SimPool)
@@ -216,11 +317,11 @@ class TestAssignmentPlan:
         keys = [i % 5 for i in range(23)]
         assert pool._assign(23, keys) == pool._assign(23, keys)
 
-    def test_contiguous_runs_without_keys(self):
+    def test_each_task_is_its_own_group_without_keys(self):
         pool = SimPool.__new__(SimPool)
         pool.workers = 3
         plan = pool._assign(7, None)
-        assert plan == [[0, 1, 2], [3, 4, 5], [6]]
+        assert plan == [[[0], [3], [6]], [[1], [4]], [[2], [5]]]
 
     def test_key_count_mismatch_rejected(self):
         pool = SimPool.__new__(SimPool)

@@ -2,7 +2,7 @@
 
 Two obligations pin the linter itself:
 
-* ``python -m repro.analysis.lint src/`` must exit 0 on the committed
+* ``repro lint --no-typegate src/`` must exit 0 on the committed
   tree (the rules describe invariants the code actually upholds);
 * each fixture under ``tests/lint_fixtures/`` must trip exactly its
   named rule with a non-zero exit, so a rule that silently stops
@@ -13,7 +13,8 @@ import os
 
 import pytest
 
-from repro.analysis.lint import lint_paths, main
+from repro import cli
+from repro.analysis.lint import lint_paths
 from repro.analysis.rules import ALL_RULES, RULE_IDS, check_file
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,6 +47,11 @@ def _fixture(name):
     return os.path.join(FIXTURE_DIR, name)
 
 
+def _lint(*argv):
+    """Exit code of ``repro lint --no-typegate ARGV`` (reprolint only)."""
+    return cli.main(["lint", "--no-typegate", *argv])
+
+
 # ----------------------------------------------------------------------
 # The committed tree is clean.
 # ----------------------------------------------------------------------
@@ -56,8 +62,8 @@ def test_src_tree_lints_clean():
 
 
 def test_cli_exits_zero_on_src(capsys):
-    """``python -m repro.analysis.lint src/`` exits 0 on the repo."""
-    assert main([SRC]) == 0
+    """``repro lint --no-typegate src/`` exits 0 on the repo."""
+    assert _lint(SRC) == 0
     assert "0 findings" in capsys.readouterr().err
 
 
@@ -219,7 +225,7 @@ def test_fixture_trips_its_rule(rule_id, capsys):
         + "\n".join(f.render() for f in findings)
     )
     # Non-zero exit through the CLI surface too.
-    assert main([path, "-q"]) == 1
+    assert _lint(path) == 1
     assert f"[{rule_id}]" in capsys.readouterr().out
 
 
@@ -235,7 +241,7 @@ def test_extra_fixture_spellings(rule_id, name):
 
 def test_clean_fixture_passes(capsys):
     """The control fixture (seeded RNG, slots, sorted sets) exits 0."""
-    assert main([_fixture("clean.py"), "-q"]) == 0
+    assert _lint(_fixture("clean.py")) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -290,13 +296,13 @@ def test_select_filters_rules():
 
 def test_unknown_select_is_a_usage_error(capsys):
     """Typos in --select exit 2 instead of silently matching nothing."""
-    assert main([_fixture("clean.py"), "--select", "no-such-rule"]) == 2
-    assert "unknown rule" in capsys.readouterr().err
+    assert _lint(_fixture("clean.py"), "--select", "no-such-rule") == 2
+    assert "unknown reprolint rule" in capsys.readouterr().err
 
 
 def test_list_rules(capsys):
     """--list-rules prints the full catalogue and exits 0."""
-    assert main(["--list-rules"]) == 0
+    assert cli.main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ALL_RULES:
         assert rule.id in out

@@ -11,7 +11,7 @@ import pytest
 from repro.controller.stats import ControllerStats
 from repro.core.schemes import DBI_PRA
 from repro.dram.protocol import ProtocolChecker
-from repro.sim.config import CacheConfig, SimConfig, SystemConfig
+from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.sanitize import (
     SanitizerError,
     check_finalize,
@@ -32,7 +32,7 @@ WARMUP = 1500
 
 
 def _system(sanitize=False, scheme=None, **kwargs):
-    config = SimConfig(cache=CacheConfig(llc_bytes=128 * 1024), sanitize=sanitize)
+    config = SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024), sanitize=sanitize)
     if scheme is not None:
         config = config.with_scheme(scheme)
     return System(config, workload("GUPS"), EVENTS, seed=4,
@@ -49,11 +49,6 @@ def _merged(system):
 # ----------------------------------------------------------------------
 # Switches
 # ----------------------------------------------------------------------
-def test_simconfig_is_systemconfig():
-    """``SimConfig`` is the documented alias for ``SystemConfig``."""
-    assert SimConfig is SystemConfig
-
-
 def test_off_by_default(monkeypatch):
     """No checker is attached unless explicitly requested."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -63,7 +58,7 @@ def test_off_by_default(monkeypatch):
 
 
 def test_config_field_enables():
-    """``SimConfig(sanitize=True)`` attaches a checker per controller."""
+    """``SystemConfig(sanitize=True)`` attaches a checker per controller."""
     system = _system(sanitize=True)
     assert all(
         isinstance(c.protocol_checker, ProtocolChecker)

@@ -205,40 +205,55 @@ class TestJournal:
         path = str(tmp_path / "journal.jsonl")
         with Journal(path) as journal:
             journal.record_job("job-a", {"axes": {"workload": ["GUPS"]}})
-            journal.record_point("d1" * 32)
-            journal.record_point("d2" * 32)
+            journal.record_job("job-b", {"axes": {"workload": ["MIX1"]}})
             journal.record_done("job-a")
         state = Journal(path).replay()
-        assert list(state.jobs) == ["job-a"]
+        assert list(state.jobs) == ["job-a", "job-b"]
         assert state.jobs["job-a"] == {"axes": {"workload": ["GUPS"]}}
-        assert state.completed == {"d1" * 32, "d2" * 32}
         assert state.done_jobs == {"job-a"}
 
     def test_missing_file_replays_empty(self, tmp_path):
         state = Journal(str(tmp_path / "absent.jsonl")).replay()
-        assert state.jobs == {} and state.completed == set()
+        assert state.jobs == {} and state.done_jobs == set()
 
     def test_torn_tail_is_skipped(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with Journal(path) as journal:
             journal.record_job("job-a", {})
-            journal.record_point("d1" * 32)
         with open(path, "a") as handle:
-            handle.write('{"kind": "point", "digest": "d2')  # SIGKILL here
+            handle.write('{"kind": "done", "job_id": "job-')  # SIGKILL here
         state = Journal(path).replay()
-        assert state.completed == {"d1" * 32}
         assert list(state.jobs) == ["job-a"]
+        assert state.done_jobs == set()
 
     def test_lines_carry_no_timestamps(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         with Journal(path) as journal:
             journal.record_job("job-a", {"seed": 1})
-            journal.record_point("d1" * 32)
             journal.record_done("job-a")
         with open(path) as handle:
             for line in handle:
                 entry = json.loads(line)
-                assert set(entry) <= {"kind", "job_id", "spec", "digest"}
+                assert set(entry) <= {"kind", "job_id", "spec"}
+
+    def test_old_point_lines_replay_the_same_jobs(self, tmp_path):
+        """A journal written when finished points were journaled too
+        replays the same jobs: its ``point`` lines are skipped."""
+        old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+        with Journal(str(new)) as journal:
+            journal.record_job("job-a", {"seed": 1})
+            journal.record_job("job-b", {"seed": 2})
+            journal.record_done("job-a")
+        job_a, job_b, done_a = new.read_text().splitlines()
+        point = '{"digest": "%s", "kind": "point"}'
+        old.write_text("\n".join([
+            job_a, point % ("d1" * 32), point % ("d2" * 32), done_a,
+            job_b, point % ("d3" * 32), "",
+        ]))
+        replayed = Journal(str(old)).replay()
+        assert replayed == Journal(str(new)).replay()
+        assert list(replayed.jobs) == ["job-a", "job-b"]
+        assert replayed.done_jobs == {"job-a"}
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +334,7 @@ class TestJobManager:
             rows = manager.rows(status.job_id)
         written = journal.read_bytes()
         kinds = [json.loads(line)["kind"] for line in written.splitlines()]
-        assert kinds == ["job"] + ["point"] * 4 + ["done"]
+        assert kinds == ["job", "done"]
         for _ in range(2):
             with manager_loop(tmp_path) as (manager, loop):
                 assert manager.status(status.job_id).state == "done"
