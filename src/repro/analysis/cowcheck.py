@@ -4,12 +4,12 @@ The warm-state snapshot machinery relies on *deliberate* aliasing:
 ``SetAssociativeCache.restore_state`` rebinds per-set tag dicts that
 are still shared with the snapshot until ``_own_set`` privatizes them,
 and ``DirtyBlockIndex.restore_rows`` installs immutable tuple aliases
-that ``mark_dirty``/``on_writeback`` thaw on first write (as does
-``SetAssociativeCache.replay``, the warmup loop, through the same
-``_own_set`` guard as ``access``).  The invariant that
-keeps snapshots reusable is "never mutate a possibly-shared value in
-place without first privatizing it" — previously enforced only by code
-review.
+that ``mark_dirty`` thaws on first write and ``on_writeback`` replaces
+with a fresh set (``SetAssociativeCache.replay``, the warmup loop,
+privatizes through the same ``_own_set`` guard as ``access``).  The
+invariant that keeps snapshots reusable is "never mutate a
+possibly-shared value in place without first privatizing it" —
+previously enforced only by code review.
 
 This pass makes the invariant checkable.  A module opts in with an
 in-file protocol declaration::

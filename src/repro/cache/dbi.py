@@ -87,39 +87,41 @@ class DirtyBlockIndex:
         """Restore, copy-on-write, a registry captured by :meth:`export_rows`.
 
         Copies only the top-level dict and keeps the snapshot's per-row
-        tuples shared; a row is privatized to a set on its first
-        ``mark_dirty``/``on_writeback``.  Every reader is
-        order-insensitive, so the registry behaves as one replayed by
-        ``mark_dirty`` (the cold oracle).
+        tuples shared; ``mark_dirty`` privatizes a row to a set, and
+        ``on_writeback`` drops it or stores what remains as a fresh
+        set.  Every reader is order-insensitive, so the registry
+        behaves as one replayed by ``mark_dirty`` (the cold oracle).
         """
         self._rows = dict(rows)
 
     def on_writeback(self, line_addr: int) -> List[int]:
         """A dirty line is being written back: pick companions to drain.
 
-        Returns the companion line addresses (up to ``max_writebacks``)
-        and removes them and the trigger line from the index.  The
-        caller is responsible for cleaning them in the cache and
-        enqueueing the DRAM writes.  The row is looked up once, and a
-        shared snapshot row is privatized at most once.
+        Returns the companion line addresses (up to ``max_writebacks``,
+        lowest first) and removes them and the trigger line from the
+        index.  The caller is responsible for cleaning them in the
+        cache and enqueueing the DRAM writes.  The row is looked up
+        once and sorted at most once; a row holding only the trigger
+        is dropped at once, and a shared snapshot row is never mutated
+        (what remains of it is stored as a fresh set).
         """
         self.triggers += 1
+        rows = self._rows
         key = self.row_of(line_addr)
-        lines = self._rows.get(key)
+        lines = rows.get(key)
         if lines is None:
             return []
-        companions = sorted(addr for addr in lines if addr != line_addr)[
-            : self.max_writebacks
-        ]
-        if not companions and line_addr not in lines:
+        if len(lines) == 1 and line_addr in lines:
+            del rows[key]
             return []
-        if isinstance(lines, tuple):
-            # A row shared with the snapshot: privatize on mutation.
-            lines = set(lines)
-            self._rows[key] = lines
-        lines.discard(line_addr)
-        lines.difference_update(companions)
-        if not lines:
-            del self._rows[key]
+        others = sorted(lines)
+        if line_addr in lines:
+            others.remove(line_addr)
+        cap = self.max_writebacks
+        companions = others[:cap]
+        if len(others) > cap:
+            rows[key] = set(others[cap:])
+        else:
+            del rows[key]
         self.proactive_writebacks += len(companions)
         return companions

@@ -266,7 +266,7 @@ class SetAssociativeCache:
         mask = self._mask[slot]
         if mask:
             stats.dirty_evictions += 1
-            stats.dirty_word_hist[bin(mask).count("1")] += 1
+            stats.dirty_word_hist[mask.bit_count()] += 1
         return Eviction(line_addr=line_addr, dirty_mask=mask), slot
 
     def install(self, line_addr: int, dirty_mask: int = 0) -> Optional[Eviction]:
@@ -309,10 +309,11 @@ class SetAssociativeCache:
         """Play ``addrs[start:end]`` through the cache without timing.
 
         Leaves the cache and its stats exactly as :meth:`access` per
-        event would, with the arrays bound once and no
-        :class:`Eviction` built.  ``mark`` is called with each stored
-        line after its access, then ``drain`` with each dirty victim's
-        address; the lines ``drain`` returns are cleaned in place —
+        event would, with the arrays bound once, the copy-on-write
+        state read once and no :class:`Eviction` built.  ``mark`` is
+        called with each stored line after its access, then ``drain``
+        with each dirty victim's address; the lines ``drain`` returns
+        are cleaned in place —
         :class:`~repro.cache.hierarchy.CacheHierarchy`'s LLC-only order
         for the DBI's ``mark_dirty`` and ``on_writeback``.
         """
@@ -322,10 +323,9 @@ class SetAssociativeCache:
         stats = self.stats
         hist = stats.dirty_word_hist
         stamp = self._stamp_counter
+        cow = self._cow_owned is not None
         hits = evictions = dirty_evictions = 0
-        for i in range(start, end):
-            line = addrs[i]
-            store = masks[i]
+        for line, store in zip(addrs[start:end], masks[start:end]):
             set_idx = line % num_sets
             tag = line // num_sets
             tags = tags_of[set_idx]
@@ -339,7 +339,7 @@ class SetAssociativeCache:
                     if mark is not None:
                         mark(line)
                 continue
-            if self._cow_owned is not None:
+            if cow:
                 tags = self._own_set(set_idx)
             victim_mask = 0
             if len(tags) >= ways:
@@ -353,7 +353,7 @@ class SetAssociativeCache:
                 victim_mask = mask_of[slot]
                 if victim_mask:
                     dirty_evictions += 1
-                    hist[bin(victim_mask).count("1")] += 1
+                    hist[victim_mask.bit_count()] += 1
             else:
                 slot = set_idx * ways + len(tags)
             tags[tag] = slot

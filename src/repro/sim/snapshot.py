@@ -338,18 +338,26 @@ class SnapshotCache:
     ) -> None:
         """Insert a snapshot into memory and (optionally) onto disk."""
         self._insert(key, snapshot)
-        if disk_dir:
-            payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        if not disk_dir:
+            return
+        payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        # The disk layer is best-effort: on any OSError the warm state
+        # stays in memory, and no temp file is left behind.
+        try:
+            os.makedirs(disk_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=disk_dir, suffix=".tmp")
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_DISK_MAGIC)
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
+            os.replace(tmp, self._disk_path(disk_dir, key))
+        except OSError:
             try:
-                os.makedirs(disk_dir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=disk_dir, suffix=".tmp")
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(_DISK_MAGIC)
-                    handle.write(hashlib.sha256(payload).digest())
-                    handle.write(payload)
-                os.replace(tmp, self._disk_path(disk_dir, key))
+                os.unlink(tmp)
             except OSError:
-                # Disk layer is best-effort; warm state stays in memory.
                 pass
 
     def _insert(self, key: tuple, snapshot: WarmSnapshot) -> None:

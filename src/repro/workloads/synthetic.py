@@ -19,13 +19,14 @@ Two consumption paths exist:
 * :class:`TraceGenerator` — the per-event iterator, kept as the
   reference/oracle;
 * :class:`TraceBlocks` — the fast path: the same RNG decisions
-  materialized in chunks into parallel arrays (gaps, line addresses,
+  materialized in blocks into parallel arrays (gaps, line addresses,
   write masks, no-fill flags) and cached per (profile, seed, core) via
   :func:`compiled_trace`, so every scheme of a sweep replays the same
-  arrays instead of regenerating an identical trace.  The block
-  materializer calls the *same* bound helpers in the *same* order as
-  ``__next__``, so the two paths consume one RNG stream identically —
-  ``tests/test_trace_blocks.py`` holds them to that bit for bit.
+  arrays instead of regenerating an identical trace.  The block loop
+  inlines ``__next__`` and its helpers, making the same draws in the
+  same order, and leaves the generator's state where ``__next__``
+  would — ``tests/test_trace_blocks.py`` holds the arrays and that
+  state to the iterator's bit for bit.
 """
 
 from __future__ import annotations
@@ -211,22 +212,24 @@ def generate(
 class TraceBlocks:
     """Precompiled trace for one (profile, seed, core): parallel arrays.
 
-    Events are materialized in chunks of :data:`BLOCK_EVENTS` into four
-    parallel typed arrays — ``gaps``, ``addrs``, ``masks``, ``flags``
-    (``array('i'/'q'/'B'/'b')``, ~14 bytes per event instead of one
-    ``TraceEvent`` object) — by an inlined copy of the
-    :class:`TraceGenerator` dispatch loop that reuses the generator's
-    own RNG helpers, so the arrays are bit-identical to the iterator's
-    output.  Cache warmup consumes the arrays directly (no
-    :class:`TraceEvent` allocation at all); the timed run consumes them
-    through :meth:`events`.  One instance is shared by every scheme of
-    the same (profile, seed, core) via :func:`compiled_trace`.
+    Events are materialized in blocks of at most :data:`BLOCK_EVENTS`
+    into four parallel typed arrays — ``gaps``, ``addrs``, ``masks``,
+    ``flags`` (``array('i'/'q'/'B'/'b')``, ~14 bytes per event instead
+    of one ``TraceEvent`` object) — by one loop that makes the
+    :class:`TraceGenerator`'s RNG draws in the same order with its
+    helpers inlined, so the arrays are bit-identical to the iterator's
+    output and the wrapped generator is left exactly where the iterator
+    would be after as many events.  Cache warmup consumes the arrays
+    directly (no :class:`TraceEvent` allocation at all); the timed run
+    consumes them through :meth:`events`.  One instance is shared by
+    every scheme of the same (profile, seed, core) via
+    :func:`compiled_trace`.
     """
 
-    #: Events materialized per growth step.
+    #: Most events one :meth:`_materialize_block` call appends.
     BLOCK_EVENTS = 4096
 
-    __slots__ = ("gaps", "addrs", "masks", "flags", "_gen", "_pending")
+    __slots__ = ("gaps", "addrs", "masks", "flags", "_gen")
 
     def __init__(
         self,
@@ -235,13 +238,13 @@ class TraceBlocks:
         core_id: int = 0,
     ) -> None:
         """Wrap a fresh reference generator; arrays start empty."""
+        #: The generator advanced ``len(self)`` events: its RNG, stream
+        #: positions and pending RMW store are the compile state.
         self._gen = TraceGenerator(profile, seed=seed, core_id=core_id)
         self.gaps = array("i")
         self.addrs = array("q")
         self.masks = array("B")
         self.flags = array("b")
-        #: Deferred RMW store carried across block boundaries.
-        self._pending: Optional[Tuple[int, int, int]] = None
 
     def __len__(self) -> int:
         """Events materialized so far."""
@@ -253,63 +256,153 @@ class TraceBlocks:
         return self._gen.profile
 
     def ensure(self, count: int) -> None:
-        """Materialize blocks until at least ``count`` events exist."""
-        while len(self.gaps) < count:
-            self._materialize_block()
+        """Materialize events until at least ``count`` exist.
 
-    def _materialize_block(self) -> None:
-        """Append one block of events to the parallel arrays.
+        Exactly ``count`` when fewer exist: the last block stops there,
+        so no caller pays for events it did not ask for.
+        """
+        have = len(self.gaps)
+        while have < count:
+            n = min(self.BLOCK_EVENTS, count - have)
+            self._materialize_block(n)
+            have += n
 
-        Mirrors ``TraceGenerator.__next__`` exactly — same RNG calls in
-        the same order via the generator's own bound helpers — but
-        appends plain ints instead of constructing ``TraceEvent``
-        objects, and batches the loop over :data:`BLOCK_EVENTS` events.
+    def _materialize_block(self, n: int) -> None:
+        """Append ``n`` events to the parallel arrays.
+
+        ``TraceGenerator.__next__`` in one loop: its gap draw, the three
+        streams' :meth:`_Stream.next_line` and its dirty-mask draw are
+        inlined, making the same RNG calls in the same order, with a
+        short path for one-word masks.  The arrays grow by ``n`` zeroed
+        slots and each event is written by index, so a load writes only
+        its gap and address.  The streams' positions and run lengths and
+        the pending RMW store live in locals and go back to the
+        generator on return.
         """
         gen = self._gen
-        gaps, addrs = self.gaps, self.addrs
-        masks, flags = self.masks, self.flags
-        rng_random = gen.rng.random
-        load_cut = gen._load_cut
-        store_cut = gen._store_cut
-        gap = gen._gap
-        dirty_mask = gen._dirty_mask
-        loads_next = gen.loads.next_line
-        stores_next = gen.stores.next_line
-        rmw_next = gen.rmw.next_line
+        random = gen.rng.random
+        getrandbits = gen.rng.getrandbits
+        gaps, addrs, masks, flags = self.gaps, self.addrs, self.masks, self.flags
+        start = len(gaps)
+        for arr in (gaps, addrs, masks, flags):
+            arr.frombytes(bytes(arr.itemsize * n))
+        load_cut, store_cut = gen._load_cut, gen._store_cut
+        word_cuts = gen._word_cuts
+        # ``_gap``: rate ``None`` (no gaps) leaves the zeroed gap.
+        rate, cap = gen._gap_rate, gen._gap_cap
         no_fill = gen.profile.store_no_fill
-        pending = self._pending
-        for _ in range(self.BLOCK_EVENTS):
-            if pending is not None:
-                g, a, m = pending
-                pending = None
-                gaps.append(g)
-                addrs.append(a)
-                masks.append(m)
-                flags.append(0)
+        # Per stream: base, footprint, jump bits, geometric run
+        # probability (0.0: no run draw), position and run left.
+        loads, stores, rmw = gen.loads, gen.stores, gen.rmw
+        l_base, l_fp, l_bits = loads.base, loads.footprint, loads._bits
+        l_p = 1.0 / loads.mean_run if loads.mean_run > 1.0 else 0.0
+        l_pos, l_left = loads.pos, loads.run_left
+        s_base, s_fp, s_bits = stores.base, stores.footprint, stores._bits
+        s_p = 1.0 / stores.mean_run if stores.mean_run > 1.0 else 0.0
+        s_pos, s_left = stores.pos, stores.run_left
+        r_base, r_fp, r_bits = rmw.base, rmw.footprint, rmw._bits
+        r_p = 1.0 / rmw.mean_run if rmw.mean_run > 1.0 else 0.0
+        r_pos, r_left = rmw.pos, rmw.run_left
+        # The pending RMW store; mask 0 means none (a store dirties at
+        # least one word).
+        pending = gen._pending_store
+        p_addr, p_mask = (
+            (pending.line_addr, pending.write_mask) if pending else (0, 0)
+        )
+        for i in range(start, start + n):
+            if p_mask:
+                gaps[i] = 2
+                addrs[i] = p_addr
+                masks[i] = p_mask
+                p_mask = 0
                 continue
-            roll = rng_random()
+            roll = random()
             if roll < load_cut:
-                g = gap()
-                a = loads_next()
-                m = 0
-                nf = 0
-            elif roll < store_cut:
-                g = gap()
-                a = stores_next()
-                m = dirty_mask()
-                nf = 1 if no_fill else 0
+                if rate:
+                    g = int(-log(1.0 - random()) / rate)
+                    gaps[i] = g if g < cap else cap
+                if l_left:
+                    l_left -= 1
+                    l_pos += 1
+                else:
+                    offset = getrandbits(l_bits)
+                    while offset >= l_fp:
+                        offset = getrandbits(l_bits)
+                    l_pos = l_base + offset
+                    if l_p:
+                        while random() > l_p:
+                            l_left += 1
+                addrs[i] = l_pos
+                continue
+            if roll < store_cut:
+                if rate:
+                    g = int(-log(1.0 - random()) / rate)
+                    gaps[i] = g if g < cap else cap
+                if s_left:
+                    s_left -= 1
+                    s_pos += 1
+                else:
+                    offset = getrandbits(s_bits)
+                    while offset >= s_fp:
+                        offset = getrandbits(s_bits)
+                    s_pos = s_base + offset
+                    if s_p:
+                        while random() > s_p:
+                            s_left += 1
+                line = s_pos
+                if no_fill:
+                    flags[i] = 1
             else:
-                # RMW: load now, store to the same line right after.
-                a = rmw_next()
-                pending = (2, a, dirty_mask())
-                g = gap()
-                m = 0
-                nf = 0
-            gaps.append(g)
-            addrs.append(a)
-            masks.append(m)
-            flags.append(nf)
-        self._pending = pending
+                # RMW: load now, store to the same line right after; its
+                # mask is drawn before the load's gap.
+                if r_left:
+                    r_left -= 1
+                    r_pos += 1
+                else:
+                    offset = getrandbits(r_bits)
+                    while offset >= r_fp:
+                        offset = getrandbits(r_bits)
+                    r_pos = r_base + offset
+                    if r_p:
+                        while random() > r_p:
+                            r_left += 1
+                line = r_pos
+            pick = random()
+            for cut, words in word_cuts:
+                if pick <= cut:
+                    break
+            if words == 1:
+                # One pick from the full pool: ``randrange(8)``.
+                j = getrandbits(4)
+                while j >= 8:
+                    j = getrandbits(4)
+                mask = 1 << j
+            elif words >= 8:
+                mask = 0xFF
+            else:
+                pool = [1, 2, 4, 8, 16, 32, 64, 128]
+                mask = 0
+                for k in range(words):
+                    bits = _WORD_DRAW_BITS[k]
+                    j = getrandbits(bits)
+                    while j >= 8 - k:
+                        j = getrandbits(bits)
+                    mask |= pool[j]
+                    pool[j] = pool[7 - k]
+            addrs[i] = line
+            if roll < store_cut:
+                masks[i] = mask
+            else:
+                p_addr, p_mask = line, mask
+                if rate:
+                    g = int(-log(1.0 - random()) / rate)
+                    gaps[i] = g if g < cap else cap
+        loads.pos, loads.run_left = l_pos, l_left
+        stores.pos, stores.run_left = s_pos, s_left
+        rmw.pos, rmw.run_left = r_pos, r_left
+        gen._pending_store = (
+            TraceEvent(gap=2, line_addr=p_addr, write_mask=p_mask) if p_mask else None
+        )
 
     def events(self, start: int, count: int) -> Iterator[TraceEvent]:
         """Yield ``count`` events from index ``start`` as trace events.

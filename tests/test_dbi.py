@@ -1,9 +1,10 @@
 """Dirty-Block Index: row-organized dirty tracking, DRAM-aware writeback."""
 
+import itertools
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.dbi import DirtyBlockIndex
@@ -103,6 +104,97 @@ class TestCopyOnWriteRestore:
         assert snapshot == pristine
         assert all(snapshot[key] is pristine[key] for key in pristine)
         assert all(type(lines) is tuple for lines in snapshot.values())
+
+
+# ----------------------------------------------------------------------
+# Differential: the DBI against a naive registry, op by op.
+# ----------------------------------------------------------------------
+class NaiveRegistry:
+    """A dict of sets; a writeback's companions are its row's other
+    lines, sorted and capped."""
+
+    def __init__(self, max_writebacks):
+        self.max_writebacks = max_writebacks
+        self.rows = {}
+        self.triggers = 0
+        self.proactive_writebacks = 0
+
+    def mark_dirty(self, line):
+        self.rows.setdefault(row_of(line), set()).add(line)
+
+    def on_writeback(self, line):
+        self.triggers += 1
+        lines = self.rows.get(row_of(line), set())
+        companions = sorted(lines - {line})[: self.max_writebacks]
+        lines -= {line, *companions}
+        if not lines:
+            self.rows.pop(row_of(line), None)
+        self.proactive_writebacks += len(companions)
+        return companions
+
+    def export_rows(self):
+        return {key: tuple(sorted(lines)) for key, lines in self.rows.items()}
+
+    def restore_rows(self, rows):
+        self.rows = {key: set(lines) for key, lines in rows.items()}
+
+
+#: Lines 0..23 in 4-line rows: a trigger's row often holds only it,
+#: only other lines, or nothing at all.
+_DBI_LINE = st.integers(min_value=0, max_value=23)
+
+dbi_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("mark"), _DBI_LINE),
+        # A trigger drawn from any line, registered or not.
+        st.tuples(st.just("writeback"), _DBI_LINE),
+        # A trigger drawn from the registered lines (an index into them).
+        st.tuples(st.just("writeback-dirty"), st.integers(0, 63)),
+        # Export, then go on from a copy-on-write restore of the export.
+        st.tuples(st.just("restore")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@pytest.mark.parametrize("max_writebacks", [1, 16])
+@given(program=dbi_programs)
+@example(program=[("mark", 13), ("writeback", 12)])
+@settings(max_examples=200, deadline=None)
+def test_dbi_matches_naive_registry(max_writebacks, program):
+    """After every mark, writeback and restore, the return value,
+    ``export_rows()`` (with its row order), ``triggers`` and
+    ``proactive_writebacks`` equal the naive registry's, and no
+    restored snapshot is mutated.  The example: a row holding one line
+    that is not the trigger still drains it."""
+    dbi = DirtyBlockIndex(row_of=row_of, max_writebacks=max_writebacks)
+    naive = NaiveRegistry(max_writebacks)
+    snapshots = []
+    for op in program:
+        if op[0] == "mark":
+            assert dbi.mark_dirty(op[1]) is None
+            naive.mark_dirty(op[1])
+        elif op[0] == "restore":
+            snapshot = dbi.export_rows()
+            snapshots.append((snapshot, dict(snapshot)))
+            dbi.restore_rows(snapshot)
+            naive.restore_rows(snapshot)
+        else:
+            line = op[1]
+            if op[0] == "writeback-dirty":
+                dirty = sorted(itertools.chain(*naive.export_rows().values()))
+                if not dirty:
+                    continue
+                line = dirty[line % len(dirty)]
+            assert dbi.on_writeback(line) == naive.on_writeback(line)
+        assert list(dbi.export_rows().items()) == list(naive.export_rows().items())
+        assert dbi.triggers == naive.triggers
+        assert dbi.proactive_writebacks == naive.proactive_writebacks
+        assert len(dbi) == sum(len(lines) for lines in naive.rows.values())
+    for snapshot, pristine in snapshots:
+        assert snapshot == pristine
+        assert all(snapshot[key] is pristine[key] for key in pristine)
 
 
 # ----------------------------------------------------------------------

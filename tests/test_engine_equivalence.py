@@ -22,6 +22,7 @@ file).  Their results are also pinned to the bit by the golden digests
 in ``tests/test_engine_identity.py``.
 """
 
+import errno
 import glob
 import hashlib
 import os
@@ -266,6 +267,31 @@ def test_damaged_disk_snapshot_is_a_counted_miss(tmp_path, how):
     SNAPSHOTS.clear()
     assert _build(scheme, "GUPS", 3, snapshot_dir=disk).snapshot_restored
     assert SNAPSHOTS.corrupt == 0
+
+
+def test_failed_snapshot_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A disk write that fails at the rename (a full disk) leaves no
+    ``*.tmp`` file; the snapshot is still served from memory, and the
+    next store writes the file."""
+    disk = str(tmp_path / "snaps")
+    SNAPSHOTS.clear()
+
+    def full_disk(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", full_disk)
+        _build(PRA, "GUPS", 3, snapshot_dir=disk)  # stores; the rename fails
+    assert os.listdir(disk) == []
+    assert _build(PRA, "GUPS", 3, snapshot_dir=disk).snapshot_restored
+    assert (SNAPSHOTS.hits, SNAPSHOTS.misses) == (1, 1)
+
+    SNAPSHOTS.clear()  # a fresh worker: the next build stores again
+    assert not _build(PRA, "GUPS", 3, snapshot_dir=disk).snapshot_restored
+    (name,) = os.listdir(disk)
+    assert name.endswith(".warmsnap")
+    SNAPSHOTS.clear()
+    assert _build(PRA, "GUPS", 3, snapshot_dir=disk).snapshot_restored
 
 
 def test_parallel_sweep_with_disk_snapshots_matches_serial(tmp_path):

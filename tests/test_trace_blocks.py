@@ -3,10 +3,14 @@
 :class:`~repro.workloads.synthetic.TraceBlocks` materializes the same
 RNG decision stream as :class:`~repro.workloads.synthetic.TraceGenerator`
 into parallel arrays.  These tests hold the two to exact equality for
-every benchmark profile, check the slicing view, the shared-block
-cache, and — because worker pools rely on it — that spawned processes
-materialize byte-identical blocks.
+every benchmark profile, hold the generator state the blocks leave
+after ``ensure(n)`` to the iterator's after ``n`` events (what a
+compile resumed mid-trace starts from), check the slicing view, the
+shared-block cache, and — because worker pools rely on it — that
+spawned processes materialize byte-identical blocks.
 """
+
+import itertools
 
 import pytest
 
@@ -19,32 +23,72 @@ from repro.workloads.synthetic import (
     compiled_trace,
 )
 
-EVENTS = 5000  # > one BLOCK_EVENTS block, so block boundaries are crossed
+#: Past two block boundaries.
+EVENTS = 2 * TraceBlocks.BLOCK_EVENTS + 808
+#: Where ``ensure`` stops: blocks of 1 and 4,096 events, then 4,096 and
+#: 807 in one call.
+STOPS = (1, TraceBlocks.BLOCK_EVENTS + 1, EVENTS)
 
-#: ``TraceBlocks(profile, seed=1).digest(8192)``.  The iterator and
-#: the blocks share the RNG helpers, so only literals see a stream shift:
-#: bzip2 draws 1/2/3/4/8-word masks, lbm streams no-fill stores, mcf
-#: issues read-modify-write pairs.
+#: ``TraceBlocks(profile, seed=1).digest(8192)``.  The blocks inline the
+#: iterator's draws, so these literals pin the RNG stream itself: bzip2
+#: draws 1/2/3/4/8-word masks, lbm streams no-fill stores, mcf issues
+#: read-modify-write pairs, GUPS and LinkedList draw one-word masks only.
 BLOCK_DIGESTS = {
+    "GUPS": "fc449ee38b49c5eaeab1566456d4c334cb0a46c48f081f85e34c79a8c79092b7",
+    "LinkedList": "db86fd184c5ea0e2de822ce62444943dc9231d664c0d971bb590f381a7d14e80",
     "bzip2": "305fc59b20e8ed96296951d302a58b856e85da7231798524df32786c0e3de327",
+    "em3d": "21af5714c4b8fe62fcddc765076e502f771965eb07b988c4b51265060a843943",
     "lbm": "b32c7f9dba44977f88394be211777065ef5e1e90fe233759a4113b18e1e952ee",
+    "libquantum": "ceee2792be06afeb734e908b25adaaec9f51dc5c8684ea7f90e5aa55a0050e99",
     "mcf": "d183a6da1c5441505757a9fa56f1c62eb8b4c99f458f40237b84e86a4fdb51f8",
+    "omnetpp": "04bfe48629ccd6eade1f1f505f0df2be25384b2be78f2931cabe84664dacdd8c",
 }
+
+
+def _state(gen):
+    """What a compile resumed mid-trace needs: the RNG, the three
+    streams' positions and run lengths, and the pending RMW store."""
+    streams = (gen.loads, gen.stores, gen.rmw)
+    return (
+        gen.rng.getstate(),
+        [(stream.pos, stream.run_left) for stream in streams],
+        gen._pending_store,
+    )
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_blocks_match_iterator(name):
-    """Arrays equal the iterator's events for every profile."""
+    """For seeds 1 and 7 and cores 0 and 3, the arrays equal the
+    iterator's events, and after every ``ensure`` stop the blocks'
+    generator is in the iterator's state after as many events.  The
+    last stop falls between an RMW load and its store."""
     prof = profile(name)
-    blocks = TraceBlocks(prof, seed=7, core_id=1)
-    blocks.ensure(EVENTS)
-    gen = TraceGenerator(prof, seed=7, core_id=1)
-    for i in range(EVENTS):
-        event = next(gen)
-        assert blocks.gaps[i] == event.gap
-        assert blocks.addrs[i] == event.line_addr
-        assert blocks.masks[i] == event.write_mask
-        assert bool(blocks.flags[i]) == event.no_fill
+    for seed, core in itertools.product((1, 7), (0, 3)):
+        gen = TraceGenerator(prof, seed=seed, core_id=core)
+        events, states = [], {}
+        # On to the first RMW load at or past EVENTS (every profile
+        # issues RMW pairs; the bound only keeps a bad one finite).
+        while len(events) < EVENTS or (
+            gen._pending_store is None and len(events) < 2 * EVENTS
+        ):
+            events.append(next(gen))
+            if len(events) in STOPS:
+                states[len(events)] = _state(gen)
+        states[len(events)] = straddle = _state(gen)
+        assert straddle[2] is not None, "no RMW pair straddles a stop"
+        events.append(next(gen))  # the store of that pair
+
+        blocks = TraceBlocks(prof, seed=seed, core_id=core)
+        for stop, state in states.items():
+            blocks.ensure(stop)
+            assert len(blocks) == stop
+            assert _state(blocks._gen) == state
+        blocks.ensure(len(events))
+        for i, event in enumerate(events):
+            assert blocks.gaps[i] == event.gap
+            assert blocks.addrs[i] == event.line_addr
+            assert blocks.masks[i] == event.write_mask
+            assert bool(blocks.flags[i]) == event.no_fill
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_DIGESTS))
