@@ -74,10 +74,23 @@ class CacheHierarchy:
 
         ``fill_on_miss=False`` models non-temporal streaming stores
         that allocate the line without fetching it from DRAM.
+
+        LLC-only mode is served here in full, as one call per access:
+        it is the timed loop's per-event cache call.
         """
-        if self.l1s is None:
-            return self._access_l2(line_addr, write_mask, fill_on_miss)
-        return self._access_l1(core_id, line_addr, write_mask, fill_on_miss)
+        if self.l1s is not None:
+            return self._access_l1(core_id, line_addr, write_mask, fill_on_miss)
+        traffic = MemoryTraffic()
+        hit, victim = self.l2.access(line_addr, write_mask)
+        if write_mask and self.dbi is not None:
+            self.dbi.mark_dirty(line_addr)
+        if victim is not None and victim.dirty_mask:
+            self._write_back(victim, traffic)
+        if not hit:
+            if fill_on_miss:
+                traffic.fills.append(line_addr)
+            traffic.demand_hit = False
+        return traffic
 
     # ------------------------------------------------------------------
     def _access_l1(
@@ -86,45 +99,29 @@ class CacheHierarchy:
         traffic = MemoryTraffic()
         l1 = self.l1s[core_id]
         hit, victim = l1.access(line_addr, write_mask)
-        if victim is not None and victim.dirty:
+        if victim is not None and victim.dirty_mask:
             # L1 victim: OR dirty bits into the L2 copy (Fig. 8).
             l2_victim = self.l2.install(victim.line_addr, victim.dirty_mask)
-            self._note_dirty(victim.line_addr)
-            if l2_victim is not None:
-                self._handle_l2_victim(l2_victim, traffic)
+            if self.dbi is not None:
+                self.dbi.mark_dirty(victim.line_addr)
+            if l2_victim is not None and l2_victim.dirty_mask:
+                self._write_back(l2_victim, traffic)
         if not hit:
             l2_hit, l2_victim = self.l2.access(line_addr)
-            if l2_victim is not None:
-                self._handle_l2_victim(l2_victim, traffic)
+            if l2_victim is not None and l2_victim.dirty_mask:
+                self._write_back(l2_victim, traffic)
             if not l2_hit and fill_on_miss:
                 traffic.fills.append(line_addr)
             traffic.demand_hit = False
         return traffic
 
-    def _access_l2(
-        self, line_addr: int, write_mask: int, fill_on_miss: bool
-    ) -> MemoryTraffic:
-        traffic = MemoryTraffic()
-        hit, victim = self.l2.access(line_addr, write_mask)
-        if write_mask:
-            self._note_dirty(line_addr)
-        if victim is not None:
-            self._handle_l2_victim(victim, traffic)
-        if not hit:
-            if fill_on_miss:
-                traffic.fills.append(line_addr)
-            traffic.demand_hit = False
-        return traffic
-
     # ------------------------------------------------------------------
-    def _note_dirty(self, line_addr: int) -> None:
-        if self.dbi is not None:
-            self.dbi.mark_dirty(line_addr)
+    def _write_back(self, victim: Eviction, traffic: MemoryTraffic) -> None:
+        """Send a dirty LLC victim to DRAM.
 
-    def _handle_l2_victim(self, victim: Eviction, traffic: MemoryTraffic) -> None:
-        if not victim.dirty:
-            # The DBI holds dirty LLC lines only: nothing to drop.
-            return
+        The DBI holds dirty LLC lines only, so a clean victim needs no
+        call here.
+        """
         traffic.writebacks.append((victim.line_addr, victim.dirty_mask))
         if self.dbi is None:
             return
@@ -152,7 +149,7 @@ class CacheHierarchy:
         LLC-only mode the whole block is one
         :meth:`~repro.cache.set_assoc.SetAssociativeCache.replay` loop,
         handed the DBI's ``mark_dirty`` and ``on_writeback`` to call in
-        :meth:`_access_l2`'s order: warmup replays ~4x the LLC line
+        :meth:`access`'s order: warmup replays ~4x the LLC line
         count per cold fingerprint, the bulk of a cold set-up.
         """
         if self.l1s is not None:

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.controller.policies import ROW_HIT_CAP, RowPolicy
 from repro.controller.queues import RequestQueue
@@ -83,6 +83,50 @@ from repro.dram.timing import TimingParams, derived_timing
 from repro.power.accounting import PowerAccountant
 
 _NEVER = 1 << 62
+
+
+class _BankWalk(dict):
+    """One rank's open-bank walk: bank bitmask -> ``((bit, g), ...)``.
+
+    Each entry lists the set bits of the mask, lowest bank first, with
+    the bank's global index ``g = rank * num_banks + bank``, so
+    :meth:`ChannelController.step` walks a rank's open banks with one
+    subscript instead of a bit-scan per bank.  Entries are built on
+    first use, so a 16-bank geometry builds only the masks it meets.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int) -> None:
+        super().__init__()
+        #: ``g`` of the rank's bank 0.
+        self.base = base
+
+    def __missing__(self, bits: int) -> Tuple[Tuple[int, int], ...]:
+        walk = []
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            walk.append((low, self.base + low.bit_length() - 1))
+        self[bits] = entry = tuple(walk)
+        return entry
+
+
+#: (ranks, banks) -> one :class:`_BankWalk` per rank.  Module-level, so
+#: every controller of a geometry shares one set and building a
+#: controller builds no table.
+_BANK_WALKS: Dict[Tuple[int, int], Tuple[_BankWalk, ...]] = {}
+
+
+def _bank_walks(num_ranks: int, num_banks: int) -> Tuple[_BankWalk, ...]:
+    """The shared per-rank walk tables of a channel geometry."""
+    walks = _BANK_WALKS.get((num_ranks, num_banks))
+    if walks is None:
+        walks = tuple(_BankWalk(r * num_banks) for r in range(num_ranks))
+        _BANK_WALKS[(num_ranks, num_banks)] = walks
+    return walks
+
 
 # Oracle-parity declaration enforced by reprolint: the event-driven
 # scheduler below is the fast path; ``repro.sim.system`` retains the
@@ -183,19 +227,14 @@ class ChannelController:
         #: Streaks need the hit-first pass and a row-hit budget; the
         #: fcfs ablation and restricted close-page stay per-command.
         self._streaks = self._frfcfs and self._allows_hits
-        #: Per-global-bank-index packed row-key base: OR-ing the open
-        #: row in gives the queues' ``_by_row`` int key directly.
-        self._keybase = [
-            (r << 40) | (b << 32)
-            for r in range(channel.core.num_ranks)
-            for b in range(self._num_banks)
-        ]
-        #: Per rank: open-bank bit -> global bank index ``g``, so the
-        #: step's bank walk indexes instead of calling ``bit_length``.
-        self._gmaps = [
-            {1 << b: r * self._num_banks + b for b in range(self._num_banks)}
-            for r in range(channel.core.num_ranks)
-        ]
+        num_ranks = channel.core.num_ranks
+        #: Per-rank open-bank walks, shared by every controller of this
+        #: geometry (:func:`_bank_walks`).
+        self._walks = _bank_walks(num_ranks, self._num_banks)
+        #: Packed row key (``Request._rowkey``, the queues' ``_by_row``
+        #: key) of each bank's open row, written at ACT and read only
+        #: while the bank is open.
+        self._row_key = [0] * (num_ranks * self._num_banks)
         #: Per-rank bitmask of open banks whose row is known useless
         #: (no live request in either queue can use it, or the row-hit
         #: cap is exhausted).  Useless is *sticky* between arrivals:
@@ -211,33 +250,55 @@ class ChannelController:
         #: (stale-early values merely waste a probe, never delay one,
         #: which keeps the hint contract intact).
         self._idle_close_at: List[int] = [_NEVER] * len(channel.ranks)
-        #: Precomputed activation plan for reads (coverage, fraction,
-        #: masked, granularity, tRRD/tFAW weight) - reads never merge
-        #: masks, so the plan is a constant of the scheme.
-        _read_gran = max(1, math.ceil(scheme.read_fraction * 8 - 1e-9))
-        self._read_plan = (
-            FULL_MASK,
-            scheme.read_fraction,
-            False,
-            _read_gran,
-            _read_gran / 8.0 if self._relax else 1.0,
-        )
+        #: Activation plans (coverage, fraction, masked, granularity,
+        #: tRRD/tFAW weight, tRRD): reads and unmasked writes have one
+        #: per scheme, masked writes one per merged mask, made on first
+        #: use.
+        self._read_plan = self._plan(FULL_MASK, scheme.read_fraction)
+        self._write_plan = self._plan(FULL_MASK, scheme.write_fraction)
+        self._write_plans: Dict[int, tuple] = {}
+        #: The column turnaround floor and data delay of each kind.
+        core = channel.core
+        self._read_turn = (core.next_read_ok, self._tcas)
+        self._write_turn = (core.next_write_ok, self._tcwl)
         #: Everything :meth:`step` binds as locals that is identity-
         #: stable after construction (the core arrays mutate in place
         #: but are never reallocated).  One attribute load and a tuple
-        #: unpack replace ~25 per-call attribute lookups on the hottest
-        #: call in the simulator.
-        core = channel.core
+        #: unpack replace the per-call attribute lookups on the hottest
+        #: call in the simulator; what only a rare branch reads stays an
+        #: attribute.
+        hit_cap = self.row_hit_cap
+        pass1 = bool(hit_cap and self._frfcfs)
         self._hot = (
-            core.open_row, core.open_mask, core.act_ready,
-            core.pre_ready, core.accesses, core.autopre, core.gate,
-            core.open_bits, core.col_ready, core.reserved,
-            core.next_act_ok, core.next_col_ok, core.next_read_ok,
-            core.next_write_ok, self._keybase, self._useless,
-            self._idle_close_at, self._gmaps, self._tcas, self._tcwl,
-            self._trtrs, self.row_hit_cap, self._close_idle,
-            self._auto_pre, self.stats, core.pd, core.next_refresh,
+            core.open_row, core.open_mask, core.act_ready, core.pre_ready,
+            core.accesses, core.gate, core.open_bits, core.col_ready,
+            core.next_act_ok, core.next_col_ok, core.pd, core.next_refresh,
+            self._row_key, self._walks, self._useless, self._idle_close_at,
+            hit_cap,
+            # The walk's row-hit cap: none when rows take no hits.
+            hit_cap or _NEVER,
+            pass1,
+            # Whether open banks need their buckets probed at all (not
+            # under restricted close-page, whose rows serve one access
+            # each).
+            pass1 or self._close_idle,
+            self._close_idle, self._auto_pre,
         )
+
+    def _plan(self, coverage: int, fraction: float) -> tuple:
+        """The activation plan of an ACT opening ``fraction`` of the row
+        under ``coverage``: ``(coverage, fraction, masked, granularity,
+        weight, trrd)``."""
+        # Ceil, not round: a 2.5/8 activation must weigh at least 3/8
+        # in the tRRD/tFAW budget (conservative for peak power).
+        granularity = max(1, math.ceil(fraction * 8 - 1e-9))
+        if self._relax:
+            weight = granularity / 8.0
+            trrd = max(2, math.ceil(self._trrd * weight))
+        else:
+            weight = 1.0
+            trrd = self._trrd
+        return (coverage, fraction, coverage != FULL_MASK, granularity, weight, trrd)
 
     # ------------------------------------------------------------------
     # Queue interface (used by the CPU/cache side)
@@ -311,51 +372,47 @@ class ChannelController:
         if cycle < channel.cmd_bus_free:
             return (False, channel.cmd_bus_free)
 
-        hint = _NEVER
-        refresh_pending = 0  # bitmask of ranks due for refresh
-        read_q, write_q = self.read_q, self.write_q
-        no_checker = self.protocol_checker is None
         (open_row_a, open_mask_a, act_ready_a, pre_ready_a, accesses_a,
-         autopre_a, gate_a, open_bits_a, col_ready_a, reserved_a,
-         next_act_ok_a, next_col_ok_a, next_read_ok_a, next_write_ok_a,
-         keybase, useless, idle_close_at, gmaps, tcas, tcwl, trtrs,
-         hit_cap, close_idle, auto_pre, stats, pd_a,
-         next_refresh_a) = self._hot
+         gate_a, open_bits_a, col_ready_a, next_act_ok_a, next_col_ok_a,
+         pd_a, next_refresh_a, row_key_a, walks, useless, idle_close_at,
+         hit_cap, walk_cap, pass1, probe, close_idle, auto_pre) = self._hot
         # One scheduling pass got past the command-bus gate (phase
         # profiling; deliberately excluded from result summaries so
         # engine/oracle equivalence checks stay step-count agnostic).
-        stats.sched_passes += 1
+        self.stats.sched_passes += 1
 
         # --- Write drain hysteresis (48/16 watermarks) ---
+        read_q, write_q = self.read_q, self.write_q
         writes_pending = write_q._count
-        if self.draining and writes_pending <= self.lo_mark:
-            self.draining = False
-        elif not self.draining and writes_pending >= self.hi_mark:
-            self.draining = True
-            stats.drain_entries += 1
-
-        serve_writes = self.draining or (not read_q._count and writes_pending)
-        if serve_writes:
+        draining = self.draining
+        if draining:
+            if writes_pending <= self.lo_mark:
+                self.draining = draining = False
+        elif writes_pending >= self.hi_mark:
+            self.draining = draining = True
+            self.stats.drain_entries += 1
+        if draining or (writes_pending and not read_q._count):
             primary, other = write_q, read_q
         else:
             primary, other = read_q, write_q
         primary_by_row = primary._by_row
+        other_by_row = other._by_row
 
         # --- Housekeeping + refresh + pass 1 candidate (one pass) ---
         # The FR-FCFS hit scan rides the same open-bank walk as
         # housekeeping so each bank's primary-queue bucket is fetched at
         # most once per step.
-        pass1 = hit_cap and self._frfcfs
-        # Whether open banks need their buckets probed at all (not under
-        # restricted close-page, whose rows serve one access each).
-        probe = pass1 or close_idle
-        best = None
-        ranks = channel.ranks
-        for rank_idx, rank in enumerate(ranks):
+        hint = _NEVER
+        refresh_pending = 0  # bitmask of ranks due for refresh
+        powered_down = 0  # bitmask of ranks left in power-down
+        best: Optional[Request] = None
+        best_arrive = _NEVER
+        for rank_idx, walk in enumerate(walks):
             refresh_due = cycle >= next_refresh_a[rank_idx]
             if refresh_due:
                 refresh_pending |= 1 << rank_idx
                 if pd_a[rank_idx]:
+                    rank = channel.ranks[rank_idx]
                     rank.exit_power_down(cycle)
                     if rank.pd_exit_ready < hint:
                         hint = rank.pd_exit_ready
@@ -366,7 +423,6 @@ class ChannelController:
                         hint = gate
                     continue
             bits = open_bits_a[rank_idx]
-            gmap = gmaps[rank_idx]
             if close_idle and not refresh_due:
                 # Known-useless open banks: frozen pre_ready, nothing to
                 # probe.  Skip them all until the cached earliest-close
@@ -377,10 +433,7 @@ class ChannelController:
                     ca = idle_close_at[rank_idx]
                     if cycle >= ca:
                         new_min = _NEVER
-                        while ubits:
-                            low = ubits & -ubits
-                            ubits ^= low
-                            g = gmap[low]
+                        for low, g in walk[ubits]:
                             pr = pre_ready_a[g]
                             if cycle >= pr:
                                 self._precharge(cycle, rank_idx, g, low, True)
@@ -391,87 +444,89 @@ class ChannelController:
                             hint = new_min
                     elif ca < hint:
                         hint = ca
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                g = gmap[low]
-                # Auto-precharge (restricted policy) is command-free.
-                if auto_pre and autopre_a[g]:
-                    if cycle >= pre_ready_a[g]:
-                        self._precharge(cycle, rank_idx, g, low, True)
-                    elif pre_ready_a[g] < hint:
-                        hint = pre_ready_a[g]
-                    continue
-                if refresh_due:
-                    # Force-close for refresh (consumes the command slot).
-                    if cycle >= pre_ready_a[g]:
-                        self._precharge(cycle, rank_idx, g, low, False)
-                        return (True, cycle + 1)
-                    if pre_ready_a[g] < hint:
-                        hint = pre_ready_a[g]
-                    continue
+            # Banks that a pending auto-precharge or a due refresh
+            # closes instead of probing.
+            closing = auto_pre or refresh_due
+            for low, g in walk[bits]:
+                if closing:
+                    # Auto-precharge (restricted policy) is command-free.
+                    if auto_pre and self._core.autopre[g]:
+                        pr = pre_ready_a[g]
+                        if cycle >= pr:
+                            self._precharge(cycle, rank_idx, g, low, True)
+                        elif pr < hint:
+                            hint = pr
+                        continue
+                    if refresh_due:
+                        # Force-close for refresh (consumes the command
+                        # slot).
+                        pr = pre_ready_a[g]
+                        if cycle >= pr:
+                            self._precharge(cycle, rank_idx, g, low, False)
+                            return (True, cycle + 1)
+                        if pr < hint:
+                            hint = pr
+                        continue
                 # Banks already known useless were stripped from the walk
                 # above, so this bank needs a fresh probe.  Under
                 # close-idle its row stays useful while either queue
                 # holds a request for it and the row-hit cap allows one.
-                if hit_cap and accesses_a[g] >= hit_cap:
-                    dq = None
-                elif probe:
-                    key = keybase[g] | open_row_a[g]
+                if accesses_a[g] < walk_cap:
+                    if not probe:
+                        continue
+                    key = row_key_a[g]
                     dq = primary_by_row.get(key)
-                    if dq is None and close_idle and key in other._by_row:
+                    if dq is not None:
+                        # Pass 1: oldest ready row-buffer hit (FR-FCFS).
+                        if pass1:
+                            cand = dq[0]
+                            if not (cand._needed & ~open_mask_a[g]):
+                                arrive = cand.arrive_cycle
+                                if arrive < best_arrive or (
+                                    arrive == best_arrive
+                                    and best is not None
+                                    and cand.req_id < best.req_id
+                                ):
+                                    best = cand
+                                    best_arrive = arrive
+                        continue
+                    if close_idle and key in other_by_row:
                         continue  # only the other queue can use the row
-                else:
+                if not close_idle:
                     continue
-                if dq is None:
-                    if not close_idle:
-                        continue
-                    if cycle >= pre_ready_a[g]:
-                        self._precharge(cycle, rank_idx, g, low, True)
-                        continue
-                    # Exact wake for the close-idle opportunity: the row
-                    # is useless, it just cannot be closed before
-                    # tRAS/tWR/tRTP expire.  Record it in the useless set
-                    # and its pre_ready in the per-rank earliest-close
-                    # cache.
-                    useless[rank_idx] |= low
-                    pr = pre_ready_a[g]
-                    if pr < idle_close_at[rank_idx]:
-                        idle_close_at[rank_idx] = pr
-                    if pr < hint:
-                        hint = pr
+                pr = pre_ready_a[g]
+                if cycle >= pr:
+                    self._precharge(cycle, rank_idx, g, low, True)
                     continue
-                # Pass 1: oldest ready row-buffer hit (FR-FCFS).
-                if pass1:
-                    cand = dq[0]
-                    if not (cand._needed & ~open_mask_a[g]) and (
-                        best is None
-                        or cand.arrive_cycle < best.arrive_cycle
-                        or (
-                            cand.arrive_cycle == best.arrive_cycle
-                            and cand.req_id < best.req_id
-                        )
-                    ):
-                        best = cand
+                # Exact wake for the close-idle opportunity: the row is
+                # useless, it just cannot be closed before tRAS/tWR/tRTP
+                # expire.  Record it in the useless set and its pre_ready
+                # in the per-rank earliest-close cache.
+                useless[rank_idx] |= low
+                if pr < idle_close_at[rank_idx]:
+                    idle_close_at[rank_idx] = pr
+                if pr < hint:
+                    hint = pr
             if open_bits_a[rank_idx]:
                 continue
             if refresh_due:
                 if not pd_a[rank_idx] and cycle >= gate_a[rank_idx]:
-                    rank.do_refresh(cycle)
+                    channel.ranks[rank_idx].do_refresh(cycle)
                     self.accountant.on_refresh()
-                    stats.refreshes += 1
-                    if not no_checker:
+                    self.stats.refreshes += 1
+                    if self.protocol_checker is not None:
                         self._observe(CommandRecord(cycle=cycle, cmd=Cmd.REF, rank=rank_idx))
                     channel.cmd_bus_free = cycle + 1
                     return (True, cycle + 1)
+            elif pd_a[rank_idx]:
+                powered_down |= 1 << rank_idx
             elif (
                 self._uses_power_down
-                and not pd_a[rank_idx]
                 and not read_q._per_rank.get(rank_idx)
                 and not write_q._per_rank.get(rank_idx)
             ):
-                rank.enter_power_down(cycle)
-                stats.power_down_entries += 1
+                channel.ranks[rank_idx].enter_power_down(cycle)
+                self.stats.power_down_entries += 1
 
         # A column candidate's earliest cycle is max(col_ready[g],
         # floor[rank]).  The floor is what every candidate of one rank
@@ -484,13 +539,8 @@ class ChannelController:
         # (which raises the gate) comes before any floor of its rank,
         # as a powered-down rank has no open bank.  Bus occupancy never
         # shrinks, so the bus-aware hint is never late.
-        floors = [-1] * len(ranks)
-        if primary is read_q:
-            dd = tcas
-            turn_a = next_read_ok_a
-        else:
-            dd = tcwl
-            turn_a = next_write_ok_a
+        floors = [-1] * len(walks)
+        turn_a, dd = self._read_turn if primary is read_q else self._write_turn
 
         # --- Pass 1 column attempt for the best ready hit ---
         if best is not None:
@@ -505,7 +555,7 @@ class ChannelController:
             last = channel.last_burst_rank
             bus = channel.data_bus_free - dd
             if last != ri and last != -1:
-                bus += trtrs
+                bus += self._trtrs
             if bus > f:
                 f = bus
             floors[ri] = f
@@ -523,20 +573,23 @@ class ChannelController:
         # Inlined into step() so both passes share one set of local
         # bindings; this scan is the hottest loop in the simulator.
         banks_seen = 0  # bitmask over (rank, bank) pairs
-        allows_hits = self._allows_hits
+        # Ranks pass 2 cannot serve as they stand: due for refresh
+        # (skipped), or powered down (woken by their first request).
+        blocked = refresh_pending | powered_down
         # The ``scan_depth`` oldest live requests (at least one), each
         # visited once: every path below either returns or moves on.
         for req in islice(primary._fifo, self._scan):
-            rank_idx = req._rank
-            if refresh_pending and refresh_pending >> rank_idx & 1:
-                continue
             bank_bit = req._bit
             if banks_seen & bank_bit:
                 # An older request to this bank already failed.
                 continue
             banks_seen |= bank_bit
-            if pd_a[rank_idx]:
-                rank = ranks[rank_idx]
+            rank_idx = req._rank
+            if blocked and blocked >> rank_idx & 1:
+                if refresh_pending >> rank_idx & 1:
+                    continue
+                blocked ^= 1 << rank_idx
+                rank = channel.ranks[rank_idx]
                 rank.exit_power_down(cycle)
                 if rank.pd_exit_ready < hint:
                     hint = rank.pd_exit_ready
@@ -558,13 +611,15 @@ class ChannelController:
                     if issued:
                         return (True, cycle + 1)
             elif open_row == req._row and not (req._needed & ~open_mask_a[g]):
-                # Restricted close-page permits exactly one column access
-                # per activation: the one the ACT was issued for.
-                may_access = (
-                    accesses_a[g] < hit_cap
-                    if allows_hits
-                    else (accesses_a[g] == 0 and reserved_a[g] == req.req_id)
-                )
+                if auto_pre:
+                    # Restricted close-page permits exactly one column
+                    # access per activation: the one the ACT was issued
+                    # for.
+                    may_access = (
+                        accesses_a[g] == 0 and self._core.reserved[g] == req.req_id
+                    )
+                else:
+                    may_access = accesses_a[g] < hit_cap
                 if may_access:
                     f = floors[rank_idx]
                     if f < 0:
@@ -578,7 +633,7 @@ class ChannelController:
                         last = channel.last_burst_rank
                         bus = channel.data_bus_free - dd
                         if last != rank_idx and last != -1:
-                            bus += trtrs
+                            bus += self._trtrs
                         if bus > f:
                             f = bus
                         floors[rank_idx] = f
@@ -604,7 +659,7 @@ class ChannelController:
             else:
                 if open_row == req._row and not req._false:
                     req._false = True
-                    stats.false_hit_reactivations += 1
+                    self.stats.false_hit_reactivations += 1
                 if (
                     pass1
                     and not useless[rank_idx] >> req._bank & 1
@@ -677,10 +732,13 @@ class ChannelController:
         react on time.  Returns the next cycle at which calling the
         controller could make progress.
         """
-        local = max(cycle, self.local_clock)
+        local = self.local_clock
+        if cycle > local:
+            local = cycle
         if local >= limit:
             return local
         step = self.step
+        channel = self.channel
         completed = self.completed_reads
         completions_seen = len(completed)
         while local < limit:
@@ -699,7 +757,7 @@ class ChannelController:
                 # bus before any housekeeping - so jump straight past it
                 # instead of probing just to learn that.
                 nxt = local + 1
-                bus_free = self.channel.cmd_bus_free
+                bus_free = channel.cmd_bus_free
                 if bus_free > nxt:
                     nxt = bus_free
                 self.local_clock = nxt
@@ -729,11 +787,10 @@ class ChannelController:
         and restricted close-page (no row hits), a known-useless bank
         and an exhausted row-hit cap.
         """
-        core = self._core
-        bucket = primary._by_row.get(self._keybase[g] | core.open_row[g])
+        bucket = primary._by_row.get(self._row_key[g])
         if bucket is None:
             return False
-        closed_groups = ~core.open_mask[g]
+        closed_groups = ~self._core.open_mask[g]
         for cand in bucket:
             if not (cand._needed & closed_groups):
                 return True
@@ -742,47 +799,36 @@ class ChannelController:
     # ------------------------------------------------------------------
     # Command issue helpers
     # ------------------------------------------------------------------
-    def _activation_plan(self, req: Request) -> Tuple[int, float, bool]:
-        """Coverage mask, activated fraction and masked? for an ACT."""
-        scheme = self.scheme
-        if req.is_write and scheme.write_uses_mask:
+    def _try_activate(self, cycle: int, req: Request) -> Tuple[bool, int]:
+        rank_idx = req._rank
+        rank = self.channel.ranks[rank_idx]
+        if req.is_read:
+            # Reads always activate the scheme's fixed read fraction.
+            plan = self._read_plan
+        elif self._write_needs_mask:
             # Queued writes carry ``_needed == dirty_mask`` under mask
             # schemes, so the OR over the row's bucket *is* the Section
             # 5.2.1 merge.  ``req`` is still queued here, but OR its own
             # mask anyway so the plan never depends on that.
             merged = req.dirty_mask | self.write_q.merged_needed(req._rowkey)
-            fraction = (
-                mask_ops.popcount(merged) / WORDS_PER_LINE
-            ) * scheme.mask_scale
-            masked = merged != FULL_MASK
-            return (merged, fraction, masked)
-        if req.is_write:
-            return (FULL_MASK, scheme.write_fraction, False)
-        return (FULL_MASK, scheme.read_fraction, False)
-
-    def _try_activate(self, cycle: int, req: Request) -> Tuple[bool, int]:
-        core = self._core
-        rank_idx = req._rank
-        bank_idx = req._bank
-        g = req._g
-        rank = self.channel.ranks[rank_idx]
-        relax = self._relax
-        if req.is_read:
-            # Reads always activate the scheme's fixed read fraction;
-            # the whole plan (and its tRRD/tFAW weight) is precomputed.
-            coverage, fraction, masked, granularity, weight = self._read_plan
+            plan = self._write_plans.get(merged)
+            if plan is None:
+                fraction = (
+                    mask_ops.popcount(merged) / WORDS_PER_LINE
+                ) * self.scheme.mask_scale
+                plan = self._write_plans[merged] = self._plan(merged, fraction)
         else:
-            coverage, fraction, masked = self._activation_plan(req)
-            # Ceil, not round: a 2.5/8 activation must weigh at least
-            # 3/8 in the tRRD/tFAW budget (conservative for peak power).
-            granularity = max(1, math.ceil(fraction * 8 - 1e-9))
-            weight = granularity / 8.0 if relax else 1.0
+            plan = self._write_plan
+        coverage, fraction, masked, granularity, weight, trrd = plan
         # The caller has checked act_ready (tRC/tRP), next_act_ok (tRRD)
         # and the rank gate against ``cycle``; the tFAW window depends
         # on this activation's weight, so it is checked here.
         t = rank.faw.next_allowed(cycle, weight)
         if t > cycle:
             return (False, t)
+        core = self._core
+        bank_idx = req._bank
+        g = req._g
         if masked and self.scheme.mask_via_dm_pin:
             # Section 4.2 alternative: the mask rides the DM pin, so no
             # +1 tRCD and no second command-bus cycle - but the chip's
@@ -797,12 +843,13 @@ class ChannelController:
             # precharged standby to active standby, so settle the span
             # accrued under the old state before mutating.
             rank.accrue_background(cycle)
-        act_mask = coverage if masked else FULL_MASK
         pays_mask_cycle = masked and self.scheme.masked_act_extra_cycle
         row = req._row
         core.open_bits[rank_idx] |= 1 << bank_idx
         core.open_row[g] = row
-        core.open_mask[g] = act_mask
+        # An unmasked plan's coverage is the full row.
+        core.open_mask[g] = coverage
+        self._row_key[g] = req._rowkey
         core.col_ready[g] = cycle + (self._trcd_masked if pays_mask_cycle else self._trcd)
         pre = cycle + self._tras
         if pre > core.pre_ready[g]:
@@ -810,9 +857,6 @@ class ChannelController:
         core.act_ready[g] = cycle + self._trc
         core.last_act[g] = cycle
         core.accesses[g] = 0
-        trrd = self._trrd
-        if relax:
-            trrd = max(2, math.ceil(trrd * weight))
         core.next_act_ok[rank_idx] = cycle + trrd
         rank.faw.record(cycle, weight)
         self._useless[rank_idx] &= ~(1 << bank_idx)
@@ -820,7 +864,7 @@ class ChannelController:
         if self.protocol_checker is not None:
             self._observe(CommandRecord(
                 cycle=cycle, cmd=Cmd.ACT, rank=rank_idx, bank=bank_idx,
-                row=row, mask=act_mask, granularity=granularity,
+                row=row, mask=coverage, granularity=granularity,
                 masked=pays_mask_cycle))
         self.accountant.on_activate_fraction(fraction)
         kind_stats = self.stats.reads if req.is_read else self.stats.writes
@@ -897,9 +941,8 @@ class ChannelController:
         last_burst_end = t_last + dd + burst_cycles
 
         # Net device/bus state after n back-to-back column commands.
-        core.col_ready[g] = t_last + self._tccd
+        core.col_ready[g] = core.next_col_ok[rank_idx] = t_last + self._tccd
         core.accesses[g] += n
-        core.next_col_ok[rank_idx] = t_last + self._tccd
         if is_read:
             pre = t_last + self._trtp
             if pre > core.pre_ready[g]:
@@ -921,36 +964,32 @@ class ChannelController:
         other_ranks = self._other_ranks
         accountant = self.accountant
         if n == 1:
-            burst_start = cycle + dd
             burst_end = last_burst_end
             if self.protocol_checker is not None:
                 self._observe(CommandRecord(
                     cycle=cycle, cmd=Cmd.RD if is_read else Cmd.WR,
                     rank=rank_idx, bank=bank_idx,
-                    burst_start=burst_start, burst_end=burst_end,
+                    burst_start=cycle + dd, burst_end=burst_end,
                     needed_mask=req._needed))
-            was_hit = not req._missed
             if is_read:
                 req.complete_cycle = burst_end
                 self.stats.reads.record_service(
-                    was_hit, req._false, burst_end - req.arrive_cycle
+                    not req._missed, req._false, burst_end - req.arrive_cycle
                 )
                 queue.remove(req)
                 self.completed_reads.append((burst_end, req))
-                accountant.on_read_burst(other_ranks=other_ranks)
+                accountant.on_read_burst(other_ranks)
             else:
                 req.complete_cycle = cycle
                 self.stats.writes.record_service(
-                    was_hit, req._false, cycle - req.arrive_cycle
+                    not req._missed, req._false, cycle - req.arrive_cycle
                 )
                 queue.remove(req)
                 if self.scheme.scale_write_io:
-                    driven = mask_ops.popcount(req.dirty_mask) / WORDS_PER_LINE
+                    driven = req.dirty_mask.bit_count() / WORDS_PER_LINE
                 else:
                     driven = 1.0
-                accountant.on_write_burst(
-                    driven_fraction=driven, other_ranks=other_ranks
-                )
+                accountant.on_write_burst(driven, other_ranks)
             return
 
         # --- Streak commit: per-request bookkeeping in issue order ---
@@ -983,7 +1022,7 @@ class ChannelController:
                 r.complete_cycle = t
                 latencies.append(t - r.arrive_cycle)
                 if drive_counts is not None:
-                    drv = mask_ops.popcount(r.dirty_mask)
+                    drv = r.dirty_mask.bit_count()
                     drive_counts[drv] = drive_counts.get(drv, 0) + 1
             queue.remove(r)
             t += spacing

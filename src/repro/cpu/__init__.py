@@ -6,7 +6,7 @@ from repro.cpu.metrics import (
     normalized_performance,
     weighted_speedup,
 )
-from repro.cpu.trace import TraceEvent, materialize, total_instructions
+from repro.cpu.trace import TraceEvent, materialize, pack_events, total_instructions
 
 __all__ = [
     "Core",
@@ -14,6 +14,7 @@ __all__ = [
     "materialize",
     "NEVER",
     "normalized_performance",
+    "pack_events",
     "TraceEvent",
     "total_instructions",
     "weighted_speedup",

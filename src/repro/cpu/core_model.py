@@ -19,21 +19,28 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Iterator, Optional
-
-from repro.cpu.trace import TraceEvent
+from typing import Optional, Sequence, Tuple
 
 #: Sentinel "never" cycle for scheduling hints.
 NEVER = 1 << 62
 
 
 class Core:
-    """One trace-driven core."""
+    """One trace-driven core.
+
+    The core reads a window ``[start, end)`` of a trace in its array
+    form (:func:`repro.cpu.trace.pack_events`, or the arrays a
+    :class:`~repro.workloads.synthetic.TraceBlocks` compiles): parallel
+    ``gaps``, ``addrs``, ``masks`` and ``flags`` sequences.  An access
+    is an index into them, so issuing one builds no event object.
+    """
 
     def __init__(
         self,
         core_id: int,
-        trace: Iterator[TraceEvent],
+        trace: Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]],
+        start: int = 0,
+        end: Optional[int] = None,
         cpu_per_mem_clock: float = 4.0,
         nonmem_cpi: float = 0.5,
         max_outstanding_misses: int = 8,
@@ -41,8 +48,25 @@ class Core:
     ) -> None:
         if cpu_per_mem_clock <= 0 or nonmem_cpi <= 0:
             raise ValueError("clock ratio and CPI must be positive")
+        if max_outstanding_misses < 1:
+            raise ValueError("a core needs at least one outstanding-miss slot")
+        if rob_instructions < 0:
+            raise ValueError("ROB size must be non-negative")
+        gaps, addrs, masks, flags = trace
+        if end is None:
+            end = len(gaps)
+        if not 0 <= start <= end <= len(gaps):
+            raise ValueError(f"trace window [{start}, {end}) out of range")
         self.core_id = core_id
-        self._trace = trace
+        #: The trace arrays: per event its non-memory instruction gap,
+        #: line address, store word mask (0: a load) and no-fill flag.
+        self.gaps = gaps
+        self.addrs = addrs
+        self.masks = masks
+        self.flags = flags
+        #: Index of the next access to issue; the trace is done at ``_end``.
+        self._next = start
+        self._end = end
         self.ratio = cpu_per_mem_clock
         self.cpi = nonmem_cpi
         self.mlp = max_outstanding_misses
@@ -50,23 +74,15 @@ class Core:
         #: req_id -> instructions retired when the miss issued.
         self._outstanding: "OrderedDict[int, int]" = OrderedDict()
         self.retired: int = 0
+        #: CPU cycle at which the next access is ready: its gap has run.
         self._ready_cpu: float = 0.0
-        self._current: Optional[TraceEvent] = self._next_event()
+        if start < end:
+            self._ready_cpu += gaps[start] * nonmem_cpi
         self.finish_cycle: Optional[int] = None
-        self.loads_issued = 0
-        self.stores_issued = 0
-        self.misses_issued = 0
-
-    # ------------------------------------------------------------------
-    def _next_event(self) -> Optional[TraceEvent]:
-        event = next(self._trace, None)
-        if event is not None:
-            self._ready_cpu += event.gap * self.cpi
-        return event
-
-    @property
-    def done(self) -> bool:
-        return self._current is None and not self._outstanding
+        #: Trace issued and no miss outstanding: the core has finished.
+        #: Kept current by the three calls that change either half, so
+        #: the event loop reads it as a plain attribute every pass.
+        self.done = start >= end
 
     # ------------------------------------------------------------------
     def next_action_cycle(self, cycle: int) -> int:
@@ -74,7 +90,7 @@ class Core:
         # The blocking test (MLP slots full, or the oldest outstanding
         # miss a full ROB behind) is written out here and in try_advance:
         # the two are the event loop's hottest per-core calls.
-        if self._current is None:
+        if self._next >= self._end:
             return NEVER
         outstanding = self._outstanding
         if outstanding:
@@ -85,30 +101,35 @@ class Core:
         ready_mem = math.ceil(self._ready_cpu / self.ratio)
         return ready_mem if ready_mem > cycle else cycle
 
-    def try_advance(self, cycle: int) -> Optional[TraceEvent]:
-        """Pop the next access if the core is ready at ``cycle``."""
-        event = self._current
-        if event is None:
-            return None
+    def try_advance(self, cycle: int) -> int:
+        """Issue the next access if the core is ready at ``cycle``.
+
+        Returns the access's index into the trace arrays, or -1 when the
+        core cannot issue (trace done, MLP or ROB full, gap not run).
+        """
+        i = self._next
+        if i >= self._end:
+            return -1
         outstanding = self._outstanding
         if outstanding:
             if len(outstanding) >= self.mlp:
-                return None
+                return -1
             if self.retired - next(iter(outstanding.values())) >= self.rob:
-                return None
+                return -1
         now_cpu = cycle * self.ratio
         if self._ready_cpu > now_cpu:
-            return None
-        self.retired += event.instructions
-        self._ready_cpu = now_cpu
-        if event.is_store:
-            self.stores_issued += 1
+            return -1
+        gaps = self.gaps
+        self.retired += gaps[i] + 1
+        self._next = nxt = i + 1
+        if nxt < self._end:
+            self._ready_cpu = now_cpu + gaps[nxt] * self.cpi
         else:
-            self.loads_issued += 1
-        self._current = self._next_event()
-        if self._current is None and not outstanding:
-            self.finish_cycle = cycle
-        return event
+            self._ready_cpu = now_cpu
+            if not outstanding:
+                self.finish_cycle = cycle
+                self.done = True
+        return i
 
     # ------------------------------------------------------------------
     def note_demand_miss(self, req_id: int) -> None:
@@ -116,6 +137,7 @@ class Core:
         if len(self._outstanding) >= self.mlp:
             raise RuntimeError("MLP budget exceeded (scheduler bug)")
         self._outstanding[req_id] = self.retired
+        self.done = False
 
     def on_fill_complete(self, req_id: int, cycle: int) -> None:
         """DRAM returned data for an outstanding demand load."""
@@ -124,8 +146,9 @@ class Core:
         del self._outstanding[req_id]
         # If the core was stalled on this load, it resumes now.
         self._ready_cpu = max(self._ready_cpu, cycle * self.ratio)
-        if self._current is None and not self._outstanding:
+        if self._next >= self._end and not self._outstanding:
             self.finish_cycle = cycle
+            self.done = True
 
     # ------------------------------------------------------------------
     def ipc(self, end_cycle: Optional[int] = None) -> float:

@@ -6,6 +6,11 @@ before it.  Addresses are cache-line indices; stores carry the FGD
 word mask they dirty.  ``no_fill`` marks non-temporal streaming stores
 that allocate without fetching the line from DRAM.
 
+A core reads its trace in array form instead: four parallel arrays of
+gaps, line addresses, write masks and no-fill flags
+(:func:`pack_events`), the layout the compiled synthetic traces
+already have, so the timed loop builds no event object.
+
 Traces stand in for the paper's gem5 + SimPoint execution of
 SPEC CPU2006 / Olden / GUPS / LinkedList regions; the generators in
 :mod:`repro.workloads` synthesize them from calibrated profiles.
@@ -13,8 +18,9 @@ SPEC CPU2006 / Olden / GUPS / LinkedList regions; the generators in
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from repro.dram.geometry import FULL_MASK
 
@@ -58,6 +64,25 @@ def materialize(events: Iterable[TraceEvent], limit: int) -> List[TraceEvent]:
         if len(out) >= limit:
             break
     return out
+
+
+def pack_events(
+    events: Iterable[TraceEvent],
+) -> Tuple["array[int]", "array[int]", "array[int]", "array[int]"]:
+    """``events`` as parallel ``(gaps, addrs, masks, flags)`` arrays.
+
+    The form :class:`~repro.cpu.core_model.Core` reads and
+    :class:`~repro.workloads.synthetic.TraceBlocks` compiles to: per
+    event its gap, line address, write mask and no-fill flag (1 or 0).
+    """
+    gaps, addrs = array("q"), array("q")
+    masks, flags = array("B"), array("b")
+    for event in events:
+        gaps.append(event.gap)
+        addrs.append(event.line_addr)
+        masks.append(event.write_mask)
+        flags.append(1 if event.no_fill else 0)
+    return gaps, addrs, masks, flags
 
 
 def total_instructions(events: Iterable[TraceEvent]) -> int:

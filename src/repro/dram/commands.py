@@ -27,6 +27,11 @@ class ReqKind(enum.Enum):
 
 _req_ids = itertools.count()
 
+# Member lookups through an Enum class are attribute calls; the request
+# constructor compares against these module constants instead.
+_READ = ReqKind.READ
+_WRITE = ReqKind.WRITE
+
 
 @dataclass(slots=True)
 class Address:
@@ -114,8 +119,8 @@ class Request:
         self.req_id = next(_req_ids) if req_id is None else req_id
         #: Cycle at which the request finished (data returned / written).
         self.complete_cycle = complete_cycle
-        self.is_read = kind is ReqKind.READ
-        self.is_write = kind is ReqKind.WRITE
+        self.is_read = kind is _READ
+        self.is_write = kind is _WRITE
         if self.is_read:
             dirty_mask = FULL_MASK
         if not 0 < dirty_mask <= FULL_MASK:

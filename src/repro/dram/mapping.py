@@ -67,9 +67,10 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
         object.__setattr__(self, "_rows", geo.chip.rows)
         object.__setattr__(self, "_cols", geo.lines_per_row)
         object.__setattr__(self, "_capacity", geo.capacity_bytes // LINE_BYTES)
-        # line_row_id's constants: under line interleaving the low
-        # (channel, bank, rank) digits, then the column digit, sit
-        # below the row.
+        # The interleaving as a flag (an Enum member lookup costs a
+        # call), and line_row_id's constants: under line interleaving
+        # the low (channel, bank, rank) digits, then the column digit,
+        # sit below the row.
         lanes = geo.channels * geo.chip.banks * geo.ranks_per_channel
         object.__setattr__(self, "_row_interleaved", self.interleaving is Interleaving.ROW)
         object.__setattr__(self, "_row_lanes", lanes)
@@ -85,7 +86,7 @@ class AddressMapper:  # reprolint: allow[hygiene-slots]
         if line_index < 0:
             raise ValueError("line index must be non-negative")
         v = line_index % self._capacity
-        if self.interleaving is Interleaving.ROW:
+        if self._row_interleaved:
             # offset | column | channel | bank | rank | row
             v, column = divmod(v, self._cols)
             v, channel = divmod(v, self._channels)

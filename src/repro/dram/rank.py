@@ -50,7 +50,7 @@ class ActivationWindow:
     (Section 4.1.3: relaxed tRRD/tFAW).
     """
 
-    __slots__ = ("tfaw", "budget", "history")
+    __slots__ = ("tfaw", "budget", "history", "total")
 
     def __init__(self, tfaw: int, budget: float = 4.0) -> None:
         self.tfaw = tfaw
@@ -58,6 +58,9 @@ class ActivationWindow:
         #: (issue cycle, weight) of recent ACTs; ``record`` drops the
         #: ones the window has outgrown.
         self.history: List[Tuple[int, float]] = []
+        #: Sum of ``history``'s weights.  Weights are multiples of 1/8,
+        #: so the sum is exact.
+        self.total = 0.0
 
     def next_allowed(self, cycle: int, weight: float) -> int:
         """Earliest cycle at which an ACT of ``weight`` fits the window.
@@ -66,8 +69,13 @@ class ActivationWindow:
         pruning on those probes would drop entries still live for
         queries at earlier cycles.
         """
-        window_start = cycle - self.tfaw
         budget = self.budget + 1e-9
+        # ``total`` also counts recorded ACTs that have left the window
+        # by ``cycle``, so when it leaves room the live ones do too; the
+        # history walk runs only when the window may be full.
+        if self.total + weight <= budget:
+            return cycle
+        window_start = cycle - self.tfaw
         total = weight
         first_live = 0
         hist = self.history
@@ -92,8 +100,9 @@ class ActivationWindow:
         hist = self.history
         window_start = cycle - self.tfaw
         while hist and hist[0][0] <= window_start:
-            hist.pop(0)
+            self.total -= hist.pop(0)[1]
         hist.append((cycle, weight))
+        self.total += weight
 
 
 class Rank:

@@ -21,7 +21,7 @@ Energies are tracked in pJ; reported in mJ / mW.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.dram.timing import TimingParams
 from repro.power.params import PowerParams
@@ -108,12 +108,16 @@ class PowerAccountant:
         #: PRA), so memoizing it keeps the per-ACT cost to a dict probe
         #: while adding bit-identical energy values.
         self._act_cache: Dict[float, tuple] = {}
+        #: One data burst's duration (ns).
+        self._burst_ns = timing.cycles_to_ns(timing.tburst)
+        #: One burst's (core, I/O) energies in pJ: reads keyed by
+        #: ``other_ranks``, writes by ``(driven_fraction, other_ranks)``.
+        #: Each is computed as the uncached expression computed it, so
+        #: ``energy * count`` adds the same float as before.
+        self._read_cache: Dict[int, Tuple[float, float]] = {}
+        self._write_cache: Dict[Tuple[float, int], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def _burst_ns(self) -> float:
-        return self.timing.cycles_to_ns(self.timing.tburst)
-
     def on_activate(self, granularity_eighths: int) -> None:
         """One ACT-PRE pair at the given granularity (rank-wide)."""
         self.activations_by_granularity[granularity_eighths] += 1
@@ -156,12 +160,18 @@ class PowerAccountant:
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
         self.read_bursts += count
-        chips = self.chips_per_rank + self.ecc_chips
-        burst = self._burst_ns
-        self.energy_pj["rd"] += self.params.rd_mw * burst * chips * count
-        io = self.params.rd_io_mw * burst * chips
-        io += self.params.rd_term_mw * burst * chips * other_ranks
-        self.energy_pj["rd_io"] += io * self.params.io_scale * count
+        cached = self._read_cache.get(other_ranks)
+        if cached is None:
+            chips = self.chips_per_rank + self.ecc_chips
+            burst = self._burst_ns
+            p = self.params
+            io = p.rd_io_mw * burst * chips
+            io += p.rd_term_mw * burst * chips * other_ranks
+            cached = (p.rd_mw * burst * chips, io * p.io_scale)
+            self._read_cache[other_ranks] = cached
+        energy = self.energy_pj
+        energy["rd"] += cached[0] * count
+        energy["rd_io"] += cached[1] * count
 
     def on_write_burst(
         self, driven_fraction: float = 1.0, other_ranks: int = 1, count: int = 1
@@ -175,23 +185,32 @@ class PowerAccountant:
         charge ``count`` times one burst's energy; ``count=1`` matches
         the historical single-burst call bit for bit.
         """
-        if not 0.0 < driven_fraction <= 1.0:
-            raise ValueError(f"driven_fraction must be in (0, 1], got {driven_fraction}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
+        cached = self._write_cache.get((driven_fraction, other_ranks))
+        if cached is None:
+            if not 0.0 < driven_fraction <= 1.0:
+                raise ValueError(
+                    f"driven_fraction must be in (0, 1], got {driven_fraction}"
+                )
+            chips = self.chips_per_rank
+            ecc = self.ecc_chips
+            burst = self._burst_ns
+            p = self.params
+            core_fraction = driven_fraction if self.scale_wr_core_with_mask else 1.0
+            io = p.wr_odt_mw * burst * (chips * driven_fraction + ecc)
+            io += p.wr_term_mw * burst * other_ranks * (
+                chips * driven_fraction + ecc
+            )
+            cached = (
+                p.wr_mw * burst * (chips * core_fraction + ecc),
+                io * p.io_scale,
+            )
+            self._write_cache[(driven_fraction, other_ranks)] = cached
         self.write_bursts += count
-        chips = self.chips_per_rank
-        ecc = self.ecc_chips
-        burst = self._burst_ns
-        core_fraction = driven_fraction if self.scale_wr_core_with_mask else 1.0
-        self.energy_pj["wr"] += self.params.wr_mw * burst * (
-            chips * core_fraction + ecc
-        ) * count
-        io = self.params.wr_odt_mw * burst * (chips * driven_fraction + ecc)
-        io += self.params.wr_term_mw * burst * other_ranks * (
-            chips * driven_fraction + ecc
-        )
-        self.energy_pj["wr_io"] += io * self.params.io_scale * count
+        energy = self.energy_pj
+        energy["wr"] += cached[0] * count
+        energy["wr_io"] += cached[1] * count
 
     def on_refresh(self) -> None:
         """One all-bank refresh of a rank (duration tRFC)."""

@@ -32,9 +32,10 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.controller.memctrl import ChannelController
 from repro.controller.stats import ControllerStats
 from repro.cpu.core_model import NEVER, Core
-from repro.cpu.trace import TraceEvent
+from repro.cpu.trace import TraceEvent, pack_events
 from repro.dram.channel import Channel
 from repro.dram.commands import ReqKind, Request
+from repro.dram.geometry import FULL_MASK
 from repro.dram.mapping import AddressMapper
 from repro.power.accounting import PowerAccountant
 from repro.sim.config import SystemConfig
@@ -58,6 +59,11 @@ from repro.workloads.synthetic import TraceGenerator, compiled_trace
 
 #: Total overflow-buffer entries beyond which cores are held back.
 OVERFLOW_STALL_THRESHOLD = 128
+
+# Request kinds as constants: a member lookup through the Enum class
+# costs a call on every request.
+_READ = ReqKind.READ
+_WRITE = ReqKind.WRITE
 
 # Oracle-parity declaration enforced by reprolint: the event-driven
 # ``System.run`` is the fast path; ``System._run_polling`` is the
@@ -221,10 +227,12 @@ class System:
         core_cfg = config.core
         self.cores: List[Core] = []
 
-        def _make_core(core_id: int, trace: Iterator[TraceEvent]) -> Core:
+        def _make_core(core_id: int, trace: tuple, start: int, end: int) -> Core:
             return Core(
-                core_id=core_id,
-                trace=trace,
+                core_id,
+                trace,
+                start,
+                end,
                 cpu_per_mem_clock=core_cfg.cpu_per_mem_clock,
                 nonmem_cpi=core_cfg.nonmem_cpi,
                 max_outstanding_misses=core_cfg.max_outstanding_misses,
@@ -261,15 +269,21 @@ class System:
                         ),
                         disk_dir,
                     )
+            # Each core reads its window of the shared arrays.
+            end = warmup_events_per_core + events_per_core
             for core_id, blocks in enumerate(blocks_per_core):
+                blocks.ensure(end)
                 self.cores.append(
                     _make_core(
                         core_id,
-                        blocks.events(warmup_events_per_core, events_per_core),
+                        (blocks.gaps, blocks.addrs, blocks.masks, blocks.flags),
+                        warmup_events_per_core,
+                        end,
                     )
                 )
         else:
-            # Reference path: per-event iterators, cold warmup.
+            # Reference path: per-event iterators, cold warmup; the
+            # timed events are packed into arrays once.
             for core_id, profile in enumerate(workload.apps):
                 if trace_overrides is not None:
                     stream = iter(trace_overrides[core_id])
@@ -278,9 +292,8 @@ class System:
                         TraceGenerator(profile, seed=seed, core_id=core_id)
                     )
                 self._warm_caches(core_id, stream, warmup_events_per_core)
-                self.cores.append(
-                    _make_core(core_id, islice(stream, events_per_core))
-                )
+                trace = pack_events(islice(stream, events_per_core))
+                self.cores.append(_make_core(core_id, trace, 0, len(trace[0])))
         self._reset_cache_stats()
 
         self._demand_map: Dict[int, Core] = {}
@@ -318,41 +331,34 @@ class System:
             dbi.triggers = 0
 
     # ------------------------------------------------------------------
-    def _submit(self, req: Request) -> None:
-        channel = req.addr.channel
-        self.controllers[channel].submit(req)
-        self._dirty_channels |= 1 << channel
-
-    def _process_access(self, core: Core, event: TraceEvent, cycle: int) -> None:
-        traffic = self.hierarchy.access(
-            core.core_id,
-            event.line_addr,
-            write_mask=event.write_mask,
-            fill_on_miss=not event.no_fill,
-        )
-        demand_miss = (not event.is_store) and not traffic.demand_hit
-        for fill_addr in traffic.fills:
-            req = Request(
-                kind=ReqKind.READ,
-                addr=self.mapper.decode_line(fill_addr),
-                arrive_cycle=cycle,
-                core_id=core.core_id,
-            )
-            if demand_miss and fill_addr == event.line_addr:
+    def _process_access(self, core: Core, i: int, cycle: int) -> None:
+        """Send access ``i`` of ``core``'s trace through the caches and
+        submit the DRAM traffic it makes to the channels' controllers."""
+        line_addr = core.addrs[i]
+        store = core.masks[i]
+        core_id = core.core_id
+        traffic = self.hierarchy.access(core_id, line_addr, store, not core.flags[i])
+        fills = traffic.fills
+        writebacks = traffic.writebacks
+        if not (fills or writebacks):
+            return
+        decode = self.mapper.decode_line
+        controllers = self.controllers
+        dirty = 0
+        demand_miss = not store and not traffic.demand_hit
+        for fill_addr in fills:
+            addr = decode(fill_addr)
+            req = Request(_READ, addr, cycle, FULL_MASK, core_id)
+            if demand_miss and fill_addr == line_addr:
                 core.note_demand_miss(req.req_id)
                 self._demand_map[req.req_id] = core
-                core.misses_issued += 1
-            self._submit(req)
-        for wb_addr, mask in traffic.writebacks:
-            self._submit(
-                Request(
-                    kind=ReqKind.WRITE,
-                    addr=self.mapper.decode_line(wb_addr),
-                    arrive_cycle=cycle,
-                    dirty_mask=mask,
-                    core_id=core.core_id,
-                )
-            )
+            controllers[addr.channel].submit(req)
+            dirty |= 1 << addr.channel
+        for wb_addr, mask in writebacks:
+            addr = decode(wb_addr)
+            controllers[addr.channel].submit(Request(_WRITE, addr, cycle, mask, core_id))
+            dirty |= 1 << addr.channel
+        self._dirty_channels |= dirty
 
     # ------------------------------------------------------------------
     def run(
@@ -453,17 +459,14 @@ class System:
                     if core_next[idx] > cycle:
                         continue
                     while True:
-                        event = core.try_advance(cycle)
-                        if event is None:
+                        i = core.try_advance(cycle)
+                        if i < 0:
                             break
-                        self._process_access(core, event, cycle)
+                        self._process_access(core, i, cycle)
                     core_next[idx] = core.next_action_cycle(cycle)
 
             # 3. External-event horizon for controller batching.
-            core_min = NEVER
-            for action in core_next:
-                if action < core_min:
-                    core_min = action
+            core_min = min(core_next, default=NEVER)
             limit = next_completion if next_completion < core_min else core_min
             if limit <= cycle:
                 limit = cycle + 1
@@ -556,10 +559,10 @@ class System:
             if total_overflow <= OVERFLOW_STALL_THRESHOLD:
                 for core in cores:
                     while True:
-                        event = core.try_advance(cycle)
-                        if event is None:
+                        i = core.try_advance(cycle)
+                        if i < 0:
                             break
-                        self._process_access(core, event, cycle)
+                        self._process_access(core, i, cycle)
 
             # 3. External-event horizon for controller batching.
             limit = next_completion

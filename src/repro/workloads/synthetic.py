@@ -220,8 +220,9 @@ class TraceBlocks:
     helpers inlined, so the arrays are bit-identical to the iterator's
     output and the wrapped generator is left exactly where the iterator
     would be after as many events.  Cache warmup consumes the arrays
-    directly (no :class:`TraceEvent` allocation at all); the timed run
-    consumes them through :meth:`events`.  One instance is shared by
+    directly (no :class:`TraceEvent` allocation at all), and so does
+    each timed core (:class:`~repro.cpu.core_model.Core` reads its
+    window of them by index).  One instance is shared by
     every scheme of the same (profile, seed, core) via
     :func:`compiled_trace`.
     """
@@ -403,24 +404,6 @@ class TraceBlocks:
         gen._pending_store = (
             TraceEvent(gap=2, line_addr=p_addr, write_mask=p_mask) if p_mask else None
         )
-
-    def events(self, start: int, count: int) -> Iterator[TraceEvent]:
-        """Yield ``count`` events from index ``start`` as trace events.
-
-        The block twin of "skip ``start`` events, then islice
-        ``count``" on the iterator; materialization happens lazily at
-        the first pull.
-        """
-        self.ensure(start + count)
-        gaps, addrs = self.gaps, self.addrs
-        masks, flags = self.masks, self.flags
-        for i in range(start, start + count):
-            yield TraceEvent(
-                gap=gaps[i],
-                line_addr=addrs[i],
-                write_mask=masks[i],
-                no_fill=bool(flags[i]),
-            )
 
     def digest(self, count: int) -> str:
         """SHA-256 over the first ``count`` events' arrays.

@@ -98,16 +98,22 @@ def test_blocks_golden_digest(name):
 
 
 def test_events_view_matches_slice():
-    """``events(start, count)`` equals skipping then islicing the iterator."""
+    """A core's window ``[start, start + count)`` of the arrays equals
+    skipping ``start`` events, then islicing ``count``, on the iterator."""
     from itertools import islice
+
+    from repro.cpu.trace import pack_events
 
     prof = profile("GUPS")
     blocks = TraceBlocks(prof, seed=3)
+    blocks.ensure(150)
     gen = TraceGenerator(prof, seed=3)
     for _ in range(100):
         next(gen)
-    expected = list(islice(gen, 50))
-    assert list(blocks.events(100, 50)) == expected
+    expected = pack_events(islice(gen, 50))
+    window = (blocks.gaps, blocks.addrs, blocks.masks, blocks.flags)
+    for arr, want in zip(window, expected):
+        assert list(arr[100:150]) == list(want)
 
 
 def test_compiled_trace_shares_blocks():
