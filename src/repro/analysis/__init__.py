@@ -5,9 +5,11 @@ the simulator's fast-path/oracle duality trustworthy:
 
 * :mod:`repro.analysis.lint` — the AST-based linter, run as
   ``repro lint`` (``repro lint --no-typegate src/`` for the rules
-  alone, ``repro lint --list-rules`` for the catalogue).  Determinism
-  rules, oracle-parity rules and hot-path hygiene rules; see
-  :mod:`repro.analysis.rules` for the rule catalogue.
+  alone, ``repro lint --list-rules`` for the catalogue).  Ten
+  per-module rules: determinism, oracle parity and hot-path hygiene;
+  see :mod:`repro.analysis.rules` for the catalogue.  The DRAM timing
+  and copy-on-write restore invariants are not linted: the runtime
+  sanitizer and the tier-1 identity tests check them (DESIGN.md §8).
 * :mod:`repro.analysis.registry` — which modules are registered fast
   paths (and must declare their oracle twins) and which modules are
   hot paths (and must obey the hygiene rules).

@@ -74,28 +74,6 @@ HOT_PATH_PARTS = (
 #: point (the power model) and therefore allowed.
 ENERGY_ACCUMULATOR_PARTS = ("src/repro/power/",)
 
-#: Repo-relative paths of modules that traffic in copy-on-write
-#: aliased containers.  Each MUST declare an in-file
-#: ``REPRO_COW_PROTOCOL`` (shared roots / privatizers) so
-#: :mod:`repro.analysis.cowcheck` can verify that every in-place
-#: mutation of a possibly-shared value is dominated by a privatization
-#: or carries a ``shares[reason]`` pragma.  Modules not listed here may
-#: still opt in by declaring a protocol.
-COW_MODULES = frozenset(
-    {
-        "src/repro/cache/set_assoc.py",
-        "src/repro/cache/dbi.py",
-    }
-)
-
-#: Path fragments in scope for the timing-constraint coverage pass
-#: (:mod:`repro.analysis.constraints`): everything that can issue DRAM
-#: commands.  Fixtures opt in with a ``# reprolint: timing`` comment.
-TIMING_SCOPE_PARTS = (
-    "src/repro/controller/",
-    "src/repro/dram/soa.py",
-)
-
 #: Paths never linted (the linter itself, tests' fixtures are linted
 #: explicitly, never as part of a tree walk).
 EXCLUDED_PARTS = (
@@ -144,14 +122,3 @@ def allows_energy_accumulation(path: str) -> bool:
     norm = normalize(path)
     return any(part in norm for part in ENERGY_ACCUMULATOR_PARTS)
 
-
-def is_cow_module(path: str) -> bool:
-    """True if ``path`` must declare a ``REPRO_COW_PROTOCOL``."""
-    norm = normalize(path)
-    return any(norm.endswith(mod) for mod in COW_MODULES)
-
-
-def is_timing_scope(path: str) -> bool:
-    """True if the timing-constraint coverage pass applies to ``path``."""
-    norm = normalize(path)
-    return any(part in norm for part in TIMING_SCOPE_PARTS)

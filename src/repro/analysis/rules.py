@@ -1,7 +1,7 @@
 """The reprolint rule catalogue: repo-specific AST correctness rules.
 
-Three rule families guard the invariants PRs 1-3 built the fast paths
-on (see DESIGN.md, "Correctness tooling"):
+Three rule families, ten rules, guard the invariants the fast paths
+rest on (see DESIGN.md §8, "Correctness tooling"):
 
 **Determinism** — the fast-path/oracle duality (event engine vs
 polling, TimingCore vs the protocol checker, TraceBlocks vs generator,
@@ -49,22 +49,8 @@ path:
 * ``hygiene-mutable-default`` — mutable default arguments are banned
   repo-wide.
 
-**Dataflow passes (v2)** — whole-function/whole-module analyses built
-on :mod:`repro.analysis.flow` (see DESIGN.md §9):
-
-* ``cow-unsafe-mutation`` — in-place mutation of a possibly-shared
-  copy-on-write value not dominated by the declared privatization
-  (:mod:`repro.analysis.cowcheck`); intentional sharing is declared
-  with ``# reprolint: shares[reason]``.
-* ``timing-unchecked-issue`` — a DRAM command-issue site whose
-  function (and same-module callers) never consult the timing state
-  the JEDEC constraint table mandates
-  (:mod:`repro.analysis.constraints`).
-
 Suppression: ``# reprolint: allow[rule-id]`` on the flagged line;
-``# reprolint: skip-file`` anywhere disables the whole file;
-``# reprolint: shares[reason]`` (reason required) declares an
-intentional shared-mutation site to the COW pass.
+``# reprolint: skip-file`` anywhere disables the whole file.
 """
 
 from __future__ import annotations
@@ -112,11 +98,6 @@ ALL_RULES: Tuple[Rule, ...] = (
          "try/except inside a loop body on a hot path"),
     Rule("hygiene-mutable-default", "hot-path-hygiene",
          "mutable default argument"),
-    Rule("cow-unsafe-mutation", "cow-aliasing",
-         "in-place mutation of a possibly-shared COW value without "
-         "dominating privatization"),
-    Rule("timing-unchecked-issue", "timing-coverage",
-         "DRAM command issued without consulting the mandated timing state"),
 )
 
 RULE_IDS = frozenset(rule.id for rule in ALL_RULES)
@@ -137,10 +118,6 @@ class Finding:
 
 _ALLOW_RE = re.compile(r"#\s*reprolint:\s*allow\[([a-z0-9\-,\s]+)\]")
 _SKIP_FILE_RE = re.compile(r"#\s*reprolint:\s*skip-file")
-#: Intentional-sharing pragma for the COW pass; the reason is
-#: mandatory — ``shares[]`` does not parse and therefore suppresses
-#: nothing.
-_SHARES_RE = re.compile(r"#\s*reprolint:\s*shares\[([^\]]+)\]")
 
 #: ``time`` module functions that read the wall clock / host state.
 _WALL_TIME_FNS = frozenset(
@@ -171,16 +148,6 @@ def _allowed_lines(source: str) -> Dict[int, Set[str]]:
             ids = {part.strip() for part in match.group(1).split(",")}
             allowed[lineno] = ids
     return allowed
-
-
-def _shares_lines(source: str) -> Set[int]:
-    """Line numbers carrying a non-empty ``shares[reason]`` pragma."""
-    shares: Set[int] = set()
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SHARES_RE.search(line)
-        if match and match.group(1).strip():
-            shares.add(lineno)
-    return shares
 
 
 def _call_name(node: ast.AST) -> Optional[str]:
@@ -646,8 +613,15 @@ def check_file(
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Lint one file; returns surviving findings (pragmas applied)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Undecodable input is unparseable input: a finding, not a crash.
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return [Finding(path, line, "syntax-error",
+                        f"not UTF-8: {exc.reason} at byte {exc.start}")]
     if _SKIP_FILE_RE.search(source):
         return []
     if repo_root is None:
@@ -666,38 +640,15 @@ def check_file(
     )
     checker.visit(tree)
     _check_oracle_parity(checker, path, repo_root)
-    _run_dataflow_passes(checker, tree, path, source)
 
     allowed = _allowed_lines(source)
-    shares = _shares_lines(source)
     findings = [
         finding
         for finding in checker.findings
         if finding.rule not in allowed.get(finding.line, ())
-        and not (
-            finding.rule == "cow-unsafe-mutation" and finding.line in shares
-        )
     ]
     if select:
         wanted = set(select)
         findings = [f for f in findings if f.rule in wanted]
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
-
-def _run_dataflow_passes(
-    checker: _ModuleChecker, tree: ast.Module, path: str, source: str
-) -> None:
-    """Apply the v2 dataflow passes (COW, timing)."""
-    from repro.analysis import constraints, cowcheck
-
-    for line, message in cowcheck.check_module(
-        tree, path, must_declare=registry.is_cow_module(path)
-    ):
-        checker.findings.append(
-            Finding(path, line, "cow-unsafe-mutation", message)
-        )
-    if constraints.applies_to(path, source):
-        for line, message in constraints.check_module(tree, path):
-            checker.findings.append(
-                Finding(path, line, "timing-unchecked-issue", message)
-            )

@@ -23,14 +23,10 @@ RowOf = Callable[[int], int]
 #: two representations are observationally identical.
 RowLines = Union[Set[int], Tuple[int, ...]]
 
-# COW contract for the aliasing pass (repro.analysis.cowcheck): after
-# restore_rows the per-row values are the snapshot's shared tuples;
-# writers must thaw a row to a private set (lines = set(lines)) before
-# mutating it in place.
-REPRO_COW_PROTOCOL = {
-    "shared_roots": ("_rows",),
-    "privatizers": (),
-}
+# Copy-on-write invariant: after restore_rows the per-row values alias
+# the snapshot's tuples, so a writer thaws a row to a private set
+# (lines = set(lines)) before mutating it; a tuple has no in-place
+# mutators, so a missed thaw raises at once.
 
 
 class DirtyBlockIndex:

@@ -50,14 +50,11 @@ ORACLE_TESTS = (
     "tests/test_engine_identity.py",
     "tests/test_engine_equivalence.py",
 )
-# COW contract for the aliasing pass (repro.analysis.cowcheck): after
-# restore_state, per-set tag dicts are shared with the snapshot until
-# _own_set privatizes them; every in-place mutation of a set's dict
-# must be dominated by an _own_set guard.
-REPRO_COW_PROTOCOL = {
-    "shared_roots": ("_tags",),
-    "privatizers": ("_own_set",),
-}
+# Copy-on-write invariant: after restore_state the per-set tag dicts
+# alias the snapshot, so every path that mutates a set's dict in place
+# (the miss paths of access, install and replay) privatizes it with
+# _own_set first.  tests/test_engine_identity.py checks that a restored
+# System, with and without L1s, leaves its snapshot unchanged.
 
 
 @dataclass(slots=True)

@@ -18,9 +18,9 @@ Commands
     pool of N worker processes or serially, and print points/sec plus
     normalized summaries.
 ``lint``
-    Run the full static layer — reprolint (including the v2 dataflow
-    passes) plus the strict typing gate — with ``--format json`` /
-    ``--format github`` outputs for CI.
+    Run the full static layer — the reprolint rules plus the strict
+    typing gate — with ``--format json`` / ``--format github`` outputs
+    for CI.
 ``serve``
     Run the long-lived sweep service (HTTP/JSON job API, shared
     content-addressed result store, checkpointed journal) until
@@ -84,6 +84,19 @@ def _check_worker_budget(flag: str, requested: int) -> None:
             f"{flag} {requested} exceeds the {cpus} available CPU(s); "
             f"use {flag} {cpus} or lower"
         )
+
+
+def _check_out_dir(flag: str, path: Optional[str]) -> None:
+    """Reject an output path whose directory does not exist.
+
+    Called before any work, so a typo costs nothing instead of a whole
+    grid's rows.  Raises ``ValueError`` (→ exit code 2).
+    """
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"{flag} {path}: directory {directory} does not exist")
 
 
 #: ``repro bench`` suites: scheme set per figure; every suite crosses
@@ -356,6 +369,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a scheme x workload x policy grid and export CSV/JSON."""
+    _check_out_dir("--out", args.out)
     sweep = Sweep(events_per_core=args.events, seed=args.seed)
     sweep.add_axis("scheme", args.schemes)
     sweep.add_axis("workload", args.workloads)
@@ -502,6 +516,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a sweep spec over HTTP; optionally wait and export rows."""
     from repro.service.client import ServiceError
 
+    _check_out_dir("--out", args.out)
     axes: dict = {"scheme": args.schemes, "workload": args.workloads}
     if args.policies is not None:
         axes["policy"] = args.policies
@@ -545,6 +560,7 @@ def cmd_results(args: argparse.Namespace) -> int:
 
     if (args.job is None) == (args.digest is None):
         raise ValueError("pass exactly one of --job or --digest")
+    _check_out_dir("--out", args.out)
     client = _service_client(args)
     if args.digest is not None:
         try:
@@ -574,7 +590,7 @@ def cmd_results(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run reprolint (v1 rules + v2 dataflow passes) and the typegate.
+    """Run the reprolint rules and the typegate.
 
     Exit status is the worst of the two layers: 1 when any finding
     fired or the typing gate failed, 0 when both are clean.  The JSON
@@ -598,6 +614,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         unknown = set(args.select) - RULE_IDS
         if unknown:
             raise ValueError(f"unknown reprolint rule(s): {sorted(unknown)}")
+    _check_out_dir("--json-out", args.json_out)
     repo_root = find_repo_root(os.getcwd())
     paths = args.paths or [
         os.path.join(repo_root, "src"), os.path.join(repo_root, "tests")

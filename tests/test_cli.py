@@ -123,6 +123,38 @@ class TestSweepCommand:
             build_parser().parse_args(["sweep"])
 
 
+class TestOutputDirectory:
+    """An output path in a directory that does not exist is a user
+    error, reported before any work as one ``error:`` line (exit 2)."""
+
+    def test_sweep_runs_no_point(self, tmp_path, monkeypatch, capsys):
+        from repro.sim import sweep as sweep_module
+
+        ran = []
+        run_point = sweep_module._run_point
+        monkeypatch.setattr(
+            sweep_module, "_run_point",
+            lambda ctx, point: ran.append(point) or run_point(ctx, point),
+        )
+        out = tmp_path / "missing" / "grid.csv"
+        code = main(["sweep", "--workloads", "GUPS", "--schemes", "Baseline",
+                     "--events", "50", "--out", str(out)])
+        assert (code, ran) == (2, [])
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --out {out}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--port", "1", "--out"],
+        ["results", "--port", "1", "--job", "j", "--out"],
+        ["lint", "--no-typegate", "--json-out"],
+    ], ids=["submit", "results", "lint"])
+    def test_other_commands(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "rows.json"
+        assert main(argv + [str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --")
+
+
 class TestPooledSweepCommand:
     def test_pooled_csv_matches_serial(self, tmp_path, monkeypatch):
         """``repro sweep --pool 2`` writes the serial sweep's CSV byte

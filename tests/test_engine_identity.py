@@ -53,11 +53,12 @@ SPREAD_WORKLOADS = ("MIX1", "MIX2", "MIX3", "MIX4", "MIX5", "MIX6")
 TRACE_SCHEMES = (BASELINE, PRA, DBI_PRA, SDS)
 
 
-def _build(scheme, workload_name, seed=1, sanitize=False, **kwargs):
+def _build(scheme, workload_name, seed=1, sanitize=False, use_l1=False,
+           **kwargs):
     config = SystemConfig(
         scheme=scheme,
         sanitize=sanitize,
-        cache=CacheConfig(llc_bytes=256 * 1024),
+        cache=CacheConfig(llc_bytes=256 * 1024, use_l1=use_l1),
     )
     return System(
         config,
@@ -282,20 +283,23 @@ def test_cold_warm_state_golden(scheme, precompiled):
     assert hashlib.sha256(blob).hexdigest() == WARM_STATE_DIGESTS[scheme.name]
 
 
-def test_restore_shares_snapshot_until_written():
+@pytest.mark.parametrize("use_l1", [False, True], ids=["llc-only", "l1s"])
+def test_restore_shares_snapshot_until_written(use_l1):
     """A restored System aliases its snapshot until it writes, and runs
     exactly as a cold-warmed one.
 
     Each miss privatizes at most one LLC set, so the owned sets are
     bounded by the misses; every other set, and every DBI row the run
     left untouched, is still the snapshot's own object.  The run leaves
-    the snapshot as it found it.
+    the snapshot as it found it.  With L1s in front of the LLC, dirty
+    L1 victims reach the LLC through ``install``, whose privatization
+    only this case exercises on a restored System.
     """
     SNAPSHOTS.clear()
-    _build(DBI_PRA, "MIX2")  # cold warmup, captures the snapshot
+    _build(DBI_PRA, "MIX2", use_l1=use_l1)  # cold warmup, captures it
     (snapshot,) = SNAPSHOTS._mem.values()
     before = copy.deepcopy((snapshot.l2, snapshot.l1s, snapshot.dbi_rows))
-    system = _build(DBI_PRA, "MIX2")
+    system = _build(DBI_PRA, "MIX2", use_l1=use_l1)
     assert system.snapshot_restored
     result = system.run()
 
@@ -312,7 +316,7 @@ def test_restore_shares_snapshot_until_written():
     assert all(rows[key] is snapshot.dbi_rows[key] for key in shared)
     assert (snapshot.l2, snapshot.l1s, snapshot.dbi_rows) == before
 
-    cold = _build(DBI_PRA, "MIX2", use_snapshots=False).run()
+    cold = _build(DBI_PRA, "MIX2", use_l1=use_l1, use_snapshots=False).run()
     assert _digest(result) == _digest(cold)
 
 

@@ -9,6 +9,7 @@ Two obligations pin the linter itself:
   firing breaks this suite rather than rotting unnoticed.
 """
 
+import json
 import os
 
 import pytest
@@ -34,8 +35,6 @@ FIXTURES = {
     "hygiene-slots": "slots_missing.py",
     "hygiene-try-in-loop": "try_in_loop.py",
     "hygiene-mutable-default": "mutable_default.py",
-    "cow-unsafe-mutation": "cow_unsafe_mutation.py",
-    "timing-unchecked-issue": "timing_unchecked_issue.py",
 }
 
 EXTRA_FIXTURES = {
@@ -300,6 +299,55 @@ def test_unknown_select_is_a_usage_error(capsys):
     assert "unknown reprolint rule" in capsys.readouterr().err
 
 
+def test_cli_lint_rejects_unknown_rule(monkeypatch, capsys):
+    """An unknown --select id given before --no-typegate exits 2 and
+    names the bad id."""
+    monkeypatch.chdir(REPO_ROOT)
+    code = cli.main([
+        "lint", _fixture("wallclock.py"), "--select", "no-such-rule",
+        "--no-typegate",
+    ])
+    assert code == 2
+    assert "no-such-rule" in capsys.readouterr().err
+
+
+def test_cli_lint_json_report(tmp_path, monkeypatch, capsys):
+    """``--format json`` prints the report; ``--json-out`` writes it."""
+    monkeypatch.chdir(REPO_ROOT)
+    out = tmp_path / "report.json"
+    code = _lint(_fixture("wallclock.py"), "--format", "json",
+                 "--json-out", str(out))
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["version"] == 1
+    assert report["typegate"] is None
+    assert report["counts"] == {"determinism-wallclock": 1}
+    assert [f["path"] for f in report["findings"]] == [
+        "tests/lint_fixtures/wallclock.py"
+    ]
+    assert json.loads(out.read_text()) == report
+
+
+def test_cli_lint_github_annotations(monkeypatch, capsys):
+    """``--format github`` prints one workflow annotation per finding."""
+    monkeypatch.chdir(REPO_ROOT)
+    assert _lint(_fixture("wallclock.py"), "--format", "github") == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if line]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "::error file=tests/lint_fixtures/wallclock.py,line=8,"
+        "title=reprolint determinism-wallclock::"
+    )
+
+
+def test_cli_lint_clean_file_exits_zero(monkeypatch, capsys):
+    """A clean source file named explicitly exits 0 with 0 findings."""
+    monkeypatch.chdir(REPO_ROOT)
+    target = os.path.join(SRC, "repro", "analysis", "registry.py")
+    assert _lint(target) == 0
+    assert "0 findings" in capsys.readouterr().err
+
+
 def test_list_rules(capsys):
     """--list-rules prints the full catalogue and exits 0."""
     assert cli.main(["lint", "--list-rules"]) == 0
@@ -308,12 +356,19 @@ def test_list_rules(capsys):
         assert rule.id in out
 
 
-def test_syntax_error_is_reported_not_raised(tmp_path):
-    """Unparseable input becomes a finding, not a crash."""
-    bad = tmp_path / "broken.py"
-    bad.write_text("def f(:\n")
-    findings = check_file(str(bad), repo_root=REPO_ROOT)
-    assert [f.rule for f in findings] == ["syntax-error"]
+def test_syntax_error_is_reported_not_raised(tmp_path, capsys):
+    """Unparseable input, bad syntax or bytes that are not UTF-8,
+    becomes a finding that names the file, not a crash."""
+    for name, content, line in (
+        ("broken.py", b"def f(:\n", 1),
+        ("latin1.py", b'"""Doc."""\nNAME = "caf\xe9"\n', 2),
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        findings = check_file(str(bad), repo_root=REPO_ROOT)
+        assert [(f.rule, f.line) for f in findings] == [("syntax-error", line)]
+        assert _lint(str(bad)) == 1
+        assert f"{bad}:{line}: [syntax-error]" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
