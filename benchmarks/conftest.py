@@ -1,17 +1,22 @@
 """Shared fixtures for the paper-reproduction benchmark harness.
 
 Every benchmark module regenerates one table or figure of the paper.
-The session-scoped :class:`ExperimentRunner` caches simulations, so
-e.g. Figures 10-13 share their baseline/PRA runs.
+The simulated figures read rows of the paper's grid, declared once in
+:mod:`paper_grid` as ten disjoint sweep blocks.  A test asks the
+session fixture ``grid_of`` for the blocks it reads
+(``grid_of("relaxed-base", "relaxed-pra")`` is a
+:class:`repro.sim.metrics.Grid` over their rows).  Each block runs as
+one :class:`repro.sim.sweep.Sweep` the first time a test names it, on
+a session :class:`repro.sim.pool.SimPool` of ``min(2, CPUs)`` workers,
+the rule ``repro bench`` uses; so a module run on its own simulates
+only the blocks it reads, and no point runs twice in a session.  The
+ablation and sensitivity modules call ``simulate`` with their own
+one-off configs.
 
 Run length defaults to a laptop-friendly size; set ``REPRO_EVENTS``
 (memory instructions per core) to scale fidelity up, e.g.::
 
     REPRO_EVENTS=20000 pytest benchmarks/ --benchmark-only -s
-
-The runner simulates in-process, one spec at a time; a grid that
-should fan out over worker processes is a :class:`repro.sim.sweep.Sweep`
-run on a :class:`repro.sim.pool.SimPool` (``repro bench --pool N``).
 
 Sessions that refresh ``BENCH_throughput.json`` (the meta-benchmarks
 in ``test_simulator_throughput.py`` / ``test_sweep_throughput.py``)
@@ -29,16 +34,13 @@ import pytest
 
 from bench_io import RESULTS_PATH as THROUGHPUT_PATH
 from bench_io import git_head
-from repro.sim.config import SystemConfig
-from repro.sim.runner import ExperimentRunner
-from repro.workloads.mixes import Workload
-from repro.workloads.profiles import BENCHMARKS, profile
+from paper_grid import BLOCKS
+from repro.sim.metrics import Grid
+from repro.sim.pool import SimPool
+from repro.sim.sweep import Sweep
 
 #: Default memory instructions per core for benchmark runs.
 BENCH_EVENTS = int(os.environ.get("REPRO_EVENTS", "5000"))
-
-#: The paper's 14 multiprogrammed workloads, in presentation order.
-WORKLOAD_ORDER = list(BENCHMARKS) + [f"MIX{i}" for i in range(1, 7)]
 
 #: Per-commit perf trajectory: one JSON line per benchmark session
 #: that refreshed the throughput snapshot.  (The snapshot path itself,
@@ -86,13 +88,24 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    return ExperimentRunner(
-        events_per_core=BENCH_EVENTS,
-        base_config=SystemConfig(),
-    )
+def sim_pool():
+    """The session's simulation workers, opened by the first block run."""
+    with SimPool(workers=min(2, os.cpu_count() or 1)) as pool:
+        yield pool
 
 
-def single_core(name: str) -> Workload:
-    """Single instance of a benchmark (Table 1 / Figs 2-3 methodology)."""
-    return Workload(name=f"{name}-1core", apps=(profile(name),))
+@pytest.fixture(scope="session")
+def grid_of(sim_pool):
+    """``grid_of(*names)``: a Grid over the named blocks of the paper grid."""
+    blocks = {}
+
+    def grid(*names):
+        for name in names:
+            if name not in blocks:
+                sweep = Sweep(events_per_core=BENCH_EVENTS)
+                for axis, values in BLOCKS[name].items():
+                    sweep.add_axis(axis, values)
+                blocks[name] = sweep.run(pool=sim_pool)
+        return Grid(*(blocks[name] for name in names))
+
+    return grid

@@ -15,29 +15,29 @@ study makes the mechanism visible by sweeping the policy:
 import pytest
 
 from repro.controller.policies import RowPolicy
-from repro.core.schemes import PRA
-from conftest import WORKLOAD_ORDER
 
+#: (sweep ``policy`` axis value, row policy), in table order.
 POLICIES = (
-    RowPolicy.RELAXED_CLOSE,
-    RowPolicy.OPEN_PAGE,
-    RowPolicy.RESTRICTED_CLOSE,
+    ("relaxed", RowPolicy.RELAXED_CLOSE),
+    ("open", RowPolicy.OPEN_PAGE),
+    ("restricted", RowPolicy.RESTRICTED_CLOSE),
 )
 STUDY_WORKLOADS = ("lbm", "libquantum", "MIX1", "MIX5")
 
 
-def test_false_hit_policy_study(benchmark, runner):
+def test_false_hit_policy_study(benchmark, grid_of):
+    grid = grid_of("relaxed-pra", "open-pra", "restricted-pra")
+
     def run_all():
         rows = {}
         for name in STUDY_WORKLOADS:
             per = {}
-            for policy in POLICIES:
-                c = runner.run(name, PRA, policy).controller
+            for axis_value, policy in POLICIES:
+                row = grid.row(name, "PRA", axis_value)
                 per[policy.value] = {
-                    "false_r": c.reads.false_hit_rate,
-                    "false_w": c.writes.false_hit_rate,
-                    "reactivations": c.false_hit_reactivations,
-                    "served": c.total_served,
+                    "false_r": row["read_false_hit_rate"],
+                    "false_w": row["write_false_hit_rate"],
+                    "reactivations": row["false_hit_reactivations"],
                 }
             rows[name] = per
         return rows

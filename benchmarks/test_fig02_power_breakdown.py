@@ -8,16 +8,16 @@ ACT-PRE up to 33% (avg 25%), I/O up to 19% (avg 14%).
 
 import pytest
 
-from repro.core.schemes import BASELINE
 from repro.power.accounting import CATEGORIES
-from conftest import single_core
 from repro.workloads.profiles import BENCHMARKS
 
 
-def test_fig02_power_breakdown(benchmark, runner):
+def test_fig02_power_breakdown(benchmark, grid_of):
+    grid = grid_of("alone-relaxed")
+
     def run_all():
         return {
-            name: runner.run(single_core(name), BASELINE).power.fractions()
+            name: {c: grid.alone(name)[f"power_share_{c}"] for c in CATEGORIES}
             for name in BENCHMARKS
         }
 

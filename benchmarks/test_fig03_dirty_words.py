@@ -6,15 +6,15 @@ dirty 8-byte words, so most write activations can be 1/8-row.
 
 import pytest
 
-from repro.core.schemes import BASELINE
-from conftest import single_core
 from repro.workloads.profiles import BENCHMARKS
 
 
-def test_fig03_dirty_words(benchmark, runner):
+def test_fig03_dirty_words(benchmark, grid_of):
+    grid = grid_of("alone-relaxed")
+
     def run_all():
         return {
-            name: runner.run(single_core(name), BASELINE).dirty_word_fractions
+            name: {n: grid.alone(name)[f"dirty_words_{n}"] for n in range(1, 9)}
             for name in BENCHMARKS
         }
 

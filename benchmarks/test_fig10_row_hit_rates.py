@@ -8,20 +8,23 @@ the total hit rate (-0.1 pp on average).
 
 import pytest
 
-from repro.core.schemes import BASELINE, PRA
-from conftest import WORKLOAD_ORDER
+from paper_grid import WORKLOAD_ORDER
+
+HIT_RATES = ("read_hit_rate", "write_hit_rate", "total_hit_rate")
 
 
-def test_fig10_row_hit_rates(benchmark, runner):
+def test_fig10_row_hit_rates(benchmark, grid_of):
+    grid = grid_of("relaxed-base", "relaxed-pra")
+
     def run_all():
         rows = {}
         for name in WORKLOAD_ORDER:
-            base = runner.run(name, BASELINE).controller
-            pra = runner.run(name, PRA).controller
+            base = grid.row(name, "Baseline")
+            pra = grid.row(name, "PRA")
             rows[name] = {
-                "base": (base.reads.hit_rate, base.writes.hit_rate, base.total_hit_rate),
-                "pra": (pra.reads.hit_rate, pra.writes.hit_rate, pra.total_hit_rate),
-                "false": (pra.reads.false_hit_rate, pra.writes.false_hit_rate),
+                "base": tuple(base[column] for column in HIT_RATES),
+                "pra": tuple(pra[column] for column in HIT_RATES),
+                "false": (pra["read_false_hit_rate"], pra["write_false_hit_rate"]),
             }
         return rows
 

@@ -9,9 +9,18 @@ Paper averages (relaxed): 39% 1/8-row, 2% 2/8, slivers in between,
 
 import pytest
 
+from paper_grid import WORKLOAD_ORDER
 from repro.controller.policies import RowPolicy
-from repro.core.schemes import PRA
-from conftest import WORKLOAD_ORDER
+
+#: (sweep ``policy`` axis value, row policy), in table order.
+POLICIES = (
+    ("relaxed", RowPolicy.RELAXED_CLOSE),
+    ("restricted", RowPolicy.RESTRICTED_CLOSE),
+)
+
+
+def _shares(row):
+    return {g: row[f"granularity_share_{g}"] for g in range(1, 9)}
 
 
 def _average(fractions_by_workload):
@@ -21,12 +30,14 @@ def _average(fractions_by_workload):
     }
 
 
-def test_fig11_granularity(benchmark, runner):
+def test_fig11_granularity(benchmark, grid_of):
+    grid = grid_of("relaxed-pra", "restricted-pra")
+
     def run_all():
         out = {}
-        for policy in (RowPolicy.RELAXED_CLOSE, RowPolicy.RESTRICTED_CLOSE):
+        for axis_value, policy in POLICIES:
             per_wl = {
-                name: runner.run(name, PRA, policy).granularity_fractions()
+                name: _shares(grid.row(name, "PRA", axis_value))
                 for name in WORKLOAD_ORDER
             }
             out[policy.value] = per_wl

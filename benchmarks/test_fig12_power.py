@@ -15,59 +15,56 @@ runtime-independent view.
 
 import pytest
 
-from repro.core.schemes import FGA, HALF_DRAM, PRA
-from conftest import WORKLOAD_ORDER
-from repro.sim.runner import arithmetic_mean
+from paper_grid import WORKLOAD_ORDER
+from repro.sim.metrics import mean
 
-SCHEMES = (FGA, HALF_DRAM, PRA)
+SCHEMES = ("FGA", "Half-DRAM", "PRA")
 
 
-def test_fig12_power(benchmark, runner):
+def test_fig12_power(benchmark, grid_of):
+    grid = grid_of("relaxed-base", "relaxed-pra", "relaxed-fga-half")
+
     def run_all():
         rows = {}
         for name in WORKLOAD_ORDER:
             per_scheme = {}
             for scheme in SCHEMES:
-                per_scheme[scheme.name] = {
-                    "act": runner.normalized_power(name, scheme, category="act_pre"),
-                    "io": _io_ratio(runner, name, scheme),
-                    "total": runner.normalized_power(name, scheme),
+                per_scheme[scheme] = {
+                    "act": grid.ratio("act_pre_mw", name, scheme),
+                    "io": _io_ratio(name, scheme),
+                    "total": grid.ratio("total_power_mw", name, scheme),
                 }
             rows[name] = per_scheme
         return rows
 
-    def _io_ratio(runner, name, scheme):
-        from repro.core.schemes import BASELINE
-
-        r = runner.run(name, scheme)
-        b = runner.run(name, BASELINE)
-        io = r.power.power_mw("rd_io") + r.power.power_mw("wr_io")
-        io_b = b.power.power_mw("rd_io") + b.power.power_mw("wr_io")
-        return io / io_b
+    def _io_ratio(name, scheme):
+        r = grid.row(name, scheme)
+        b = grid.row(name, "Baseline")
+        return (r["rd_io_mw"] + r["wr_io_mw"]) / (b["rd_io_mw"] + b["wr_io_mw"])
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     for metric, paper_pra in (("act", 0.66), ("io", 0.55), ("total", 0.77)):
         print()
         print(f"=== Figure 12 ({metric} power, normalized to baseline) ===")
-        print(f"{'workload':<12}" + "".join(f"{s.name:>11}" for s in SCHEMES))
+        print(f"{'workload':<12}" + "".join(f"{s:>11}" for s in SCHEMES))
         for name, per_scheme in rows.items():
             print(f"{name:<12}" + "".join(
-                f"{per_scheme[s.name][metric]:>11.3f}" for s in SCHEMES))
+                f"{per_scheme[s][metric]:>11.3f}" for s in SCHEMES))
         means = {
-            s.name: arithmetic_mean([rows[w][s.name][metric] for w in rows])
+            s: mean([rows[w][s][metric] for w in rows])
             for s in SCHEMES
         }
-        print(f"{'average':<12}" + "".join(f"{means[s.name]:>11.3f}" for s in SCHEMES))
+        print(f"{'average':<12}" + "".join(f"{means[s]:>11.3f}" for s in SCHEMES))
         if metric == "total":
             print(f"(paper averages: FGA 0.85, Half-DRAM 0.89, PRA {paper_pra})")
 
-    pra_act = arithmetic_mean([rows[w]["PRA"]["act"] for w in rows])
-    pra_io = arithmetic_mean([rows[w]["PRA"]["io"] for w in rows])
-    pra_tot = arithmetic_mean([rows[w]["PRA"]["total"] for w in rows])
-    half_act = arithmetic_mean([rows[w]["Half-DRAM"]["act"] for w in rows])
-    half_io = arithmetic_mean([rows[w]["Half-DRAM"]["io"] for w in rows])
-    half_tot = arithmetic_mean([rows[w]["Half-DRAM"]["total"] for w in rows])
+    pra_act = mean([rows[w]["PRA"]["act"] for w in rows])
+    pra_io = mean([rows[w]["PRA"]["io"] for w in rows])
+    pra_tot = mean([rows[w]["PRA"]["total"] for w in rows])
+    half_act = mean([rows[w]["Half-DRAM"]["act"] for w in rows])
+    half_io = mean([rows[w]["Half-DRAM"]["io"] for w in rows])
+    half_tot = mean([rows[w]["Half-DRAM"]["total"] for w in rows])
 
     # PRA activation-power saving: ~34% average in the paper.
     assert 0.55 < pra_act < 0.80

@@ -7,22 +7,25 @@ FGA -14%; PRA energy 0.77 and EDP 0.78, the best of the three.
 
 import pytest
 
-from repro.core.schemes import FGA, HALF_DRAM, PRA
-from conftest import WORKLOAD_ORDER
-from repro.sim.runner import arithmetic_mean
+from paper_grid import WORKLOAD_ORDER
+from repro.sim.metrics import mean
 
-SCHEMES = (FGA, HALF_DRAM, PRA)
+SCHEMES = ("FGA", "Half-DRAM", "PRA")
 
 
-def test_fig13_perf_energy_edp(benchmark, runner):
+def test_fig13_perf_energy_edp(benchmark, grid_of):
+    grid = grid_of(
+        "relaxed-base", "relaxed-pra", "relaxed-fga-half", "alone-relaxed"
+    )
+
     def run_all():
         rows = {}
         for name in WORKLOAD_ORDER:
             rows[name] = {
-                scheme.name: {
-                    "perf": runner.normalized_performance(name, scheme),
-                    "energy": runner.normalized_energy(name, scheme),
-                    "edp": runner.normalized_edp(name, scheme),
+                scheme: {
+                    "perf": grid.performance(name, scheme),
+                    "energy": grid.ratio("energy_mj", name, scheme),
+                    "edp": grid.ratio("edp", name, scheme),
                 }
                 for scheme in SCHEMES
             }
@@ -33,19 +36,19 @@ def test_fig13_perf_energy_edp(benchmark, runner):
     for metric in ("perf", "energy", "edp"):
         print()
         print(f"=== Figure 13 ({metric}, normalized to baseline) ===")
-        print(f"{'workload':<12}" + "".join(f"{s.name:>11}" for s in SCHEMES))
+        print(f"{'workload':<12}" + "".join(f"{s:>11}" for s in SCHEMES))
         for name, per_scheme in rows.items():
             print(f"{name:<12}" + "".join(
-                f"{per_scheme[s.name][metric]:>11.3f}" for s in SCHEMES))
+                f"{per_scheme[s][metric]:>11.3f}" for s in SCHEMES))
         means = {
-            s.name: arithmetic_mean([rows[w][s.name][metric] for w in rows])
+            s: mean([rows[w][s][metric] for w in rows])
             for s in SCHEMES
         }
-        print(f"{'average':<12}" + "".join(f"{means[s.name]:>11.3f}" for s in SCHEMES))
+        print(f"{'average':<12}" + "".join(f"{means[s]:>11.3f}" for s in SCHEMES))
 
-    perf = {s.name: arithmetic_mean([rows[w][s.name]["perf"] for w in rows]) for s in SCHEMES}
-    energy = {s.name: arithmetic_mean([rows[w][s.name]["energy"] for w in rows]) for s in SCHEMES}
-    edp = {s.name: arithmetic_mean([rows[w][s.name]["edp"] for w in rows]) for s in SCHEMES}
+    perf = {s: mean([rows[w][s]["perf"] for w in rows]) for s in SCHEMES}
+    energy = {s: mean([rows[w][s]["energy"] for w in rows]) for s in SCHEMES}
+    edp = {s: mean([rows[w][s]["edp"] for w in rows]) for s in SCHEMES}
     print()
     print(f"paper: perf FGA 0.86 / Half 1.003 / PRA 0.992;"
           f" energy PRA 0.77; EDP PRA 0.78")

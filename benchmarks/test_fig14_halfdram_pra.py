@@ -9,30 +9,32 @@ line-interleaved mapping), where relaxed tRRD/tFAW matter most.
 
 import pytest
 
-from repro.controller.policies import RowPolicy
-from repro.core.schemes import HALF_DRAM, HALF_DRAM_PRA, PRA
-from conftest import WORKLOAD_ORDER
-from repro.sim.runner import arithmetic_mean
+from paper_grid import WORKLOAD_ORDER
+from repro.sim.metrics import mean
 
-POLICY = RowPolicy.RESTRICTED_CLOSE
-SCHEMES = (HALF_DRAM, PRA, HALF_DRAM_PRA)
+POLICY = "restricted"
+SCHEMES = ("Half-DRAM", "PRA", "Half-DRAM+PRA")
 
 
-def test_fig14_halfdram_pra(benchmark, runner):
+def test_fig14_halfdram_pra(benchmark, grid_of):
+    grid = grid_of(
+        "restricted-base", "restricted-pra", "restricted-half", "alone-restricted"
+    )
+
     def run_all():
         means = {}
         for scheme in SCHEMES:
             power, perf, energy, edp = [], [], [], []
             for name in WORKLOAD_ORDER:
-                power.append(runner.normalized_power(name, scheme, POLICY))
-                perf.append(runner.normalized_performance(name, scheme, POLICY))
-                energy.append(runner.normalized_energy(name, scheme, POLICY))
-                edp.append(runner.normalized_edp(name, scheme, POLICY))
-            means[scheme.name] = {
-                "power": arithmetic_mean(power),
-                "perf": arithmetic_mean(perf),
-                "energy": arithmetic_mean(energy),
-                "edp": arithmetic_mean(edp),
+                power.append(grid.ratio("total_power_mw", name, scheme, POLICY))
+                perf.append(grid.performance(name, scheme, POLICY))
+                energy.append(grid.ratio("energy_mj", name, scheme, POLICY))
+                edp.append(grid.ratio("edp", name, scheme, POLICY))
+            means[scheme] = {
+                "power": mean(power),
+                "perf": mean(perf),
+                "energy": mean(energy),
+                "edp": mean(edp),
             }
         return means
 

@@ -10,26 +10,29 @@ because DBI's write bursts raise PRA's false-hit pressure.
 
 import pytest
 
-from repro.core.schemes import DBI, DBI_PRA, PRA
-from conftest import WORKLOAD_ORDER
-from repro.sim.runner import arithmetic_mean
+from paper_grid import WORKLOAD_ORDER
+from repro.sim.metrics import mean
 
-SCHEMES = (DBI, PRA, DBI_PRA)
+SCHEMES = ("DBI", "PRA", "DBI+PRA")
 SPOTLIGHT = ("bzip2", "GUPS", "em3d")
 
 
-def test_fig15_dbi_pra(benchmark, runner):
+def test_fig15_dbi_pra(benchmark, grid_of):
+    grid = grid_of(
+        "relaxed-base", "relaxed-pra", "relaxed-dbi", "alone-relaxed"
+    )
+
     def run_all():
         rows = {}
         for name in WORKLOAD_ORDER:
             rows[name] = {
-                scheme.name: {
-                    "power": runner.normalized_power(name, scheme),
-                    "perf": runner.normalized_performance(name, scheme),
-                    "energy": runner.normalized_energy(name, scheme),
-                    "edp": runner.normalized_edp(name, scheme),
-                    "wr_hit": runner.run(name, scheme).controller.writes.hit_rate,
-                    "false_w": runner.run(name, scheme).controller.writes.false_hit_rate,
+                scheme: {
+                    "power": grid.ratio("total_power_mw", name, scheme),
+                    "perf": grid.performance(name, scheme),
+                    "energy": grid.ratio("energy_mj", name, scheme),
+                    "edp": grid.ratio("edp", name, scheme),
+                    "wr_hit": grid.row(name, scheme)["write_hit_rate"],
+                    "false_w": grid.row(name, scheme)["write_false_hit_rate"],
                 }
                 for scheme in SCHEMES
             }
@@ -45,34 +48,34 @@ def test_fig15_dbi_pra(benchmark, runner):
         for scheme in SCHEMES:
             if name == "MEAN":
                 m = {
-                    k: arithmetic_mean([rows[w][scheme.name][k] for w in rows])
+                    k: mean([rows[w][scheme][k] for w in rows])
                     for k in ("power", "perf", "energy", "edp", "wr_hit", "false_w")
                 }
             else:
-                m = rows[name][scheme.name]
-            print(f"{name:<12}{scheme.name:<9}{m['power']:>8.3f}{m['perf']:>8.3f}"
+                m = rows[name][scheme]
+            print(f"{name:<12}{scheme:<9}{m['power']:>8.3f}{m['perf']:>8.3f}"
                   f"{m['energy']:>8.3f}{m['edp']:>8.3f}{m['wr_hit']:>8.1%}{m['false_w']:>8.2%}")
 
-    mean = {
-        s.name: {
-            k: arithmetic_mean([rows[w][s.name][k] for w in rows])
+    means = {
+        s: {
+            k: mean([rows[w][s][k] for w in rows])
             for k in ("power", "perf", "energy", "edp", "wr_hit", "false_w")
         }
         for s in SCHEMES
     }
 
     # PRA is the power tool; DBI alone saves little power.
-    assert mean["PRA"]["power"] < mean["DBI"]["power"]
+    assert means["PRA"]["power"] < means["DBI"]["power"]
     # Combined beats DBI alone on power...
-    assert mean["DBI+PRA"]["power"] < mean["DBI"]["power"]
+    assert means["DBI+PRA"]["power"] < means["DBI"]["power"]
     # ...but stays at or above PRA alone (the paper attributes this to
     # extra false hits; our DBI enqueues a row's companions atomically,
     # so their masks OR-merge perfectly and the loss shows up as larger
     # merged activations instead — same direction, different channel).
-    assert mean["DBI+PRA"]["power"] >= mean["PRA"]["power"] - 0.01
-    assert mean["DBI+PRA"]["false_w"] >= mean["PRA"]["false_w"] - 0.001
+    assert means["DBI+PRA"]["power"] >= means["PRA"]["power"] - 0.01
+    assert means["DBI+PRA"]["false_w"] >= means["PRA"]["false_w"] - 0.001
     # DBI raises the write row-hit rate.
-    assert mean["DBI"]["wr_hit"] > mean["PRA"]["wr_hit"]
+    assert means["DBI"]["wr_hit"] > means["PRA"]["wr_hit"]
     # Nothing falls off a performance cliff.
     for s in SCHEMES:
-        assert mean[s.name]["perf"] > 0.9
+        assert means[s]["perf"] > 0.9

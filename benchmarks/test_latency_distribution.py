@@ -8,18 +8,15 @@ actually depends on — is nearly unchanged.
 
 import pytest
 
-from repro.core.schemes import BASELINE, PRA
-from repro.stats.report import format_histogram
-from conftest import WORKLOAD_ORDER
 
 
-def test_latency_distribution(benchmark, runner):
+def test_latency_distribution(benchmark, grid_of):
+    grid = grid_of("relaxed-base", "relaxed-pra")
+
     def run_all():
         rows = {}
         for name in ("GUPS", "lbm", "MIX1"):
-            base = runner.run(name, BASELINE).controller.reads.latency_hist
-            pra = runner.run(name, PRA).controller.reads.latency_hist
-            rows[name] = (base, pra)
+            rows[name] = (grid.row(name, "Baseline"), grid.row(name, "PRA"))
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -30,20 +27,17 @@ def test_latency_distribution(benchmark, runner):
     for name, (base, pra) in rows.items():
         print(
             f"{name:<10}"
-            f"{base.percentile(50):>8.0f}{pra.percentile(50):>8.0f}"
-            f"{base.percentile(95):>8.0f}{pra.percentile(95):>8.0f}"
-            f"{base.percentile(99):>9.0f}{pra.percentile(99):>9.0f}"
+            f"{base['read_latency_p50']:>8.0f}{pra['read_latency_p50']:>8.0f}"
+            f"{base['read_latency_p95']:>8.0f}{pra['read_latency_p95']:>8.0f}"
+            f"{base['read_latency_p99']:>9.0f}{pra['read_latency_p99']:>9.0f}"
         )
-    print()
-    base, pra = rows["GUPS"]
-    print(format_histogram(base, title="GUPS baseline read latency"))
 
     for name, (base, pra) in rows.items():
         # Medians move by at most ~15% in either direction.
-        assert pra.percentile(50) <= base.percentile(50) * 1.15, name
-        assert pra.percentile(50) >= base.percentile(50) * 0.8, name
+        assert pra["read_latency_p50"] <= base["read_latency_p50"] * 1.15, name
+        assert pra["read_latency_p50"] >= base["read_latency_p50"] * 0.8, name
         # Tails stay the same order of magnitude.
-        assert pra.percentile(99) <= base.percentile(99) * 1.6, name
+        assert pra["read_latency_p99"] <= base["read_latency_p99"] * 1.6, name
         # Physical floor: a read cannot beat CAS + burst.
-        assert base.min_value >= 15
-        assert pra.min_value >= 15
+        assert base["read_latency_min"] >= 15
+        assert pra["read_latency_min"] >= 15

@@ -8,8 +8,6 @@ reads and writes — must be visible.
 
 import pytest
 
-from repro.core.schemes import BASELINE
-from conftest import single_core
 from repro.workloads.profiles import BENCHMARKS
 
 PAPER_TABLE1 = {
@@ -25,19 +23,20 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_memory_characteristics(benchmark, runner):
+def test_table1_memory_characteristics(benchmark, grid_of):
+    grid = grid_of("alone-relaxed")
+
     def run_all():
         rows = {}
         for name in BENCHMARKS:
-            c = runner.run(single_core(name), BASELINE).controller
-            t, a = c.traffic_split(), c.activation_split()
+            row = grid.alone(name)
             rows[name] = (
-                100 * c.reads.hit_rate,
-                100 * c.writes.hit_rate,
-                100 * t["read"],
-                100 * t["write"],
-                100 * a["read"],
-                100 * a["write"],
+                100 * row["read_hit_rate"],
+                100 * row["write_hit_rate"],
+                100 * row["read_traffic_share"],
+                100 * row["write_traffic_share"],
+                100 * row["read_activation_share"],
+                100 * row["write_activation_share"],
             )
         return rows
 

@@ -12,37 +12,41 @@ Usage::
 
 import sys
 
-from repro import BASELINE, PRA, ExperimentRunner
+from repro.sim import Grid, Sweep
 
 
 def main() -> None:
     events = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
-    runner = ExperimentRunner(events_per_core=events)
+    sweep = Sweep(events_per_core=events)
+    sweep.add_axis("scheme", ["Baseline", "PRA"])
+    sweep.add_axis("workload", ["GUPS"])
+    sweep.add_axis("policy", ["relaxed"])
 
     print(f"Simulating GUPS (4 cores, {events} memory instructions/core)...")
-    base = runner.run("GUPS", BASELINE)
-    pra = runner.run("GUPS", PRA)
+    grid = Grid(sweep.run())
+    base, pra = grid.row("GUPS", "Baseline"), grid.row("GUPS", "PRA")
 
     print()
     print(f"{'metric':<28}{'Baseline':>12}{'PRA':>12}{'ratio':>8}")
     rows = [
-        ("total DRAM power (mW)", base.avg_power_mw, pra.avg_power_mw),
-        ("ACT-PRE power (mW)", base.power.power_mw("act_pre"), pra.power.power_mw("act_pre")),
-        ("write I/O power (mW)", base.power.power_mw("wr_io"), pra.power.power_mw("wr_io")),
-        ("DRAM energy (mJ)", base.total_energy_mj, pra.total_energy_mj),
-        ("runtime (k cycles)", base.runtime_cycles / 1e3, pra.runtime_cycles / 1e3),
+        ("total DRAM power (mW)", "total_power_mw", 1),
+        ("ACT-PRE power (mW)", "act_pre_mw", 1),
+        ("write I/O power (mW)", "wr_io_mw", 1),
+        ("DRAM energy (mJ)", "energy_mj", 1),
+        ("runtime (k cycles)", "runtime_cycles", 1e3),
     ]
-    for label, b, p in rows:
+    for label, column, scale in rows:
+        b, p = base[column] / scale, pra[column] / scale
         print(f"{label:<28}{b:>12.2f}{p:>12.2f}{p / b:>8.3f}")
 
-    hist = pra.granularity_fractions()
+    hist = {g: pra[f"granularity_share_{g}"] for g in range(1, 9)}
     print()
     print("PRA activation granularity mix (fraction of activations):")
     for g in range(1, 9):
         bar = "#" * int(60 * hist[g])
         print(f"  {g}/8 row  {hist[g]:6.1%}  {bar}")
 
-    saving = 1 - pra.avg_power_mw / base.avg_power_mw
+    saving = 1 - grid.ratio("total_power_mw", "GUPS", "PRA")
     print()
     print(f"PRA saves {saving:.1%} total DRAM power on GUPS "
           f"(paper: up to 32%, 23% on average across 14 workloads).")

@@ -11,8 +11,18 @@ Usage::
 
 import sys
 
-from repro import BASELINE, FGA, HALF_DRAM, PRA, ExperimentRunner
+from repro.sim import Grid, Sweep
 from repro.workloads import ALL_WORKLOADS
+
+SCHEMES = ("Baseline", "FGA", "Half-DRAM", "PRA")
+
+
+def _rows(events: int, schemes, workloads):
+    sweep = Sweep(events_per_core=events)
+    sweep.add_axis("scheme", list(schemes))
+    sweep.add_axis("workload", list(workloads))
+    sweep.add_axis("policy", ["relaxed"])
+    return sweep.run()
 
 
 def main() -> None:
@@ -21,40 +31,45 @@ def main() -> None:
     if name not in ALL_WORKLOADS:
         raise SystemExit(f"unknown workload {name!r}; pick one of {sorted(ALL_WORKLOADS)}")
 
-    runner = ExperimentRunner(events_per_core=events)
+    apps = ALL_WORKLOADS[name].app_names
     print(f"Workload {name}, {events} memory instructions per core")
-    print(f"(apps: {', '.join(ALL_WORKLOADS[name].app_names)})")
+    print(f"(apps: {', '.join(apps)})")
     print()
 
-    base = runner.run(name, BASELINE)
+    # The schemes on the workload, and each distinct app alone (Eq. 3).
+    grid = Grid(
+        _rows(events, SCHEMES, [name]),
+        _rows(events, ("Baseline",), [f"{app}-alone" for app in dict.fromkeys(apps)]),
+    )
+    base = grid.row(name, "Baseline")
     header = (
         f"{'scheme':<11}{'ACT power':>10}{'I/O power':>10}{'total pwr':>10}"
         f"{'energy':>8}{'EDP':>8}{'perf':>8}"
     )
     print(header)
     print("-" * len(header))
-    for scheme in (BASELINE, FGA, HALF_DRAM, PRA):
-        r = runner.run(name, scheme)
-        act = r.power.power_mw("act_pre") / base.power.power_mw("act_pre")
-        io_now = r.power.power_mw("rd_io") + r.power.power_mw("wr_io")
-        io_base = base.power.power_mw("rd_io") + base.power.power_mw("wr_io")
-        total = r.avg_power_mw / base.avg_power_mw
-        energy = r.total_energy_mj / base.total_energy_mj
-        edp = r.edp / base.edp
-        perf = runner.normalized_performance(name, scheme)
+    for scheme in SCHEMES:
+        r = grid.row(name, scheme)
+        act = grid.ratio("act_pre_mw", name, scheme)
+        io_now = r["rd_io_mw"] + r["wr_io_mw"]
+        io_base = base["rd_io_mw"] + base["wr_io_mw"]
+        total = grid.ratio("total_power_mw", name, scheme)
+        energy = grid.ratio("energy_mj", name, scheme)
+        edp = grid.ratio("edp", name, scheme)
+        perf = grid.performance(name, scheme)
         print(
-            f"{scheme.name:<11}{act:>10.3f}{io_now / io_base:>10.3f}{total:>10.3f}"
+            f"{scheme:<11}{act:>10.3f}{io_now / io_base:>10.3f}{total:>10.3f}"
             f"{energy:>8.3f}{edp:>8.3f}{perf:>8.3f}"
         )
 
-    pra = runner.run(name, PRA)
+    pra = grid.row(name, "PRA")
     print()
     print("PRA details:")
-    print(f"  mean activation granularity: {pra.mean_activation_granularity():.2f} of a row")
-    print(f"  false row-buffer hits: reads {pra.controller.reads.false_hit_rate:.3%}, "
-          f"writes {pra.controller.writes.false_hit_rate:.3%}")
-    print(f"  row-buffer hit rate: {base.controller.total_hit_rate:.1%} -> "
-          f"{pra.controller.total_hit_rate:.1%}")
+    print(f"  mean activation granularity: {pra['mean_granularity']:.2f} of a row")
+    print(f"  false row-buffer hits: reads {pra['read_false_hit_rate']:.3%}, "
+          f"writes {pra['write_false_hit_rate']:.3%}")
+    print(f"  row-buffer hit rate: {base['total_hit_rate']:.1%} -> "
+          f"{pra['total_hit_rate']:.1%}")
 
 
 if __name__ == "__main__":

@@ -15,16 +15,18 @@ Public API tour
 * :mod:`repro.workloads` — calibrated synthetic benchmarks + MIX1-6.
 * :mod:`repro.power` — Micron-style power model and CACTI-style
   activation-energy/area model.
-* :mod:`repro.sim` — system assembly, the simulator, and the
-  experiment runner used by the benchmark harness.
+* :mod:`repro.sim` — system assembly, the simulator, parameter
+  sweeps, and the paper's metrics computed from sweep rows.
 
 Quickstart::
 
-    from repro import ExperimentRunner, PRA
+    from repro import PRA, SystemConfig, simulate, workload
 
-    runner = ExperimentRunner(events_per_core=5000)
-    result = runner.run("GUPS", PRA)
+    result = simulate(SystemConfig(scheme=PRA), workload("GUPS"), 5000)
     print(result.summary())
+
+A grid of runs is a :class:`repro.sim.Sweep`; :class:`repro.sim.Grid`
+normalizes its rows to Baseline and computes Eq. 3 weighted speedup.
 """
 
 from repro.core import (
@@ -39,7 +41,7 @@ from repro.core import (
     Scheme,
 )
 from repro.controller import RowPolicy
-from repro.sim import ExperimentRunner, SimResult, System, SystemConfig, simulate
+from repro.sim import SimResult, System, SystemConfig, simulate
 from repro.workloads import ALL_WORKLOADS, BENCHMARKS, Workload, workload
 
 __version__ = "1.0.0"
@@ -50,7 +52,6 @@ __all__ = [
     "BENCHMARKS",
     "DBI",
     "DBI_PRA",
-    "ExperimentRunner",
     "FGA",
     "HALF_DRAM",
     "HALF_DRAM_PRA",

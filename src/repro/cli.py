@@ -52,16 +52,21 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 if TYPE_CHECKING:
+    from types import FrameType
+
+    from repro.service.client import ServiceClient
     from repro.sim.config import SystemConfig
 
 from repro.core.schemes import ALL_SCHEMES, BASELINE, by_name
-from repro.sim.runner import ExperimentRunner
+from repro.sim.metrics import Grid, mean
 from repro.sim.sweep import POLICIES, Sweep, write_csv, write_json
 from repro.workloads.mixes import ALL_WORKLOADS
+from repro.workloads.mixes import workload as lookup_workload
 
 
 def _available_cpus() -> int:
@@ -280,15 +285,14 @@ def _base_config(args: argparse.Namespace) -> "SystemConfig":
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Simulate one configuration and print its summary report."""
+    from repro.sim.system import simulate
     from repro.stats.report import format_breakdown
 
-    runner = ExperimentRunner(
-        events_per_core=args.events, seed=args.seed,
-        base_config=_base_config(args),
-    )
     scheme = by_name(args.scheme)
     policy = POLICIES[args.policy]
-    result = runner.run(args.workload, scheme, policy)
+    config = _base_config(args).with_scheme(scheme).with_policy(policy)
+    result = simulate(config, lookup_workload(args.workload), args.events,
+                      seed=args.seed)
     print(f"{args.workload} / {scheme.name} / {policy.value}")
     for key, value in result.summary().items():
         print(f"  {key:<24}{value:>14.4f}")
@@ -345,25 +349,38 @@ def _print_phase_counters(stats) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Compare schemes on one workload, normalized to the baseline."""
-    runner = ExperimentRunner(
-        events_per_core=args.events, seed=args.seed,
-        base_config=_base_config(args),
-    )
-    policy = POLICIES[args.policy]
-    schemes = [by_name(s) for s in args.schemes]
-    if BASELINE not in schemes:
-        schemes.insert(0, BASELINE)
-    print(f"{args.workload} ({policy.value}, {args.events} events/core)")
+    """Compare schemes on one workload, normalized to the baseline.
+
+    Runs two sweeps: the schemes on the workload, and Baseline on each
+    distinct app of the workload alone (Eq. 3's denominators).
+    """
+    wl = lookup_workload(args.workload)
+    schemes = [by_name(s).name for s in args.schemes]
+    if BASELINE.name not in schemes:
+        schemes.insert(0, BASELINE.name)
+    alone = [f"{app}-alone" for app in dict.fromkeys(wl.app_names)]
+
+    def run(scheme_axis: List[str], workload_axis: List[str]) -> List[dict]:
+        sweep = Sweep(events_per_core=args.events,
+                      base_config=_base_config(args), seed=args.seed)
+        sweep.add_axis("scheme", scheme_axis)
+        sweep.add_axis("workload", workload_axis)
+        sweep.add_axis("policy", [args.policy])
+        return sweep.run()
+
+    grid = Grid(run(schemes, [wl.name]), run([BASELINE.name], alone))
+    print(f"{args.workload} ({POLICIES[args.policy].value}, "
+          f"{args.events} events/core)")
     header = f"{'scheme':<14}{'power':>8}{'energy':>8}{'EDP':>8}{'perf':>8}"
     print(header)
     print("-" * len(header))
     for scheme in schemes:
-        power = runner.normalized_power(args.workload, scheme, policy)
-        energy = runner.normalized_energy(args.workload, scheme, policy)
-        edp = runner.normalized_edp(args.workload, scheme, policy)
-        perf = runner.normalized_performance(args.workload, scheme, policy)
-        print(f"{scheme.name:<14}{power:>8.3f}{energy:>8.3f}{edp:>8.3f}{perf:>8.3f}")
+        values = [
+            grid.ratio(column, wl.name, scheme, args.policy)
+            for column in ("total_power_mw", "energy_mj", "edp")
+        ]
+        values.append(grid.performance(wl.name, scheme, args.policy))
+        print(f"{scheme:<14}" + "".join(f"{value:>8.3f}" for value in values))
     return 0
 
 
@@ -398,7 +415,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro.sim.pool import SimPool
-    from repro.sim.runner import arithmetic_mean
 
     pool_workers = args.pool
     if pool_workers is None:
@@ -422,7 +438,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows = sweep.run(pool=pool)
         elapsed = time.perf_counter() - start  # reprolint: allow[determinism-wallclock]
 
-    by_point = {(row["workload"], row["scheme"]): row for row in rows}
+    grid = Grid(rows)
     mode = f"pool({pool_workers})" if pool_workers else "serial"
     print(f"{args.suite}: {len(rows)} points, {len(workload_names)} workloads "
           f"x {len(scheme_names)} schemes ({POLICIES[args.policy].value}, "
@@ -434,14 +450,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("-" * len(header))
     for scheme in scheme_names:
         means = [
-            arithmetic_mean([
-                by_point[(wl_name, scheme)][column]
-                / by_point[(wl_name, "Baseline")][column]
-                for wl_name in workload_names
-            ])
+            mean([grid.ratio(column, wl_name, scheme, args.policy)
+                  for wl_name in workload_names])
             for column in ("total_power_mw", "energy_mj", "edp")
         ]
-        print(f"{scheme:<14}" + "".join(f"{mean:>8.3f}" for mean in means))
+        print(f"{scheme:<14}" + "".join(f"{value:>8.3f}" for value in means))
     return 0
 
 
@@ -459,8 +472,20 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
         ).print_stats(25)
 
 
+def _interrupt_on_sigterm(signum: int, frame: "Optional[FrameType]") -> None:
+    """Handle SIGTERM as whatever handles SIGINT at that moment.
+
+    Inside ``asyncio.run`` that is asyncio's handler, which cancels the
+    main task (so the service's ``finally`` closes its pools) and then
+    raises ``KeyboardInterrupt``; outside it, Python's default handler.
+    """
+    handler = signal.getsignal(signal.SIGINT)
+    if callable(handler):
+        handler(signal.SIGINT, frame)
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep service until interrupted (Ctrl-C exits cleanly)."""
+    """Run the sweep service until SIGINT or SIGTERM; both exit cleanly."""
     import asyncio
 
     from repro.service.server import run_service
@@ -477,6 +502,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("--pools and --workers-per-pool must be positive")
     print(f"sweep service: dir={args.root} pools={args.pools} "
           f"workers/pool={args.workers_per_pool}", file=sys.stderr)
+    # A background job of a non-interactive shell starts with SIGINT
+    # ignored, and SIGTERM kills at once by default; either way the
+    # pool workers would outlive the service.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, _interrupt_on_sigterm)
     try:
         asyncio.run(
             run_service(
@@ -493,14 +523,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_client(args: argparse.Namespace) -> "object":
-    """Build a :class:`ServiceClient` from endpoint flags."""
+def _service_client(args: argparse.Namespace) -> "ServiceClient":
+    """Build a :class:`ServiceClient` from endpoint flags.
+
+    An unreadable ``--port-file`` or one that holds no port number is a
+    user error (``ValueError``, exit 2), raised before any request.
+    """
     from repro.service.client import ServiceClient
 
     port = args.port
     if args.port_file is not None:
-        with open(args.port_file) as handle:
-            port = int(handle.read().strip())
+        try:
+            with open(args.port_file) as handle:
+                port = int(handle.read())
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--port-file {args.port_file}: {exc}") from exc
     return ServiceClient(host=args.host, port=port)
 
 
@@ -531,7 +568,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     }
     client = _service_client(args)
     try:
-        status = client.submit(spec)  # type: ignore[attr-defined]
+        status = client.submit(spec)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -540,11 +577,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
           f"{status['coalesced']} coalesced, {status['computed']} computing)")
     if args.no_wait:
         return 0
-    status = client.wait(status["job_id"])  # type: ignore[attr-defined]
+    status = client.wait(status["job_id"])
     if status["state"] != "done":
         print(f"error: job failed: {status.get('error')}", file=sys.stderr)
         return 1
-    rows = client.rows(status["job_id"])  # type: ignore[attr-defined]
+    rows = client.rows(status["job_id"])
     if args.out:
         _export_rows(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -564,14 +601,14 @@ def cmd_results(args: argparse.Namespace) -> int:
     client = _service_client(args)
     if args.digest is not None:
         try:
-            row = client.result(args.digest)  # type: ignore[attr-defined]
+            row = client.result(args.digest)
         except ServiceError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(row)
         return 0
     try:
-        status = client.status(args.job)  # type: ignore[attr-defined]
+        status = client.status(args.job)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -579,7 +616,7 @@ def cmd_results(args: argparse.Namespace) -> int:
           f"({status['completed']}/{status['total']} points)")
     if status["state"] != "done":
         return 0
-    rows = client.rows(status["job_id"])  # type: ignore[attr-defined]
+    rows = client.rows(status["job_id"])
     if args.out:
         _export_rows(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")

@@ -1,4 +1,4 @@
-"""CMP performance metrics: weighted speedup and energy-delay product.
+"""CMP performance metric: weighted speedup (Equation 3).
 
 Weighted speedup (Equation 3 of the paper):
 
@@ -6,7 +6,8 @@ Weighted speedup (Equation 3 of the paper):
 
 where ``IPC_i^alone`` is measured with application *i* running alone on
 the CMP and ``IPC_i^shared`` with the full mix.  Normalized performance
-in the figures is WS of a scheme divided by WS of the baseline.
+in the figures is WS of a scheme divided by WS of the baseline
+(:meth:`repro.sim.metrics.Grid.performance`).
 """
 
 from __future__ import annotations
@@ -26,17 +27,3 @@ def weighted_speedup(shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]) 
             raise ValueError("alone IPC must be positive")
         total += shared / alone
     return total
-
-
-def normalized_performance(ws_scheme: float, ws_baseline: float) -> float:
-    """Weighted speedup relative to the baseline scheme."""
-    if ws_baseline <= 0:
-        raise ValueError("baseline weighted speedup must be positive")
-    return ws_scheme / ws_baseline
-
-
-def energy_delay_product(energy: float, delay: float) -> float:
-    """EDP; the paper reports it normalized to the baseline."""
-    if energy < 0 or delay < 0:
-        raise ValueError("energy and delay must be non-negative")
-    return energy * delay

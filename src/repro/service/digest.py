@@ -38,9 +38,10 @@ from repro.sim.sweep import _KNOWN_AXES, SweepContext, _apply_point, point_finge
 from repro.workloads.mixes import workload as lookup_workload
 
 #: Spec/point canonical-format markers; bump to invalidate stale
-#: stores whenever result-affecting semantics change.
+#: stores whenever result-affecting semantics change, or a stored
+#: row's columns do (v2: the figures' columns of ``result_row``).
 SPEC_FORMAT = "sweep-spec-v1"
-POINT_FORMAT = "sweep-point-v1"
+POINT_FORMAT = "sweep-point-v2"
 
 
 def canonical_json(payload: Any) -> str:

@@ -1,4 +1,4 @@
-"""System assembly, configuration, experiment running and results."""
+"""System assembly, configuration, sweeps, results and paper metrics."""
 
 from repro.sim.config import (
     CacheConfig,
@@ -6,14 +6,8 @@ from repro.sim.config import (
     CoreConfig,
     SystemConfig,
 )
-from repro.sim.results import CoreResult, SimResult, normalized
-from repro.sim.runner import (
-    DEFAULT_EVENTS_PER_CORE,
-    ExperimentRunner,
-    arithmetic_mean,
-    default_events_per_core,
-    geometric_mean,
-)
+from repro.sim.metrics import Grid, mean
+from repro.sim.results import CoreResult, SimResult
 from repro.sim.sampling import EpochSample, EpochSampler, EpochSeries
 from repro.sim.snapshot import SNAPSHOTS, SnapshotCache, WarmSnapshot
 from repro.sim.sweep import Sweep
@@ -21,19 +15,15 @@ from repro.sim.system import OVERFLOW_STALL_THRESHOLD, System, simulate
 from repro.sim.validate import ValidationError, validate_result
 
 __all__ = [
-    "arithmetic_mean",
     "CacheConfig",
     "ControllerConfig",
     "CoreConfig",
     "CoreResult",
-    "DEFAULT_EVENTS_PER_CORE",
-    "default_events_per_core",
     "EpochSample",
     "EpochSampler",
     "EpochSeries",
-    "ExperimentRunner",
-    "geometric_mean",
-    "normalized",
+    "Grid",
+    "mean",
     "OVERFLOW_STALL_THRESHOLD",
     "simulate",
     "SimResult",

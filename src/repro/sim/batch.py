@@ -42,7 +42,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import repro.dram.soa_batch  # noqa: F401
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
-from repro.sim.sweep import SweepContext, _apply_point
+from repro.sim.sweep import SweepContext, _apply_point, result_row
 from repro.sim.system import System
 from repro.workloads.mixes import Workload
 from repro.workloads.mixes import workload as lookup_workload
@@ -162,8 +162,8 @@ def _run_lane_group(ctx: SweepContext, points: List[Dict]) -> List[Dict]:
 
     ``ctx`` is the grid-wide :data:`~repro.sim.sweep.SweepContext`;
     ``points`` are the group's point dicts (config deltas).  Runs the
-    group as one :class:`BatchSystem` and returns the flattened result
-    rows in group order.
+    group as one :class:`BatchSystem` and returns the points'
+    :func:`~repro.sim.sweep.result_row` rows in group order.
     """
     base_config, events, seed, warmup, snapshot_dir = ctx
     specs: List[LaneSpec] = [
@@ -176,9 +176,4 @@ def _run_lane_group(ctx: SweepContext, points: List[Dict]) -> List[Dict]:
         warmup_events_per_core=warmup,
         snapshot_dir=snapshot_dir,
     )
-    rows: List[Dict] = []
-    for point, result in zip(points, results):
-        row = {**point}
-        row.update(result.summary())
-        rows.append(row)
-    return rows
+    return [result_row(point, result) for point, result in zip(points, results)]

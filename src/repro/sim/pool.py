@@ -52,6 +52,7 @@ the on-disk snapshot layer.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import traceback
 from multiprocessing import connection as mp_connection
 from typing import (
@@ -127,7 +128,12 @@ def _worker_main(
     holding that lock*, wedging every other worker's results forever.
     With one single-writer pipe per worker, a crash can corrupt only
     the crasher's own channel, which the parent simply replaces.
+
+    SIGTERM gets its default action back: a forked worker inherits its
+    parent's handlers, and :meth:`SimPool.close` ends stragglers with
+    SIGTERM.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     batches: Dict[int, Tuple[TaskFn, Any]] = {}
     while True:
         msg = task_q.get()

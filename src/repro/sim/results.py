@@ -137,10 +137,3 @@ class SimResult:
 
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-
-
-def normalized(value: float, baseline: float) -> float:
-    """Safe normalization helper for figure reproduction."""
-    if baseline == 0:
-        raise ZeroDivisionError("baseline metric is zero")
-    return value / baseline

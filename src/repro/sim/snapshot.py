@@ -24,7 +24,7 @@ copy-on-write:
   dict insertion order travels with the shared dicts;
 * **layers** — an in-process LRU (:data:`SNAPSHOTS`) serves repeated
   Systems in one process; an opt-in disk layer (``snapshot_dir=`` or
-  the ``REPRO_SNAPSHOT_DIR`` environment variable) lets sweep/runner
+  the ``REPRO_SNAPSHOT_DIR`` environment variable) lets sweep
   worker processes and repeated benchmark invocations reuse warm state
   across process boundaries.  Disk writes are atomic (temp file +
   rename), so racing workers at worst both compute the same snapshot.
@@ -189,8 +189,8 @@ def resolve_fingerprint(
 ) -> tuple:
     """:func:`warm_fingerprint` with the default warmup resolved.
 
-    The sweep scheduler, the experiment runner and the sweep service
-    all group work by warm fingerprint before a :class:`System` exists;
+    The sweep scheduler, the pool and the sweep service all group
+    work by warm fingerprint before a :class:`System` exists;
     this helper resolves ``warmup_events_per_core=None`` to the same
     default the System will use, so every layer lands on the identical
     grouping key.
@@ -262,7 +262,7 @@ class SnapshotCache:
     """Two-layer snapshot store: in-process LRU plus optional disk.
 
     The memory layer serves repeated Systems inside one process (the
-    common sweep/runner/benchmark case).  The disk layer — enabled per
+    common sweep/benchmark case).  The disk layer — enabled per
     call by passing ``disk_dir`` — extends reuse across worker
     processes and interpreter invocations.  ``corrupt`` counts disk
     files that failed their digest check or could not be loaded; each

@@ -13,13 +13,17 @@ users exploring the design space::
 Axes:
 
 * ``scheme`` — scheme name (see :data:`repro.core.schemes.ALL_SCHEMES`),
-* ``workload`` — any of the 14 evaluation workloads,
+* ``workload`` — any of the 14 evaluation workloads, or
+  ``<app>-alone`` (one benchmark alone on one core, the single-app
+  runs that Eq. 3 divides by),
 * ``policy`` — ``relaxed`` / ``restricted`` / ``open``,
 * ``ecc_chips`` — extra ECC chips per rank, a non-negative ``int``
   (0, or 1 for the paper's x72 DIMM).
 
-Each grid point yields one flattened result row (the ``summary`` of
-the run plus identification columns).
+Each grid point yields one flat result row (:func:`result_row`): the
+point's axis values, the run's ``summary()`` and the further columns
+the paper's figures read.  :mod:`repro.sim.metrics` computes the
+paper's metrics from these rows.
 
 Execution backends, all bit-identical row for row:
 
@@ -59,7 +63,9 @@ if TYPE_CHECKING:
 
 from repro.controller.policies import RowPolicy
 from repro.core.schemes import by_name
+from repro.power.accounting import CATEGORIES
 from repro.sim.config import SystemConfig
+from repro.sim.results import SimResult
 from repro.sim.snapshot import resolve_fingerprint
 from repro.sim.system import simulate
 from repro.workloads.mixes import workload as lookup_workload
@@ -90,12 +96,59 @@ def _apply_point(base_config: SystemConfig, point: Dict) -> SystemConfig:
     return config
 
 
+#: Row column names, built once rather than for every row.
+_POWER_SHARE_COLUMNS = tuple((c, f"power_share_{c}") for c in CATEGORIES)
+_GRANULARITY_COLUMNS = tuple((g, f"granularity_share_{g}") for g in range(1, 9))
+_DIRTY_COLUMNS = tuple((n, f"dirty_words_{n}") for n in range(1, 9))
+
+
+def result_row(point: Dict, result: SimResult) -> Dict:
+    """One grid point's row: ``point``, ``result.summary()`` and the
+    figures' columns.
+
+    The figures' columns are per-core ``ipcs``, each power category's
+    share of DRAM energy (``power_share_act_pre`` ..., Fig. 2), the
+    share of activations per granularity (``granularity_share_1`` ..
+    ``_8``, in eighths of a row, Fig. 11), dirty-word fractions of
+    evicted lines (``dirty_words_1`` .. ``_8``, Fig. 3), the read and
+    write shares of traffic and of activations (Table 1), false-hit
+    re-activations, read-latency percentiles and DBI proactive
+    writebacks.  Each is the result's own value, not recomputed.
+    Every row has the same keys, and only str, int, float and lists of
+    float, so a row survives a JSON round trip unchanged.
+    """
+    controller = result.controller
+    latency = controller.reads.latency_hist
+    row = {**point, **result.summary(), "ipcs": result.ipcs}
+    power_shares = result.power.fractions()
+    for category, column in _POWER_SHARE_COLUMNS:
+        row[column] = power_shares[category]
+    granularity_shares = result.granularity_fractions()
+    for g, column in _GRANULARITY_COLUMNS:
+        row[column] = granularity_shares[g]
+    for n, column in _DIRTY_COLUMNS:
+        row[column] = result.dirty_word_fractions[n]
+    traffic = controller.traffic_split()
+    activations = controller.activation_split()
+    row["read_traffic_share"] = traffic["read"]
+    row["write_traffic_share"] = traffic["write"]
+    row["read_activation_share"] = activations["read"]
+    row["write_activation_share"] = activations["write"]
+    row["false_hit_reactivations"] = controller.false_hit_reactivations
+    row["read_latency_min"] = latency.min_value
+    row["read_latency_p50"] = latency.percentile(50)
+    row["read_latency_p95"] = latency.percentile(95)
+    row["read_latency_p99"] = latency.percentile(99)
+    row["dbi_proactive_writebacks"] = result.dbi_proactive_writebacks
+    return row
+
+
 def _run_point(ctx: SweepContext, point: Dict) -> Dict:
     """Simulate one grid point; module-level so worker processes can
     unpickle it.  ``ctx`` carries the grid-wide invariants (shipped
     once per worker); ``point`` is only the config delta.  Returns the
-    flattened result row (small and picklable; the heavy ``System``
-    never crosses the process boundary)."""
+    point's :func:`result_row` (small and picklable; the heavy
+    ``System`` never crosses the process boundary)."""
     base_config, events, seed, warmup, snapshot_dir = ctx
     config = _apply_point(base_config, point)
     result = simulate(
@@ -106,9 +159,7 @@ def _run_point(ctx: SweepContext, point: Dict) -> Dict:
         warmup_events_per_core=warmup,
         snapshot_dir=snapshot_dir,
     )
-    row = {**point}
-    row.update(result.summary())
-    return row
+    return result_row(point, result)
 
 
 def point_fingerprint(ctx: SweepContext, point: Dict) -> tuple:

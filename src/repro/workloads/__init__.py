@@ -2,6 +2,7 @@
 
 from repro.workloads.mixes import (
     ALL_WORKLOADS,
+    ALONE_WORKLOADS,
     MIX1,
     MIX2,
     MIX3,
@@ -31,6 +32,7 @@ from repro.workloads.trace_io import (
 
 __all__ = [
     "ALL_WORKLOADS",
+    "ALONE_WORKLOADS",
     "BenchmarkProfile",
     "BENCHMARKS",
     "compiled_trace",

@@ -2,7 +2,9 @@
 
 The paper evaluates 14 multiprogrammed workloads on the 4-core CMP:
 four identical instances of each of the eight benchmarks, plus the six
-heterogeneous mixes of Table 4.
+heterogeneous mixes of Table 4.  Each benchmark also runs alone on one
+core (``<app>-alone``): Eq. 3's IPC denominators and the single-core
+runs of Table 1 and Figs. 2-3.
 """
 
 from __future__ import annotations
@@ -57,9 +59,21 @@ ALL_WORKLOADS: Dict[str, Workload] = {
 }
 
 
+#: Each benchmark alone on one core, named ``<app>-alone``.  Reached by
+#: name through :func:`workload`, but not one of the 14.
+ALONE_WORKLOADS: Dict[str, Workload] = {
+    f"{name}-alone": Workload(name=f"{name}-alone", apps=(profile(name),))
+    for name in BENCHMARKS
+}
+
+
 def workload(name: str) -> Workload:
-    """Look up any of the 14 evaluation workloads by name."""
-    for key, value in ALL_WORKLOADS.items():
-        if key.lower() == name.lower():
-            return value
-    raise KeyError(f"unknown workload {name!r}; known: {sorted(ALL_WORKLOADS)}")
+    """Look up one of the 14 evaluation workloads or an ``<app>-alone``."""
+    for table in (ALL_WORKLOADS, ALONE_WORKLOADS):
+        for key, value in table.items():
+            if key.lower() == name.lower():
+                return value
+    raise KeyError(
+        f"unknown workload {name!r}; known: {sorted(ALL_WORKLOADS)}, "
+        f"or '<app>-alone' for one of {sorted(BENCHMARKS)}"
+    )

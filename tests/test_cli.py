@@ -4,8 +4,23 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.core.schemes import BASELINE, PRA
-from repro.sim.runner import ExperimentRunner, arithmetic_mean
+from repro.core.schemes import by_name
+from repro.cpu.metrics import weighted_speedup
+from repro.sim.config import SystemConfig
+from repro.sim.system import simulate
+from repro.workloads.mixes import Workload, workload
+from repro.workloads.profiles import profile
+
+
+def _simulated(schemes, workload_names, events, seed):
+    """``simulate`` results keyed by (workload, scheme): the oracle."""
+    return {
+        (name, scheme): simulate(
+            SystemConfig(scheme=by_name(scheme)), workload(name), events, seed=seed
+        )
+        for name in workload_names
+        for scheme in schemes
+    }
 
 
 class TestParser:
@@ -173,8 +188,8 @@ class TestPooledSweepCommand:
 
 class TestBenchCommand:
     """``repro bench`` runs its grid as a ``Sweep``; its table must
-    equal what :class:`ExperimentRunner`'s normalized metrics give for
-    the same points, serially and on a pool."""
+    equal the normalized means of ``simulate`` results for the same
+    points, serially and on a pool."""
 
     ARGV = ["bench", "--suite", "quick", "--events", "300", "--seed", "3"]
 
@@ -184,19 +199,77 @@ class TestBenchCommand:
         lines = capsys.readouterr().out.splitlines()
         return lines[lines.index("-" * 38) + 1:]
 
-    def test_serial_table_matches_runner(self, capsys):
-        runner = ExperimentRunner(events_per_core=300, seed=3)
+    def test_serial_table_matches_simulate(self, capsys):
+        workloads = ("GUPS", "MIX1")
+        results = _simulated(("Baseline", "PRA"), workloads, 300, 3)
         expected = []
-        for scheme in (BASELINE, PRA):
-            means = [
-                arithmetic_mean([metric(wl, scheme) for wl in ("GUPS", "MIX1")])
-                for metric in (runner.normalized_power, runner.normalized_energy,
-                               runner.normalized_edp)
-            ]
-            expected.append(f"{scheme.name:<14}" + "".join(f"{m:>8.3f}" for m in means))
+        for scheme in ("Baseline", "PRA"):
+            means = []
+            for metric in (lambda r: r.avg_power_mw, lambda r: r.total_energy_mj,
+                           lambda r: r.edp):
+                ratios = [
+                    metric(results[(wl, scheme)]) / metric(results[(wl, "Baseline")])
+                    for wl in workloads
+                ]
+                means.append(sum(ratios) / len(ratios))
+            expected.append(f"{scheme:<14}" + "".join(f"{m:>8.3f}" for m in means))
         assert self._table(capsys, self.ARGV + ["--pool", "0"]) == expected
 
     def test_pooled_table_matches_serial(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
         serial = self._table(capsys, self.ARGV + ["--pool", "0"])
         assert self._table(capsys, self.ARGV + ["--pool", "2"]) == serial
+
+
+class TestCompareCommand:
+    """``repro compare`` prints power, energy and EDP over Baseline and
+    Eq. 3 performance over each app alone, as ``simulate`` gives them."""
+
+    def test_table_matches_simulate(self, capsys):
+        apps = workload("MIX5").app_names
+        results = _simulated(("Baseline", "PRA"), ["MIX5"], 300, 3)
+        alone = [
+            simulate(SystemConfig(), Workload(name=app, apps=(profile(app),)),
+                     300, seed=3).cores[0].ipc
+            for app in apps
+        ]
+        base, pra = results[("MIX5", "Baseline")], results[("MIX5", "PRA")]
+        expected = []
+        for name, r in (("Baseline", base), ("PRA", pra)):
+            values = (
+                r.avg_power_mw / base.avg_power_mw,
+                r.total_energy_mj / base.total_energy_mj,
+                r.edp / base.edp,
+                weighted_speedup(r.ipcs, alone) / weighted_speedup(base.ipcs, alone),
+            )
+            expected.append(f"{name:<14}" + "".join(f"{v:>8.3f}" for v in values))
+        assert main(["compare", "--workload", "MIX5", "--schemes", "PRA",
+                     "--events", "300", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("-" * 46) + 1:] == expected
+
+
+class TestPortFile:
+    """A ``--port-file`` that is missing or holds no port number is one
+    ``error: --port-file <path>: ...`` line and exit 2, before any
+    request."""
+
+    @pytest.mark.parametrize("command", [
+        ["submit", "--workloads", "GUPS"],
+        ["results", "--job", "j"],
+    ], ids=["submit", "results"])
+    @pytest.mark.parametrize("content", [None, "", "port\n"],
+                             ids=["missing", "empty", "garbage"])
+    def test_clean_error(self, tmp_path, monkeypatch, capsys, command, content):
+        from repro.service.client import ServiceClient
+
+        requests = []
+        monkeypatch.setattr(ServiceClient, "_request",
+                            lambda self, *args, **kwargs: requests.append(args))
+        path = tmp_path / "port"
+        if content is not None:
+            path.write_text(content)
+        assert main(command + ["--port-file", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: --port-file {path}: ")
+        assert requests == []

@@ -7,7 +7,7 @@ from repro.core.schemes import BASELINE, PRA
 from repro.dram.mapping import Interleaving
 from repro.power.accounting import PowerBreakdown
 from repro.sim.config import CacheConfig, ControllerConfig, CoreConfig, SystemConfig
-from repro.sim.results import CoreResult, SimResult, normalized
+from repro.sim.results import CoreResult, SimResult
 from repro.controller.stats import ControllerStats
 from repro.cache.set_assoc import CacheStats
 
@@ -102,15 +102,6 @@ class TestSimResult:
 
     def test_ipcs(self):
         assert _result().ipcs == [0.5]
-
-
-class TestNormalizedHelper:
-    def test_divides(self):
-        assert normalized(3.0, 4.0) == pytest.approx(0.75)
-
-    def test_zero_baseline(self):
-        with pytest.raises(ZeroDivisionError):
-            normalized(1.0, 0.0)
 
 
 class TestSerialization:

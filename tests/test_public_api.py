@@ -15,7 +15,6 @@ TOP_LEVEL = [
     "BENCHMARKS",
     "DBI",
     "DBI_PRA",
-    "ExperimentRunner",
     "FGA",
     "HALF_DRAM",
     "HALF_DRAM_PRA",
@@ -39,6 +38,7 @@ SUBPACKAGE_EXPORTS = {
     "repro.cache": ["CacheHierarchy", "DirtyBlockIndex", "SetAssociativeCache"],
     "repro.cpu": ["Core", "TraceEvent", "weighted_speedup"],
     "repro.workloads": [
+        "ALONE_WORKLOADS",
         "FileTraceWorkload",
         "PhasedGenerator",
         "TraceBlocks",
@@ -50,6 +50,7 @@ SUBPACKAGE_EXPORTS = {
     "repro.power": ["DDR3_1600_POWER", "PowerAccountant", "TABLE3_ACT_MW"],
     "repro.sim": [
         "EpochSampler",
+        "Grid",
         "SNAPSHOTS",
         "SnapshotCache",
         "Sweep",

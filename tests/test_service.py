@@ -12,11 +12,14 @@ torn-tail-tolerant journal, and sticky warm-affinity placement.
 
 import asyncio
 import contextlib
+import glob
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -154,10 +157,10 @@ class TestDigests:
             "e9ad59725a20a7b60c00fe71bc9f8b8670d90513ea843c6c6729092585c95d28"
         )
         assert [spec.point_digest(p) for p in spec.points()] == [
-            "42a84d4bbc4e936f449ca130ba9cd4cf41349fe16c199ee49659d1eacf844caa",
-            "dfdf82652e5ca6b43bce355a65af738fd7020c17255281cd7baf63ef6803e628",
-            "c39452ad39888a2739d9a669850cc6488ba5a84a8a7e6f339f0f532bd2c757c4",
-            "34b25fbbb5daf0c46b1216e7ba489953f3a13c1e8e7dc04f080c11bbf448d2e6",
+            "9438507bd7e1df375f9db4621fcc03dbc8ec673d1427c8ee70c97ac30964e8b6",
+            "6e6efec75e593e23bbdc77bc6ddf31e478a165536585a41deb02bb77718189ad",
+            "ca2442ae260622ebb02cb34d127442c52cdb4b5bef850120e3fcc7ec7c917c74",
+            "890639d06493b73a40f9920c3b3c6f019128c3573e5f46eadfe976d4198aab25",
         ]
 
 
@@ -502,6 +505,68 @@ class TestHTTPService:
         assert result.returncode != 0
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def _live_children(pid):
+    """Pids of ``pid``'s children, from every thread's ``children`` list."""
+    pids = set()
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
+        with open(path) as handle:
+            pids.update(int(p) for p in handle.read().split())
+    return pids
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                         ids=["SIGTERM", "SIGINT"])
+def test_serve_stops_cleanly_on_signal(tmp_path, signum):
+    """``repro serve`` exits 0 on SIGTERM and on SIGINT, even when it
+    started with SIGINT ignored (a background job of a non-interactive
+    shell), and leaves no pool worker behind."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    port_file = tmp_path / "port"
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--dir", str(tmp_path / "svc"),
+         "--port-file", str(port_file)],
+        env=env, stderr=subprocess.DEVNULL,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    workers = set()
+    try:
+        for _ in range(1200):
+            if port_file.exists() or server.poll() is not None:
+                break
+            time.sleep(0.05)
+        assert port_file.exists(), "repro serve did not start"
+        client = ServiceClient(port=int(port_file.read_text()))
+        status = client.submit({
+            "events_per_core": 20, "warmup_events_per_core": 0,
+            "llc_bytes": 64 * 1024,
+            "axes": {"scheme": ["Baseline"], "workload": ["GUPS"]},
+        })
+        assert client.wait(status["job_id"])["state"] == "done"
+        workers = _live_children(server.pid)
+        assert workers, "the job left no pool worker"
+        server.send_signal(signum)
+        assert server.wait(timeout=10) == 0
+        assert [pid for pid in workers if _alive(pid)] == []
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,14 @@ import json
 
 import pytest
 
+from repro.core.schemes import PRA
+from repro.power.accounting import CATEGORIES
 from repro.sim.config import CacheConfig, SystemConfig
+from repro.sim.pool import SimPool
 from repro.sim.snapshot import SNAPSHOTS
-from repro.sim.sweep import Sweep
-from repro.workloads.mixes import ALL_WORKLOADS
+from repro.sim.sweep import Sweep, result_row
+from repro.sim.system import simulate
+from repro.workloads.mixes import ALL_WORKLOADS, MIX1
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +121,58 @@ class TestFingerprintOrder:
         assert [(r["scheme"], r["workload"]) for r in rows] == [
             (scheme, wl) for scheme in ("Baseline", "PRA") for wl in workloads
         ]
+
+
+class TestRowContract:
+    """Every row of a grid has the same keys and only JSON values: the
+    service stores rows as JSON, ``write_csv`` takes its columns from
+    the first row, and pooled rows must equal serial ones."""
+
+    @staticmethod
+    def _sweep():
+        sweep = Sweep(
+            events_per_core=100,
+            base_config=SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024)),
+            warmup_events_per_core=500,
+        )
+        sweep.add_axis("scheme", ["Baseline", "PRA"])
+        sweep.add_axis("workload", ["lbm-alone", "MIX1"])
+        sweep.add_axis("policy", ["relaxed"])
+        return sweep
+
+    def test_rows_share_keys_and_round_trip(self, tmp_path):
+        sweep = self._sweep()
+        rows = sweep.run()
+        keys = list(rows[0])
+        assert all(list(row) == keys for row in rows)
+        assert {"ipcs", "power_share_bg", "granularity_share_8", "dirty_words_1",
+                "read_traffic_share", "read_latency_p99",
+                "false_hit_reactivations"} <= set(keys)
+        assert [len(row["ipcs"]) for row in rows] == [1, 4, 1, 4]
+        assert json.loads(json.dumps(rows)) == rows
+        sweep.to_csv(str(tmp_path / "rows.csv"))
+        with open(tmp_path / "rows.csv") as handle:
+            assert len(list(csv.DictReader(handle))) == 4
+        with SimPool(workers=2) as pool:
+            assert self._sweep().run(pool=pool) == rows
+
+    def test_share_columns_are_the_results_own(self):
+        config = SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024))
+        result = simulate(
+            config.with_scheme(PRA), MIX1, 100, warmup_events_per_core=500
+        )
+        row = result_row({"workload": "MIX1"}, result)
+        power = result.power.fractions()
+        assert [row[f"power_share_{c}"] for c in CATEGORIES] == [
+            power[c] for c in CATEGORIES
+        ]
+        granularity = result.granularity_fractions()
+        assert [row[f"granularity_share_{g}"] for g in range(1, 9)] == [
+            granularity[g] for g in range(1, 9)
+        ]
+        traffic = result.controller.traffic_split()
+        activations = result.controller.activation_split()
+        assert (row["read_traffic_share"], row["write_traffic_share"]) == (
+            traffic["read"], traffic["write"])
+        assert (row["read_activation_share"], row["write_activation_share"]) == (
+            activations["read"], activations["write"])

@@ -201,6 +201,13 @@ class TestMixes:
         with pytest.raises(KeyError):
             workload("MIX9")
 
+    def test_alone_lookup(self):
+        alone = workload("LBM-alone")
+        assert (alone.name, alone.app_names) == ("lbm-alone", ("lbm",))
+        assert "lbm-alone" not in ALL_WORKLOADS
+        with pytest.raises(KeyError):
+            workload("MIX1-alone")
+
 
 class TestCrossProcessDeterminism:
     def test_seed_is_hashseed_independent(self):
