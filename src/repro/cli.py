@@ -60,9 +60,9 @@ if TYPE_CHECKING:
     from types import FrameType
 
     from repro.service.client import ServiceClient
-    from repro.sim.config import SystemConfig
 
 from repro.core.schemes import ALL_SCHEMES, BASELINE, by_name
+from repro.sim.config import SystemConfig
 from repro.sim.metrics import Grid, mean
 from repro.sim.sweep import POLICIES, Sweep, write_csv, write_json
 from repro.workloads.mixes import ALL_WORKLOADS
@@ -132,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--profile", action="store_true",
                        help="run under cProfile, print top-25 by cumulative time")
-        p.add_argument("--sanitize", action="store_true",
-                       help="enable the runtime sanitizer (protocol checkers "
-                       "+ invariant verification; same as REPRO_SANITIZE=1)")
 
     run_p = sub.add_parser("run", help="simulate one configuration")
     add_common(run_p)
@@ -177,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--pool", type=int, default=None, metavar="N",
                          help="pool worker processes (0 = serial in-process; "
                          "default: min(2, available CPUs))")
-    bench_p.add_argument("--sanitize", action="store_true",
-                         help="enable the runtime sanitizer")
 
     serve_p = sub.add_parser(
         "serve", help="run the long-lived sweep service (HTTP/JSON API)"
@@ -276,13 +271,6 @@ def cmd_list() -> int:
     return 0
 
 
-def _base_config(args: argparse.Namespace) -> "SystemConfig":
-    """Base :class:`SystemConfig` honouring the ``--sanitize`` flag."""
-    from repro.sim.config import SystemConfig
-
-    return SystemConfig(sanitize=getattr(args, "sanitize", False))
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Simulate one configuration and print its summary report."""
     from repro.sim.system import simulate
@@ -290,7 +278,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     scheme = by_name(args.scheme)
     policy = POLICIES[args.policy]
-    config = _base_config(args).with_scheme(scheme).with_policy(policy)
+    config = SystemConfig(scheme=scheme, policy=policy)
     result = simulate(config, lookup_workload(args.workload), args.events,
                       seed=args.seed)
     print(f"{args.workload} / {scheme.name} / {policy.value}")
@@ -361,8 +349,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     alone = [f"{app}-alone" for app in dict.fromkeys(wl.app_names)]
 
     def run(scheme_axis: List[str], workload_axis: List[str]) -> List[dict]:
-        sweep = Sweep(events_per_core=args.events,
-                      base_config=_base_config(args), seed=args.seed)
+        sweep = Sweep(events_per_core=args.events, seed=args.seed)
         sweep.add_axis("scheme", scheme_axis)
         sweep.add_axis("workload", workload_axis)
         sweep.add_axis("policy", [args.policy])
@@ -425,8 +412,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scheme_names, workload_names = _BENCH_SUITES[args.suite]
     if workload_names is None:
         workload_names = list(ALL_WORKLOADS)
-    sweep = Sweep(events_per_core=args.events, base_config=_base_config(args),
-                  seed=args.seed)
+    sweep = Sweep(events_per_core=args.events, seed=args.seed)
     sweep.add_axis("scheme", scheme_names)
     sweep.add_axis("workload", workload_names)
     sweep.add_axis("policy", [args.policy])

@@ -70,7 +70,7 @@ from collections import deque
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.controller.policies import ROW_HIT_CAP, RowPolicy
+from repro.controller.policies import ROW_HIT_CAP, SCAN_DEPTH, RowPolicy
 from repro.controller.queues import RequestQueue
 from repro.controller.stats import ControllerStats
 from repro.core import mask as mask_ops
@@ -155,7 +155,7 @@ class ChannelController:
         write_queue_size: int = 64,
         drain_high_watermark: int = 48,
         drain_low_watermark: int = 16,
-        scan_depth: int = 8,
+        scan_depth: int = SCAN_DEPTH,
         row_hit_cap: int = ROW_HIT_CAP,
         scheduler: str = "frfcfs",
     ) -> None:

@@ -44,3 +44,6 @@ class RowPolicy(enum.Enum):
 
 #: Row-hit cap per activation under the relaxed policy (Section 5.1.2).
 ROW_HIT_CAP = 4
+
+#: FR-FCFS scan window: the oldest requests a scheduling pass visits.
+SCAN_DEPTH = 12

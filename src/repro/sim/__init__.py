@@ -12,7 +12,6 @@ from repro.sim.sampling import EpochSample, EpochSampler, EpochSeries
 from repro.sim.snapshot import SNAPSHOTS, SnapshotCache, WarmSnapshot
 from repro.sim.sweep import Sweep
 from repro.sim.system import OVERFLOW_STALL_THRESHOLD, System, simulate
-from repro.sim.validate import ValidationError, validate_result
 
 __all__ = [
     "CacheConfig",
@@ -33,6 +32,4 @@ __all__ = [
     "WarmSnapshot",
     "System",
     "SystemConfig",
-    "ValidationError",
-    "validate_result",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.cache.set_assoc import num_sets
-from repro.controller.policies import ROW_HIT_CAP, RowPolicy
+from repro.controller.policies import ROW_HIT_CAP, SCAN_DEPTH, RowPolicy
 from repro.core.schemes import BASELINE, Scheme
 from repro.dram.geometry import SystemGeometry
 from repro.dram.mapping import Interleaving
@@ -62,7 +62,7 @@ class ControllerConfig:
     drain_high_watermark: int = 48
     drain_low_watermark: int = 16
     row_hit_cap: int = ROW_HIT_CAP
-    scan_depth: int = 12
+    scan_depth: int = SCAN_DEPTH
     #: "frfcfs" (paper) or "fcfs" (ablation without the hit-first pass).
     scheduler: str = "frfcfs"
 
@@ -87,12 +87,6 @@ class SystemConfig:
     #: and transfers full bursts; PRA savings apply to data chips only.
     ecc_chips: int = 0
     seed: int = 1
-    #: Run under the runtime sanitizer (:mod:`repro.sim.sanitize`):
-    #: protocol checkers on every controller, snapshot-restore digest
-    #: verification and finalize-time invariant checks.  The
-    #: ``REPRO_SANITIZE`` environment variable enables the same thing
-    #: without touching configs.
-    sanitize: bool = False
 
     def __post_init__(self) -> None:
         # A negative count would subtract chips from every rank; type(),

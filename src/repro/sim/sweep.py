@@ -214,11 +214,13 @@ class Sweep:
         self,
         events_per_core: int = 4000,
         base_config: Optional[SystemConfig] = None,
-        seed: int = 1,
+        seed: Optional[int] = None,
         warmup_events_per_core: Optional[int] = None,
         snapshot_dir: Optional[str] = None,
     ) -> None:
         """Configure grid-wide run parameters.
+
+        ``seed=None`` runs every point at ``base_config.seed``.
 
         ``snapshot_dir`` opts the grid into the on-disk warm-state
         snapshot layer: every scheme/policy point of the same
@@ -228,7 +230,7 @@ class Sweep:
         """
         self.events_per_core = events_per_core
         self.base_config = base_config if base_config is not None else SystemConfig()
-        self.seed = seed
+        self.seed = seed if seed is not None else self.base_config.seed
         self.warmup = warmup_events_per_core
         self.snapshot_dir = snapshot_dir
         self._axes: Dict[str, Sequence] = {}

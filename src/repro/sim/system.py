@@ -171,11 +171,11 @@ class System:
             )
             for channel in self.channels
         ]
-        #: Runtime sanitizer (REPRO_SANITIZE=1 or config.sanitize):
-        #: protocol checkers on every controller plus restore/finalize
-        #: invariant verification.  Off by default — no checker is
-        #: attached, so the scheduling hot path is unchanged.
-        self._sanitize = sanitize_enabled(config)
+        #: Runtime sanitizer (REPRO_SANITIZE=1): protocol checkers on
+        #: every controller plus the restore and finalize audits.  Off
+        #: by default — no checker is attached, so the scheduling hot
+        #: path is unchanged.
+        self._sanitize = sanitize_enabled()
         if self._sanitize:
             attach_checkers(self)
 
@@ -617,8 +617,6 @@ class System:
         merged = ControllerStats()
         for ctrl in self.controllers:
             merged.merge(ctrl.stats)
-        if self._sanitize:
-            check_finalize(self, merged)
         core_results = []
         for core, profile in zip(self.cores, self.workload.apps):
             finish = core.finish_cycle if core.finish_cycle is not None else end_cycle
@@ -632,7 +630,7 @@ class System:
                 )
             )
         dbi = self.hierarchy.dbi
-        return SimResult(
+        result = SimResult(
             scheme_name=self.config.scheme.name,
             policy_name=self.config.policy.value,
             workload_name=self.workload.name,
@@ -647,6 +645,9 @@ class System:
                 dbi.proactive_writebacks if dbi is not None else 0
             ),
         )
+        if self._sanitize:
+            check_finalize(self, result)
+        return result
 
 
 def simulate(

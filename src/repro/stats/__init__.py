@@ -1,19 +1,10 @@
 """Statistics utilities: latency histograms and ASCII reporting."""
 
 from repro.stats.histogram import LatencyHistogram
-from repro.stats.report import (
-    bar,
-    format_breakdown,
-    format_comparison,
-    format_histogram,
-    format_table,
-)
+from repro.stats.report import bar, format_breakdown
 
 __all__ = [
     "bar",
     "format_breakdown",
-    "format_comparison",
-    "format_histogram",
-    "format_table",
     "LatencyHistogram",
 ]

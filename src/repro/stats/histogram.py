@@ -148,15 +148,6 @@ class LatencyHistogram:
         # Interpolation may poke past the observed extremes; clamp.
         return min(max(result, float(self.min_value)), float(self.max_value))
 
-    def nonzero_buckets(self) -> "List[Tuple[float, float, int]]":
-        """(low, high, count) for every populated bucket, ascending."""
-        out = []
-        for idx, count in enumerate(self._counts):
-            if count:
-                lo, hi = self._bucket_bounds(idx)
-                out.append((lo, hi, count))
-        return out
-
     def summary(self) -> Dict[str, float]:
         """Count, mean and key percentiles as a flat dict."""
         return {

@@ -1,15 +1,13 @@
-"""ASCII report rendering: tables, bars, histograms.
+"""ASCII report rendering: proportional bars and the power breakdown.
 
-Consolidates the formatting used by the CLI, the examples and the
-benchmark harness into small, testable helpers.  Everything returns
-strings (callers decide where to print).
+``repro run`` prints a run's power breakdown with
+:func:`format_breakdown`.  Everything returns strings (callers decide
+where to print).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.stats.histogram import LatencyHistogram
+from typing import Dict
 
 
 def bar(value: float, scale: float, width: int = 40, char: str = "#") -> str:
@@ -18,35 +16,6 @@ def bar(value: float, scale: float, width: int = 40, char: str = "#") -> str:
         raise ValueError("scale and width must be positive")
     fill = int(round(min(value / scale, 1.0) * width))
     return char * fill
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence],
-    float_digits: int = 3,
-) -> str:
-    """Render rows as a fixed-width table with an underlined header."""
-    if not headers:
-        raise ValueError("need at least one column")
-
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.{float_digits}f}"
-        return str(value)
-
-    str_rows = [[cell(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        if len(row) != len(headers):
-            raise ValueError("row width must match headers")
-        for idx, text in enumerate(row):
-            widths[idx] = max(widths[idx], len(text))
-    lines = []
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(text.rjust(widths[i]) for i, text in enumerate(row)))
-    return "\n".join(lines)
 
 
 def format_breakdown(
@@ -59,38 +28,3 @@ def format_breakdown(
     for name, frac in fractions.items():
         lines.append(f"  {name:<10}{frac:>7.1%}  {bar(frac, 1.0, width)}")
     return "\n".join(lines)
-
-
-def format_histogram(
-    hist: LatencyHistogram,
-    title: str = "latency (cycles)",
-    width: int = 40,
-) -> str:
-    """Render a latency histogram with its percentile summary."""
-    lines = [f"{title}: n={hist.samples} mean={hist.mean:.1f} "
-             f"p50={hist.percentile(50):.0f} p95={hist.percentile(95):.0f} "
-             f"p99={hist.percentile(99):.0f} max={hist.max_value}"]
-    buckets = hist.nonzero_buckets()
-    if buckets:
-        peak = max(count for _, _, count in buckets)
-        for lo, hi, count in buckets:
-            lines.append(
-                f"  [{lo:>8.0f},{hi:>8.0f})  {count:>7}  {bar(count, peak, width)}"
-            )
-    return "\n".join(lines)
-
-
-def format_comparison(
-    baseline: Dict[str, float],
-    variant: Dict[str, float],
-    labels: Tuple[str, str] = ("baseline", "variant"),
-    keys: Optional[List[str]] = None,
-) -> str:
-    """Side-by-side metric comparison with ratios."""
-    keys = keys if keys is not None else sorted(set(baseline) & set(variant))
-    rows = []
-    for key in keys:
-        b, v = baseline[key], variant[key]
-        ratio = v / b if b else float("nan")
-        rows.append((key, b, v, ratio))
-    return format_table(("metric", labels[0], labels[1], "ratio"), rows)

@@ -25,6 +25,7 @@ import copy
 import hashlib
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -55,19 +56,20 @@ TRACE_SCHEMES = (BASELINE, PRA, DBI_PRA, SDS)
 
 def _build(scheme, workload_name, seed=1, sanitize=False, use_l1=False,
            **kwargs):
+    """One digest-case System; ``sanitize`` arms it through the environment."""
     config = SystemConfig(
         scheme=scheme,
-        sanitize=sanitize,
         cache=CacheConfig(llc_bytes=256 * 1024, use_l1=use_l1),
     )
-    return System(
-        config,
-        workload(workload_name),
-        EVENTS,
-        seed=seed,
-        warmup_events_per_core=WARMUP,
-        **kwargs,
-    )
+    with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "1"} if sanitize else {}):
+        return System(
+            config,
+            workload(workload_name),
+            EVENTS,
+            seed=seed,
+            warmup_events_per_core=WARMUP,
+            **kwargs,
+        )
 
 
 def _digest(result):

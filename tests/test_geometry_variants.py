@@ -3,6 +3,9 @@
 The library should not be hard-wired to the paper's 2-channel/2-rank
 configuration: single-channel systems, single-rank channels, DDR4-ish
 bank counts and small chips must all simulate and account correctly.
+Every run here is sanitized, so each geometry's DRAM commands replay
+through the protocol checker and its result passes the sanitizer's
+audit.
 """
 
 import pytest
@@ -12,11 +15,15 @@ from repro.dram.geometry import ChipGeometry, SystemGeometry
 from repro.dram.mapping import AddressMapper, Interleaving
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.system import simulate
-from repro.sim.validate import validate_result
 from repro.workloads.mixes import Workload, workload
 from repro.workloads.profiles import profile
 
 SMALL_CACHE = CacheConfig(llc_bytes=128 * 1024)
+
+
+@pytest.fixture(autouse=True)
+def sanitized(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
 
 
 def run(geometry, scheme=PRA, events=500, wl=None):
@@ -29,13 +36,11 @@ class TestGeometryVariants:
     def test_single_channel(self):
         geo = SystemGeometry(channels=1)
         result = run(geo)
-        validate_result(result)
         assert result.controller.total_served > 0
 
     def test_single_rank_no_termination_partner(self):
         geo = SystemGeometry(ranks_per_channel=1)
         result = run(geo)
-        validate_result(result)
         # With one rank per channel there is no other-rank termination,
         # so I/O power is lower than the dual-rank default.
         dual = run(SystemGeometry())
@@ -45,13 +50,11 @@ class TestGeometryVariants:
 
     def test_ddr4_style_sixteen_banks(self):
         geo = SystemGeometry(chip=ChipGeometry(banks=16, rows=16384))
-        result = run(geo)
-        validate_result(result)
+        run(geo)
 
     def test_quad_channel(self):
         geo = SystemGeometry(channels=4)
         result = run(geo)
-        validate_result(result)
         # More channels => more parallelism => no slower than dual.
         dual = run(SystemGeometry())
         assert result.runtime_cycles <= dual.runtime_cycles * 1.2
@@ -59,8 +62,7 @@ class TestGeometryVariants:
     def test_small_chip_wraps_addresses(self):
         # 256Mb-class chip: tiny capacity; generator footprints wrap.
         geo = SystemGeometry(chip=ChipGeometry(rows=4096))
-        result = run(geo)
-        validate_result(result)
+        run(geo)
 
     def test_mapper_roundtrip_on_variants(self):
         for geo in (

@@ -54,9 +54,8 @@ SUBPACKAGE_EXPORTS = {
         "SNAPSHOTS",
         "SnapshotCache",
         "Sweep",
-        "validate_result",
     ],
-    "repro.stats": ["LatencyHistogram", "format_table"],
+    "repro.stats": ["LatencyHistogram"],
 }
 
 

@@ -1,14 +1,16 @@
-"""Runtime sanitizer: switches, attached checkers, invariant teeth.
+"""Runtime sanitizer: its switch, attached checkers, invariant teeth.
 
 The sanitizer must (a) stay completely off by default, (b) attach a
-protocol checker to every controller when enabled via either switch,
+protocol checker to every controller when ``REPRO_SANITIZE`` arms it,
 (c) pass cleanly on real runs, and (d) actually *fail* when an
 invariant is broken — a sanitizer that cannot fire is decoration.
 """
 
+import os
+from unittest import mock
+
 import pytest
 
-from repro.controller.stats import ControllerStats
 from repro.core.schemes import DBI_PRA
 from repro.dram.protocol import ProtocolChecker
 from repro.sim.config import CacheConfig, SystemConfig
@@ -32,18 +34,13 @@ WARMUP = 1500
 
 
 def _system(sanitize=False, scheme=None, **kwargs):
-    config = SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024), sanitize=sanitize)
+    """A small GUPS System; ``sanitize`` arms it through the environment."""
+    config = SystemConfig(cache=CacheConfig(llc_bytes=128 * 1024))
     if scheme is not None:
         config = config.with_scheme(scheme)
-    return System(config, workload("GUPS"), EVENTS, seed=4,
-                  warmup_events_per_core=WARMUP, **kwargs)
-
-
-def _merged(system):
-    merged = ControllerStats()
-    for ctrl in system.controllers:
-        merged.merge(ctrl.stats)
-    return merged
+    with mock.patch.dict(os.environ, {"REPRO_SANITIZE": "1"} if sanitize else {}):
+        return System(config, workload("GUPS"), EVENTS, seed=4,
+                      warmup_events_per_core=WARMUP, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -53,24 +50,18 @@ def test_off_by_default(monkeypatch):
     """No checker is attached unless explicitly requested."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     system = _system()
-    assert not sanitize_enabled(system.config)
+    assert not sanitize_enabled()
     assert all(c.protocol_checker is None for c in system.controllers)
 
 
-def test_config_field_enables():
-    """``SystemConfig(sanitize=True)`` attaches a checker per controller."""
-    system = _system(sanitize=True)
+def test_env_var_enables(monkeypatch):
+    """``REPRO_SANITIZE=1`` attaches a checker per controller."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    system = _system()
     assert all(
         isinstance(c.protocol_checker, ProtocolChecker)
         for c in system.controllers
     )
-
-
-def test_env_var_enables(monkeypatch):
-    """``REPRO_SANITIZE=1`` does the same without touching configs."""
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    system = _system()
-    assert all(c.protocol_checker is not None for c in system.controllers)
 
 
 def test_falsy_env_values_stay_off(monkeypatch):
@@ -119,62 +110,78 @@ def test_snapshot_restore_digest_verified():
 def test_counter_mismatch_fires():
     """Tampered burst counters raise a SanitizerError (not silence)."""
     system = _system(sanitize=True)
-    system.run()
+    result = system.run()
     system.accountant.read_bursts += 1
     with pytest.raises(SanitizerError, match="read bursts"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_refresh_mismatch_fires():
     system = _system(sanitize=True)
-    system.run()
+    result = system.run()
     system.accountant.refreshes += 1
     with pytest.raises(SanitizerError, match="refreshes"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_activation_histogram_mismatch_fires():
     system = _system(sanitize=True)
-    system.run()
-    system.accountant.activations_by_granularity[8] += 1
+    result = system.run()
+    result.activation_histogram[8] += 1
     with pytest.raises(SanitizerError, match="activation histogram"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_nonfinite_energy_fires():
     system = _system(sanitize=True)
-    system.run()
-    system.accountant.energy_pj["rd"] = float("nan")
+    result = system.run()
+    result.power.energy_pj["rd"] = float("nan")
     with pytest.raises(SanitizerError, match="finite"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_corrupt_open_bits_fires():
     """TimingCore incoherence (open_bits vs open_row) is caught."""
     system = _system(sanitize=True)
-    system.run()
+    result = system.run()
     system.channels[0].core.open_bits[0] ^= 1
     with pytest.raises(SanitizerError, match="open_bits"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_corrupt_mask_fires():
     """An out-of-range PRA mask in the timing core is caught."""
     system = _system(sanitize=True)
-    system.run()
+    result = system.run()
     system.channels[0].core.open_mask[0] = 0
     with pytest.raises(SanitizerError, match="mask"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
 
 
 def test_dbi_registry_mismatch_fires():
     """A registered line the LLC no longer holds dirty is caught."""
     system = _system(sanitize=True, scheme=DBI_PRA)
-    system.run()  # the finalize check passed on the real run
+    result = system.run()  # the finalize check passed on the real run
     lines = next(iter(system.hierarchy.dbi.export_rows().values()))
     system.hierarchy.l2.clean_line(lines[0])
     with pytest.raises(SanitizerError, match="DBI registers"):
-        check_finalize(system, _merged(system))
+        check_finalize(system, result)
+
+
+def test_finalize_runs_the_result_audit():
+    """A sanitized run's own finalize applies the result checks: read
+    row hits above reads served fail ``hits-bounded`` there."""
+    system = _system(sanitize=True)
+    finalize = system._finalize
+
+    def corrupt_then_finalize(cycle):
+        served = sum(c.stats.reads.served for c in system.controllers)
+        system.controllers[0].stats.reads.row_hits = served + 1
+        return finalize(cycle)
+
+    system._finalize = corrupt_then_finalize
+    with pytest.raises(SanitizerError, match="hits-bounded"):
+        system.run()
 
 
 def test_restore_digest_mismatch_fires():
@@ -198,19 +205,3 @@ def test_digestless_snapshot_skips_verification():
     snapshot = capture_warm_state(system.hierarchy)  # no digest
     assert snapshot.digest is None
     verify_restore(system.hierarchy, snapshot)  # no-op, no raise
-
-
-# ----------------------------------------------------------------------
-# CLI surface
-# ----------------------------------------------------------------------
-def test_cli_sanitize_flag_builds_sanitizing_config():
-    """``repro run --sanitize`` plumbs through to SystemConfig."""
-    from repro.cli import _base_config, build_parser
-
-    args = build_parser().parse_args(
-        ["run", "--workload", "GUPS", "--sanitize"]
-    )
-    assert args.sanitize
-    assert _base_config(args).sanitize
-    args = build_parser().parse_args(["run", "--workload", "GUPS"])
-    assert not _base_config(args).sanitize

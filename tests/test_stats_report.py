@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.histogram import LatencyHistogram
-from repro.stats.report import (
-    bar,
-    format_breakdown,
-    format_comparison,
-    format_histogram,
-    format_table,
-)
+from repro.stats.report import bar, format_breakdown
 
 
 class TestHistogramBasics:
@@ -144,37 +138,10 @@ class TestBar:
 
 
 class TestTables:
-    def test_format_table_alignment(self):
-        text = format_table(("name", "value"), [("a", 1.5), ("bb", 20.25)])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert "name" in lines[0]
-        assert set(lines[1]) <= {"-", " "}
-        assert "20.250" in lines[3]
-
-    def test_row_width_mismatch(self):
-        with pytest.raises(ValueError):
-            format_table(("a", "b"), [(1,)])
-
-    def test_empty_headers(self):
-        with pytest.raises(ValueError):
-            format_table((), [])
-
     def test_format_breakdown(self):
         text = format_breakdown({"act_pre": 0.25, "bg": 0.75}, width=8)
         assert "act_pre" in text
         assert "25.0%" in text
-
-    def test_format_comparison(self):
-        text = format_comparison({"power": 100.0}, {"power": 80.0})
-        assert "0.800" in text
-
-    def test_format_histogram(self):
-        h = LatencyHistogram()
-        h.extend([10, 10, 500])
-        text = format_histogram(h)
-        assert "n=3" in text
-        assert "#" in text
 
 
 class TestControllerIntegration:

@@ -12,7 +12,7 @@ from repro.sim.pool import SimPool
 from repro.sim.snapshot import SNAPSHOTS
 from repro.sim.sweep import Sweep, result_row
 from repro.sim.system import simulate
-from repro.workloads.mixes import ALL_WORKLOADS, MIX1
+from repro.workloads.mixes import ALL_WORKLOADS, MIX1, workload
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,20 @@ class TestPolicyAndECCAxes:
         ecc_power = [r["total_power_mw"] for r in rows if r["ecc_chips"] == 1]
         plain_power = [r["total_power_mw"] for r in rows if r["ecc_chips"] == 0]
         assert min(ecc_power) > min(plain_power)
+
+
+class TestSeed:
+    def test_seed_defaults_to_config_seed(self):
+        base = SystemConfig(cache=CacheConfig(llc_bytes=256 * 1024), seed=5)
+        sweep = Sweep(events_per_core=200, base_config=base)
+        sweep.add_axis("scheme", ["PRA"])
+        sweep.add_axis("workload", ["GUPS"])
+        (row,) = sweep.run()
+        config = base.with_scheme(PRA)
+        seed5 = simulate(config, workload("GUPS"), 200)
+        seed1 = simulate(config, workload("GUPS"), 200, seed=1)
+        assert seed5.runtime_cycles != seed1.runtime_cycles
+        assert row["runtime_cycles"] == seed5.runtime_cycles
 
 
 class TestFingerprintOrder:
